@@ -46,7 +46,6 @@ from .coloring import (
     PartialProductColoring,
     backbone_bfs,
     color_fibers_from,
-    extend_to_s1_fibers,
 )
 from .skeleton import (
     ColoredSkeleton,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (for ``recognize``: the graph is locally unrefined),
 1 negative pipeline verdict, 2 input errors (malformed file, disconnected,
-non-thin where thinness is required).
+non-thin where thinness is required, generation parameters that admit no
+instance).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import io as gio
 from .graph import Graph, GraphError, path_graph
 from .coloring import ColoringError
 from .factorize import factor_exact
-from .oracle import random_product_instance
+from .oracle import GenerationError, random_product_instance
 from .products import strong_product
 from .recognize import pfd_fast, recognize
 from .sclasses import backbone, is_thin, quotient, relative_s_partition
@@ -247,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ColoringError, SkeletonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GraphError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, GenerationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

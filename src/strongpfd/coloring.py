@@ -76,12 +76,6 @@ class PartialProductColoring:
                 "local factorizations are inconsistent"
             )
 
-    def color_classes(self) -> dict[int, list[Edge]]:
-        classes: dict[int, list[Edge]] = {}
-        for edge in sorted(self.colors):
-            classes.setdefault(self.colors[edge], []).append(edge)
-        return classes
-
 
 @dataclass(frozen=True)
 class CoveringSequence:
@@ -261,19 +255,3 @@ def backbone_bfs(
     return _bfs_one_color(
         graph, anchor, local_color, raw, cache, backbone_set, coloring, nf.prime_count
     )
-
-
-def extend_to_s1_fibers(
-    graph: Graph,
-    coloring: PartialProductColoring,
-    backbone_vertices: VertexSet | None = None,
-) -> int:
-    """Re-run the completion sweep across all colors to a fixpoint.
-
-    Parallel fibers that admit a witness get their identifiable edges during
-    the anchored BFS already; this pass finishes their remaining edges.  It
-    is idempotent on fully colored structures.  Returns the number of newly
-    colored edges.
-    """
-    del backbone_vertices  # coverage is determined by the colored edges themselves
-    return completion_sweep(graph, coloring)

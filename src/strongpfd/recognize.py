@@ -231,9 +231,7 @@ def recognize(graph: Graph, size_cap: int | None = None) -> RecognitionReport:
         skeleton.n2_prime_counts.values()
     )
     max_local = max(all_counts, default=0)
-    ok, _, factors, diag = product_coordinates(
-        graph, skeleton.edge_color, skeleton.n_colors
-    )
+    ok, _, factors, diag = skeleton.verification
     if ok:
         assert factors is not None
         extracted = tuple(factors)

@@ -1,13 +1,14 @@
-"""Colored Cartesian skeleton assembly: all-anchor fiber coloring, square
-merging of parallel fiber colors, and the 2-neighborhood sweep for product
-edges that no 1-neighborhood can certify.
+"""Colored Cartesian skeleton assembly: single-pass stitching of the lifted
+edges of every backbone neighborhood, square merging of parallel fiber
+colors, and the 2-neighborhood sweep for product edges that no
+1-neighborhood can certify.
 
-Raw colors are opened per (anchor, local factor); classes that must belong
-to one factor are merged through a union-find, either because two anchors
-colored a common edge or because a diagonal-free square pairs their edges.
-The expensive 2-neighborhood sweep runs only when the colored structure
-does not already verify as a product; on locally unrefined inputs whose
-fibers are all witnessed it is skipped.
+Every backbone neighborhood is factored once.  Each (center, local factor)
+pair opens one raw color in a union-find; a lifted edge joins the raw colors
+of all centers that lift it, and a diagonal-free square joins the colors of
+its opposite edges.  The expensive 2-neighborhood sweep runs only when the
+colored structure does not already verify as a product; on locally
+unrefined inputs whose fibers are all witnessed it is skipped.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ from .coloring import (
     STAGE_COMPLETION,
     STAGE_LIFT,
     STAGE_N2,
-    ColoringError,
     NeighborhoodCache,
     PartialProductColoring,
-    color_fibers_from,
     completion_sweep,
 )
 from .factorize import FactorSizeError, factor_exact
 from .products import cartesian_index
 from .sclasses import NotThinError, backbone, is_thin, quotient
-
-_STAGE_RANK = {STAGE_LIFT: 0, STAGE_COMPLETION: 1, STAGE_N2: 2}
 
 
 class SkeletonError(RuntimeError):
@@ -79,6 +76,8 @@ class ColoredSkeleton:
     n2_prime_counts: dict[int, int] = field(default_factory=dict)
     n2_ran: bool = False
     diagnostics: list[str] = field(default_factory=list)
+    # product_coordinates(graph, edge_color, n_colors), computed during assembly
+    verification: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def cartesian_edges(self) -> tuple[Edge, ...]:
@@ -217,12 +216,6 @@ def n2_sweep(
     return counts
 
 
-def _note_stage(stage_of: dict[Edge, str], edge: Edge, stage: str) -> None:
-    old = stage_of.get(edge)
-    if old is None or _STAGE_RANK[stage] < _STAGE_RANK[old]:
-        stage_of[edge] = stage
-
-
 def _renumber(edge_color: dict[Edge, int], uf: UnionFind) -> tuple[dict[Edge, int], int]:
     final: dict[Edge, int] = {}
     relabel: dict[int, int] = {}
@@ -234,6 +227,61 @@ def _renumber(edge_color: dict[Edge, int], uf: UnionFind) -> tuple[dict[Edge, in
     return final, len(relabel)
 
 
+def _stitch_lifted_edges(
+    graph: Graph,
+    cache: NeighborhoodCache,
+    uf: UnionFind,
+    edge_color: dict[Edge, int],
+    stage_of: dict[Edge, str],
+) -> dict[int, int]:
+    """Color the lifted edges of every backbone neighborhood in one pass and
+    return the local prime counts.
+
+    Local factor i of center v opens raw color ``first + i``; an edge takes
+    the raw color of the first center that lifts it and is unioned with
+    those of the later ones.  A lifted edge between two backbone vertices
+    must also be lifted by the far neighborhood, which must have as many
+    local factors, and no two local factors of one center may share a class.
+    """
+    anchors = backbone(graph)
+    backbone_set = frozenset(anchors)
+    counts: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for v in anchors:
+        nf = cache.get(v)
+        count = counts[v] = nf.prime_count
+        steps = [w for w in graph.neighbors(v) if w in backbone_set]
+        steps = [w for w in steps if edge_key(v, w) in nf.lifted]
+        for w in sorted(steps, key=lambda w: nf.lifted[edge_key(v, w)]):
+            nw = cache.get(w)
+            if nw.prime_count != count:
+                raise SkeletonError(
+                    f"neighborhood of {w} has {nw.prime_count} local factors, "
+                    f"anchor {v} has {count}"
+                )
+            if edge_key(v, w) not in nw.lifted:
+                raise SkeletonError(
+                    f"no color continuation into the neighborhood of {w} "
+                    f"through edge {edge_key(v, w)}"
+                )
+        first[v] = len(uf.parent)
+        for _ in range(count):
+            uf.add()
+        for edge, idx in nf.lifted.items():
+            color = first[v] + idx
+            if edge_color.setdefault(edge, color) == color:
+                stage_of[edge] = STAGE_LIFT
+            else:
+                uf.union(edge_color[edge], color)
+    for v, base in first.items():
+        if len({uf.find(base + i) for i in range(counts[v])}) != counts[v]:
+            raise SkeletonError(
+                f"two local factors of the neighborhood of {v} share one color; "
+                "local factorizations are inconsistent"
+            )
+    return counts
+
+
 def build_skeleton(
     graph: Graph,
     size_cap: int | None = None,
@@ -241,10 +289,11 @@ def build_skeleton(
 ) -> ColoredSkeleton:
     """Assemble the full colored skeleton of a thin connected graph.
 
-    Runs the anchored fiber coloring from every backbone vertex, merges the
-    per-anchor colors through shared edges and diagonal-free squares, and
-    falls back to the 2-neighborhood sweep when the result does not already
-    verify as a product coloring.
+    Factors every backbone neighborhood once and stitches their lifted edges
+    in one pass, colors the edges pinched between two same-colored edges,
+    merges colors across diagonal-free squares, and falls back to the
+    2-neighborhood sweep when the result does not already verify as a
+    product coloring.
     """
     if not graph.is_connected():
         raise GraphError("skeleton construction requires a connected graph")
@@ -252,45 +301,21 @@ def build_skeleton(
         raise NotThinError("skeleton construction requires a thin graph")
     from .recognize import product_coordinates  # local import; recognizer uses us too
 
-    anchors = backbone(graph)
     if cache is None:
         cache = NeighborhoodCache(graph, size_cap)
     uf = UnionFind()
     edge_color: dict[Edge, int] = {}
     stage_of: dict[Edge, str] = {}
-    diagnostics: list[str] = []
-
-    for anchor in anchors:
-        try:
-            partial = color_fibers_from(
-                graph, anchor, backbone_vertices=anchors, cache=cache, size_cap=size_cap
-            )
-        except ColoringError as exc:
-            raise SkeletonError(str(exc)) from exc
-        raw_to_global = [uf.add() for _ in partial.palette]
-        for edge, raw in partial.colors.items():
-            color = raw_to_global[raw]
-            existing = edge_color.get(edge)
-            if existing is None:
-                edge_color[edge] = color
-            else:
-                uf.union(existing, color)
-            _note_stage(stage_of, edge, partial.stages[edge])
-
-    merge_parallel_colors(graph, edge_color, uf)
-    counts = {v: cache.entries[v].prime_count for v in cache.entries}
-
-    final, n_colors = _renumber(edge_color, uf)
-    skeleton = ColoredSkeleton(
-        graph=graph,
-        edge_color=final,
-        n_colors=n_colors,
-        stage_of=dict(stage_of),
-        local_prime_counts=counts,
+    counts = _stitch_lifted_edges(graph, cache, uf, edge_color, stage_of)
+    coloring = PartialProductColoring(
+        colors={edge: uf.find(c) for edge, c in edge_color.items()}, stages=stage_of
     )
-    ok, _, _, diag = product_coordinates(graph, final, n_colors)
-    if ok:
-        return skeleton
+    completion_sweep(graph, coloring)
+    edge_color = coloring.colors
+    merge_parallel_colors(graph, edge_color, uf)
+    final, n_colors = _renumber(edge_color, uf)
+    verification = product_coordinates(graph, final, n_colors)
+    n2_ran = not verification[0]
 
     # The colored structure is not yet a product coloring: hunt for product
     # edges that have no witness in any 1-neighborhood.  Vertices sitting in
@@ -298,7 +323,7 @@ def build_skeleton(
     # repair the coloring, every under-colored vertex is swept.
     n2_counts: dict[int, int] = {}
     swept: set[int] = set()
-    for attempt in range(2):
+    for attempt in range(2 if n2_ran else 0):
         if attempt == 0:
             targets = _undersized_fiber_vertices(graph, final, n_colors)
         else:
@@ -313,58 +338,35 @@ def build_skeleton(
             n2_counts.update(
                 n2_sweep(graph, edge_color, uf, stage_of, size_cap=size_cap, targets=targets)
             )
-            coloring = PartialProductColoring()
-            coloring.colors = edge_color
-            coloring.stages = stage_of
             completion_sweep(graph, coloring, stage=STAGE_N2)
             merge_parallel_colors(graph, edge_color, uf)
             final, n_colors = _renumber(edge_color, uf)
-        ok, _, _, diag = product_coordinates(graph, final, n_colors)
-        if ok:
+        verification = product_coordinates(graph, final, n_colors)
+        if verification[0]:
             break
-    skeleton = ColoredSkeleton(
+    ok, _, _, diag = verification
+    return ColoredSkeleton(
         graph=graph,
         edge_color=final,
         n_colors=n_colors,
         stage_of=dict(stage_of),
         local_prime_counts=counts,
         n2_prime_counts=n2_counts,
-        n2_ran=True,
-        diagnostics=diagnostics,
+        n2_ran=n2_ran,
+        diagnostics=[] if ok else list(diag),
+        verification=verification,
     )
-    if not ok:
-        diagnostics.extend(diag)
-    return skeleton
 
 
 def _undersized_fiber_vertices(
     graph: Graph, edge_color: dict[Edge, int], n_colors: int
 ) -> list[int]:
     """Vertices lying in a smaller-than-maximal fiber of some color."""
+    from .recognize import _color_components  # local import; recognizer uses us too
+
     targets: set[int] = set()
     for color in range(n_colors):
-        adj: dict[int, list[int]] = {v: [] for v in graph.vertices()}
-        for (u, v), c in edge_color.items():
-            if c == color:
-                adj[u].append(v)
-                adj[v].append(u)
-        comp = [-1] * graph.vertex_count
-        sizes: list[int] = []
-        for v in graph.vertices():
-            if comp[v] >= 0:
-                continue
-            comp[v] = len(sizes)
-            stack = [v]
-            count = 0
-            while stack:
-                u = stack.pop()
-                count += 1
-                for w in adj[u]:
-                    if comp[w] < 0:
-                        comp[w] = comp[v]
-                        stack.append(w)
-            sizes.append(count)
-        top = max(sizes)
-        if min(sizes) != top:
-            targets.update(v for v in graph.vertices() if sizes[comp[v]] < top)
+        comp, comps = _color_components(graph, edge_color, color)
+        top = max(len(members) for members in comps)
+        targets.update(v for v in graph.vertices() if len(comps[comp[v]]) < top)
     return sorted(targets)

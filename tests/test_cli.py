@@ -158,3 +158,12 @@ def test_bench_csv(tmp_path):
     k, vertices, millis = lines[1].split(",")
     assert (k, vertices) == ("6", "18")
     float(millis)
+
+
+def test_generate_without_instance_exits_two(capsys):
+    # with edge probability 0 no factor is connected, so sampling gives up
+    assert main(["generate", "--factors", "3,3", "--seed", "1", "--edge-prob", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -11,12 +11,12 @@ from strongpfd import (
     cartesian_index,
     color_fibers_from,
     cycle_graph,
-    extend_to_s1_fibers,
     is_isomorphic,
     oracle_pfd,
     path_graph,
     strong_product,
 )
+from strongpfd.coloring import completion_sweep
 from strongpfd.graph import edge_key
 from strongpfd.oracle import random_thin_graph
 from strongpfd.recognize import _fiber_component
@@ -139,7 +139,7 @@ def test_extend_is_idempotent_after_run(p3xp3):
     center = coords.vertex_at((1, 1))
     coloring = color_fibers_from(graph, center)
     before = dict(coloring.colors)
-    assert extend_to_s1_fibers(graph, coloring) == 0
+    assert completion_sweep(graph, coloring) == 0
     assert coloring.colors == before
 
 

@@ -1,0 +1,180 @@
+"""Single-pass skeleton assembly against the frozen per-anchor assembly.
+
+``legacy_skeleton`` recolors the graph from every backbone anchor; the
+package stitches every backbone neighborhood's lifted edges once.  Both must
+give the same skeleton and the same recognition report on seeded corpora of
+products, negatives and primes.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+
+import pytest
+
+from strongpfd import (
+    Graph,
+    SkeletonError,
+    backbone,
+    build_skeleton,
+    is_thin,
+    path_graph,
+    random_product_instance,
+    random_thin_graph,
+    recognize,
+    strong_product,
+    twisted_instance,
+)
+from strongpfd import coloring, skeleton
+
+from conftest import house_graph
+from legacy_skeleton import legacy_recognize
+
+
+def mobius_king_strip(k: int) -> Graph:
+    """Three path rows of king-connected columns closed into a ring whose seam
+    reverses the rows: prime, with factorable backbone neighborhoods."""
+    edges = set()
+    for col in range(k):
+        nxt = (col + 1) % k
+        for r1 in range(3):
+            if r1 < 2:
+                edges.add((3 * col + r1, 3 * col + r1 + 1))
+            for r2 in range(3):
+                glued = 2 - r2 if nxt == 0 else r2
+                if abs(r1 - glued) <= 1:
+                    u, v = 3 * col + r1, 3 * nxt + r2
+                    edges.add((min(u, v), max(u, v)))
+    return Graph(3 * k, sorted(edges))
+
+
+def recovery_corpus() -> list[Graph]:
+    """The 200 seeded two-factor instances of the acceptance suite."""
+    rng = random.Random(20260809)
+    graphs = []
+    for i in range(200):
+        sizes = [rng.randint(3, 6), rng.randint(3, 6)]
+        prob = rng.uniform(0.35, 0.6)
+        graphs.append(random_product_instance(sizes, seed=100000 + i, edge_prob=prob).graph)
+    return graphs
+
+
+def fixture_corpus() -> list[tuple[str, Graph]]:
+    cases = [("twisted", twisted_instance())]
+    cases += [(f"P{k}xhouse", strong_product([path_graph(k), house_graph()])[0]) for k in range(3, 9)]
+    cases.append(("housexhouse", strong_product([house_graph(), house_graph()])[0]))
+    cases += [(f"M{k}", mobius_king_strip(k)) for k in (4, 5, 6, 8)]
+    rng = random.Random(1705)
+    for n in (13, 17, 19, 23):
+        for p in (0.4, 0.5, 0.6):
+            cases.append((f"G({n},{p})", random_thin_graph(n, p, rng.randrange(2**32))))
+    return cases
+
+
+def outcome(recognizer, graph: Graph):
+    """The report as printed plus every field of the skeleton it carries (the
+    skeleton ``build_skeleton`` returns for the same input)."""
+    report = recognizer(graph)
+    sk = report.coloring
+    if sk is None:
+        return report.to_dict(), None
+    fields = (sk.edge_color, sk.n_colors, sk.stage_of, sk.local_prime_counts)
+    return report.to_dict(), fields + (sk.n2_prime_counts, sk.n2_ran, sk.diagnostics)
+
+
+def assert_same(label: str, graph: Graph) -> dict:
+    new = outcome(recognize, graph)
+    assert new == outcome(legacy_recognize, graph), label
+    return new[0]
+
+
+def perturbed_products(count: int) -> list[Graph]:
+    """Seeded products with one to three vertex pairs toggled, kept when thin
+    and connected; most of them abort the assembly."""
+    graphs = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        sizes = [rng.randint(3, 5), rng.randint(3, 5)]
+        g = random_product_instance(sizes, seed=seed, edge_prob=rng.uniform(0.35, 0.6)).graph
+        edges = set(g.edges())
+        for _ in range(rng.randint(1, 3)):
+            u, v = sorted(rng.sample(range(g.vertex_count), 2))
+            edges ^= {(u, v)}
+        h = Graph(g.vertex_count, sorted(edges))
+        if h.is_connected() and is_thin(h):
+            graphs.append(h)
+    return graphs
+
+
+def test_recovery_corpus_matches_per_anchor_assembly():
+    for i, graph in enumerate(recovery_corpus()):
+        assert_same(f"instance {i}", graph)
+
+
+@pytest.mark.parametrize("label,graph", fixture_corpus(), ids=lambda x: x if isinstance(x, str) else "")
+def test_fixtures_match_per_anchor_assembly(label, graph):
+    report = assert_same(label, graph)
+    negative = label == "twisted" or label.startswith("M")
+    assert report["in_upsilon"] is not negative
+    assert report["skeleton"]["n2_ran"] is (negative or "house" in label)
+
+
+def test_aborts_match_up_to_the_named_vertices():
+    # one pass checks each lifted backbone edge from its own center, while the
+    # per-anchor search may meet the same fault deeper in the BFS of an
+    # earlier anchor, so an aborted run may name other vertices; everything
+    # else must agree
+    def masked(report):
+        data = report.to_dict()
+        data["diagnostics"] = [re.sub(r"\d+", "#", d) for d in data["diagnostics"]]
+        return data
+
+    aborted = 0
+    for graph in perturbed_products(60):
+        report = recognize(graph)
+        aborted += report.coloring is None
+        assert masked(report) == masked(legacy_recognize(graph))
+    assert aborted >= 20
+
+
+def test_mismatched_local_counts_still_rejected(p3xp3):
+    base, _ = p3xp3
+    graph = Graph(10, list(base.edges()) + [(0, 9)])
+    with pytest.raises(SkeletonError, match="local factors"):
+        build_skeleton(graph)
+    report = recognize(graph)
+    assert not report.in_upsilon
+    assert report.coloring is None
+    assert any("local factors" in d for d in report.diagnostics)
+    assert report.to_dict() == legacy_recognize(graph).to_dict()
+
+
+def test_assembly_cost_is_one_factorization_per_backbone_vertex(monkeypatch):
+    graph, _ = strong_product([path_graph(30), path_graph(3)])
+    calls = {"factor_neighborhood": [], "completion_sweep": 0, "color_fibers_from": 0}
+    factor_neighborhood = coloring.factor_neighborhood
+    completion_sweep = skeleton.completion_sweep
+
+    def counted_factor(g, v, *args, **kwargs):
+        calls["factor_neighborhood"].append(v)
+        return factor_neighborhood(g, v, *args, **kwargs)
+
+    def counted_sweep(*args, **kwargs):
+        calls["completion_sweep"] += 1
+        return completion_sweep(*args, **kwargs)
+
+    def no_anchor_coloring(*args, **kwargs):
+        calls["color_fibers_from"] += 1
+        raise AssertionError("per-anchor coloring must not run")
+
+    monkeypatch.setattr(coloring, "factor_neighborhood", counted_factor)
+    monkeypatch.setattr(skeleton, "completion_sweep", counted_sweep)
+    monkeypatch.setattr(coloring, "color_fibers_from", no_anchor_coloring)
+    monkeypatch.setattr(skeleton, "color_fibers_from", no_anchor_coloring, raising=False)
+    sk = build_skeleton(graph)
+    assert not sk.n2_ran
+    assert sk.n_colors == 2
+    assert sorted(calls["factor_neighborhood"]) == list(backbone(graph))
+    assert calls["completion_sweep"] == 1
+    assert calls["color_fibers_from"] == 0
