@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (for ``recognize``: the graph is locally unrefined),
-1 negative pipeline verdict, 2 input errors (malformed file, disconnected,
-non-thin where thinness is required, generation parameters that admit no
-instance).
+1 negative pipeline verdict, 2 input or resource errors (malformed file,
+disconnected, non-thin where thinness is required, generation parameters
+that admit no instance, a search deeper than the recursion limit).
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ColoringError, SkeletonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GraphError, GenerationError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, GenerationError, OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, GraphError, VertexSet, edge_key
-from .factorize import NeighborhoodFactorization, factor_neighborhood
+from .factorize import FactoredQuotient, NeighborhoodFactorization, factor_neighborhood
 from .sclasses import NotThinError, backbone, is_thin
 
 STAGE_LIFT = "S1-local"
@@ -33,16 +33,30 @@ class ColoringError(RuntimeError):
 
 @dataclass
 class NeighborhoodCache:
-    """Memoized neighborhood factorizations shared across anchors and colors."""
+    """Memoized neighborhood factorizations of one graph, shared across
+    anchors and colors.
+
+    ``entries`` holds the factorization of each center's neighborhood.
+    ``quotients`` is the memo of ``factor_quotient``: it maps a quotient's
+    ``closed_masks``, which fix the labelled graph, to its factorization and
+    Cartesian edges.  On bounded-degree products most neighborhoods have
+    labelled-equal quotients, so each distinct one is factored once; every
+    neighborhood still lifts through its own classes and host ids.  The N2
+    sweep of ``build_skeleton`` shares the memo.  It lives as long as the
+    cache, which serves one graph.
+    """
 
     graph: Graph
     size_cap: int | None = None
     entries: dict[int, NeighborhoodFactorization] = field(default_factory=dict)
+    quotients: dict[tuple[int, ...], FactoredQuotient] = field(default_factory=dict)
 
     def get(self, v: int) -> NeighborhoodFactorization:
         nf = self.entries.get(v)
         if nf is None:
-            nf = factor_neighborhood(self.graph, v, size_cap=self.size_cap, assume_thin=True)
+            nf = factor_neighborhood(
+                self.graph, v, size_cap=self.size_cap, assume_thin=True, memo=self.quotients
+            )
             self.entries[v] = nf
         return nf
 

@@ -17,9 +17,9 @@ Both routes are exact; the size cap only bounds running time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph import DisconnectedError, Edge, Graph, GraphError, VertexSet, edge_key
 from .isomorphism import canonical_form
@@ -50,14 +50,38 @@ class LocalFactorization:
         return len(self.factors)
 
 
-def strong_rule_adjacent(
-    cu: tuple[int, ...], cv: tuple[int, ...], factors: tuple[Graph, ...]
+#: A factored quotient and its Cartesian edges as (qa, qb, factor index).
+FactoredQuotient = tuple[LocalFactorization, tuple[tuple[int, int, int], ...]]
+
+
+def rebuilds_strong_product(
+    graph: Graph, coords: Sequence[tuple[int, ...]], factors: Sequence[Graph]
 ) -> bool:
-    """Strong-product adjacency between two coordinate tuples."""
-    if cu == cv:
+    """Whether ``coords`` is an isomorphism from ``graph`` onto the strong
+    product of ``factors``, in O(n·k + m·k).
+
+    Once the coordinates are a bijection onto the product's vertices, every
+    edge obeying the strong rule and every degree matching the product
+    degree prod(deg_i + 1) - 1 leave no room for a missing or extra edge.
+    """
+    n = graph.vertex_count
+    sizes = [f.vertex_count for f in factors]
+    if len(coords) != n or math.prod(sizes) != n or len(set(coords)) != n:
         return False
+    if any(
+        len(c) != len(sizes) or not all(0 <= x < s for x, s in zip(c, sizes)) for c in coords
+    ):
+        return False
+    masks = [f.closed_masks for f in factors]
+    span = range(len(factors))
+    for u, v in graph.edges():
+        cu, cv = coords[u], coords[v]
+        if not all(masks[i][cu[i]] >> cv[i] & 1 for i in span):
+            return False
+    degrees = [[f.degree(x) + 1 for x in f.vertices()] for f in factors]
     return all(
-        cu[i] == cv[i] or factors[i].adjacent(cu[i], cv[i]) for i in range(len(factors))
+        math.prod(degrees[i][c[i]] for i in span) - 1 == graph.degree(u)
+        for u, c in enumerate(coords)
     )
 
 
@@ -66,13 +90,7 @@ def reconstructs(graph: Graph, factorization: LocalFactorization) -> bool:
     coords = factorization.coords
     if coords is None:
         return False
-    n = graph.vertex_count
-    for u in range(n):
-        cu = coords.coords[u]
-        for v in range(u + 1, n):
-            if strong_rule_adjacent(cu, coords.coords[v], factorization.factors) != graph.adjacent(u, v):
-                return False
-    return True
+    return rebuilds_strong_product(graph, coords.coords, factorization.factors)
 
 
 def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> LocalFactorization:
@@ -124,7 +142,7 @@ def _pfd(graph: Graph) -> tuple[list[Graph], list[tuple[int, ...]]]:
 
 def _find_split(graph: Graph):
     n = graph.vertex_count
-    if not any(n % d == 0 for d in range(2, isqrt(n) + 1)):
+    if not any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
         return None
     if is_thin(graph):
         if any(graph.degree(v) == n - 1 for v in graph.vertices()):
@@ -176,22 +194,17 @@ def _split_via_containment(graph: Graph):
 # -- candidate route 2: thin graphs without a universal vertex ----------------
 
 
-def _local_box_data(graph: Graph, v: int):
+def _local_box_data(graph: Graph, v: int, memo: dict[tuple[int, ...], FactoredQuotient]):
     """Quotient-factorization coordinates for the members of <N[v]>.
 
     Returns (member set, coords per member, local factor count).  Every
     member of one quotient class shares its coordinate tuple.  Only called
     for vertices whose own class is a singleton.
     """
-    members = graph.closed_neighborhood(v)
-    sub, to_sub = graph.induced_subgraph(members)
-    quot = quotient(sub)
-    fact = factor_exact(quot.quotient, size_cap=None)
-    assert fact.coords is not None
-    coords = {
-        g: fact.coords.coords[quot.class_map[h]] for g, h in to_sub.items()
-    }
-    return frozenset(members), coords, fact.prime_count
+    nf = factor_neighborhood(graph, v, assume_thin=True, memo=memo)
+    rows = nf.factorization.coords.coords
+    coords = {g: rows[nf.quotient.class_map[h]] for h, g in enumerate(nf.vertices)}
+    return frozenset(nf.vertices), coords, nf.prime_count
 
 
 def _box(members, coords, center, inside: frozenset[int]):
@@ -268,11 +281,12 @@ def _split_grown(graph: Graph):
     degs = [graph.degree(v) for v in range(n)]
     anchor = max(range(n), key=lambda v: (degs[v], -v))
     local_cache: dict[int, tuple] = {}
+    quotients: dict[tuple[int, ...], FactoredQuotient] = {}
 
     def local_data(v: int):
         data = local_cache.get(v)
         if data is None:
-            data = _local_box_data(graph, v)
+            data = _local_box_data(graph, v, quotients)
             local_cache[v] = data
         return data
 
@@ -312,7 +326,7 @@ def _split_blind(graph: Graph):
     top = max(degs)
     anchor = next(v for v in range(n) if degs[v] == top)
     dist = [graph.distances_from(v) for v in range(n)]
-    for d in range(2, isqrt(n) + 1):
+    for d in range(2, math.isqrt(n) + 1):
         if n % d:
             continue
         size_b = n // d
@@ -535,33 +549,63 @@ class NeighborhoodFactorization:
         return self.factorization.prime_count
 
 
+def factor_quotient(
+    qgraph: Graph,
+    size_cap: int | None = None,
+    memo: dict[tuple[int, ...], FactoredQuotient] | None = None,
+) -> FactoredQuotient:
+    """``factor_exact`` of a neighborhood quotient plus its Cartesian edges.
+
+    With ``memo`` the result is kept under the quotient's ``closed_masks``,
+    which fix the labelled graph, and a labelled-equal quotient is not
+    factored again.  Above ``size_cap`` the memo is bypassed, so the cap
+    raises as it would without one.
+    """
+    capped = size_cap is not None and qgraph.vertex_count > size_cap
+    if memo is not None and not capped:
+        entry = memo.get(qgraph.closed_masks)
+        if entry is not None:
+            return entry
+    fact = factor_exact(qgraph, size_cap=size_cap)
+    edges: tuple[tuple[int, int, int], ...] = ()
+    if fact.factors:
+        assert fact.coords is not None
+        edges = tuple(
+            (qa, qb, idx)
+            for qa, qb in qgraph.edges()
+            if (idx := cartesian_index(qgraph, fact.coords, qa, qb)) is not None
+        )
+    if memo is not None:
+        memo[qgraph.closed_masks] = (fact, edges)
+    return fact, edges
+
+
 def factor_neighborhood(
     graph: Graph,
     v: int,
     size_cap: int | None = None,
     assume_thin: bool = False,
+    memo: dict[tuple[int, ...], FactoredQuotient] | None = None,
 ) -> NeighborhoodFactorization:
-    """Factor the quotient of <N[v]> and lift its identifiable product edges."""
+    """Factor the quotient of <N[v]> and lift its identifiable product edges.
+
+    ``memo`` is passed to ``factor_quotient``; the lifting always goes
+    through this neighborhood's own classes and host ids.
+    """
     if not assume_thin and not is_thin(graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
     members = graph.closed_neighborhood(v)
-    sub, to_sub = graph.induced_subgraph(members)
-    host_of = {h: g for g, h in to_sub.items()}
+    sub, _ = graph.induced_subgraph(members)
     quot = quotient(sub)
-    fact = factor_exact(quot.quotient, size_cap=size_cap)
+    fact, cartesian_edges = factor_quotient(quot.quotient, size_cap, memo)
     lifted: dict[Edge, int] = {}
-    if fact.factors:
-        qgraph = quot.quotient
-        assert fact.coords is not None
-        for qa, qb in qgraph.edges():
-            idx = cartesian_index(qgraph, fact.coords, qa, qb)
-            if idx is None:
-                continue
-            side_a = quot.class_members[qa]
-            side_b = quot.class_members[qb]
-            if len(side_a) != 1 and len(side_b) != 1:
-                continue
-            for ha in side_a:
-                for hb in side_b:
-                    lifted[edge_key(host_of[ha], host_of[hb])] = idx
+    for qa, qb, idx in cartesian_edges:
+        side_a = quot.class_members[qa]
+        side_b = quot.class_members[qb]
+        if len(side_a) != 1 and len(side_b) != 1:
+            continue
+        # sub numbers the sorted members consecutively
+        for ha in side_a:
+            for hb in side_b:
+                lifted[edge_key(members[ha], members[hb])] = idx
     return NeighborhoodFactorization(v, members, sub, quot, fact, lifted)

@@ -8,13 +8,14 @@ fast path extracts the prime factors directly from one backbone coloring.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import DisconnectedError, Edge, Graph, GraphError, edge_key
 from .coloring import ColoringError, NeighborhoodCache, color_fibers_from
-from .factorize import FactorSizeError, LocalFactorization, strong_rule_adjacent
+from .factorize import FactorSizeError, LocalFactorization, rebuilds_strong_product
 from .isomorphism import canonical_form, is_isomorphic
 from .sclasses import NotThinError, backbone, is_thin
 from .skeleton import ColoredSkeleton, SkeletonError, build_skeleton
@@ -165,14 +166,30 @@ def product_coordinates(
         sub, _ = graph.induced_subgraph(ref_sets[c])
         factors.append(sub)
 
-    for u in range(n):
-        cu = coords[u]
-        for v in range(u + 1, n):
-            if strong_rule_adjacent(cu, coords[v], tuple(factors)) != graph.adjacent(u, v):
-                return False, None, None, [
-                    f"edge-exact reconstruction failed at pair ({u}, {v})"
-                ]
+    if not rebuilds_strong_product(graph, coords, factors):
+        u, v = _first_mismatch(graph, coords, factors)
+        return False, None, None, [f"edge-exact reconstruction failed at pair ({u}, {v})"]
     return True, coords, factors, []
+
+
+def _first_mismatch(
+    graph: Graph, coords: list[tuple[int, ...]], factors: list[Graph]
+) -> tuple[int, int]:
+    """The least pair u < v whose adjacency disagrees with the strong rule on
+    its coordinates, which must be a bijection onto the product's vertices.
+
+    Reads each vertex's product neighbors off its coordinates, so the cost
+    is the product's edge count rather than n².
+    """
+    index = {c: v for v, c in enumerate(coords)}
+    closed = [[(x,) + f.neighbors(x) for x in f.vertices()] for f in factors]
+    for u, cu in enumerate(coords):
+        near = {index[c] for c in itertools.product(*(closed[i][x] for i, x in enumerate(cu)))}
+        near.discard(u)
+        later = [v for v in near.symmetric_difference(graph.adjacency_set(u)) if v > u]
+        if later:
+            return u, min(later)
+    raise ValueError("the coordinates rebuild the graph")
 
 
 def verify_product(

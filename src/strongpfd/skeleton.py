@@ -24,8 +24,7 @@ from .coloring import (
     PartialProductColoring,
     completion_sweep,
 )
-from .factorize import FactorSizeError, factor_exact
-from .products import cartesian_index
+from .factorize import FactoredQuotient, FactorSizeError, factor_quotient
 from .sclasses import NotThinError, backbone, is_thin, quotient
 
 
@@ -156,14 +155,15 @@ def n2_sweep(
     stage_of: dict[Edge, str],
     size_cap: int | None = None,
     targets: list[int] | None = None,
+    memo: dict[tuple[int, ...], FactoredQuotient] | None = None,
 ) -> dict[int, int]:
     """Identify product edges inside 2-neighborhoods of under-colored vertices.
 
     For each target vertex (default: every vertex with an uncolored incident
     edge), the 2-neighborhood is factored through its quotient; the center's
     class is a singleton in a thin graph, so every product edge at the
-    center is identified and gets a fresh raw color.  Returns the per-vertex
-    prime counts observed.
+    center is identified and gets a fresh raw color.  ``memo`` is passed to
+    ``factor_quotient``.  Returns the per-vertex prime counts observed.
     """
     if targets is None:
         targets = [
@@ -177,7 +177,6 @@ def n2_sweep(
     for x in targets:
         members = graph.n_neighborhood(x, 2)
         sub, to_sub = graph.induced_subgraph(members)
-        host_of = {h: g for g, h in to_sub.items()}
         quot = quotient(sub)
         if size_cap is not None and quot.quotient.vertex_count > size_cap:
             raise SkeletonError(
@@ -186,7 +185,7 @@ def n2_sweep(
                 f"cap is {size_cap}"
             )
         try:
-            fact = factor_exact(quot.quotient, size_cap=size_cap)
+            fact, cartesian_edges = factor_quotient(quot.quotient, size_cap, memo)
         except FactorSizeError as exc:
             raise SkeletonError(f"N2 sweep infeasible at this degree: {exc}") from exc
         counts[x] = fact.prime_count
@@ -195,15 +194,12 @@ def n2_sweep(
             raise SkeletonError(
                 f"2-neighborhood class of {x} is not a singleton; host graph is not thin"
             )
-        if not fact.factors:
-            continue
-        assert fact.coords is not None
-        for qy in quot.quotient.neighbors(qx):
-            idx = cartesian_index(quot.quotient, fact.coords, qx, qy)
-            if idx is None:
+        # edges come sorted, so the far ends of those at qx ascend
+        for qa, qb, idx in cartesian_edges:
+            if qx not in (qa, qb):
                 continue
-            for hy in quot.class_members[qy]:
-                edge = edge_key(x, host_of[hy])
+            for hy in quot.class_members[qb if qa == qx else qa]:
+                edge = edge_key(x, members[hy])
                 if edge in edge_color:
                     continue
                 key = (x, idx)
@@ -336,7 +332,15 @@ def build_skeleton(
         swept.update(targets)
         if targets:
             n2_counts.update(
-                n2_sweep(graph, edge_color, uf, stage_of, size_cap=size_cap, targets=targets)
+                n2_sweep(
+                    graph,
+                    edge_color,
+                    uf,
+                    stage_of,
+                    size_cap=size_cap,
+                    targets=targets,
+                    memo=cache.quotients,
+                )
             )
             completion_sweep(graph, coloring, stage=STAGE_N2)
             merge_parallel_colors(graph, edge_color, uf)

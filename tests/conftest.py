@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from strongpfd import Graph, path_graph, strong_product
+from strongpfd import Graph, path_graph, random_product_instance, strong_product
 
 
 def house_graph() -> Graph:
@@ -25,6 +27,17 @@ def neighborhood_blind_product():
     """Product of a path and the house graph; the path-direction fiber over
     the apex satisfies no singleton-class condition in any 1-neighborhood."""
     return strong_product([path_graph(3), house_graph()])
+
+
+def recovery_corpus() -> list[Graph]:
+    """The 200 seeded two-factor instances of the acceptance suite."""
+    rng = random.Random(20260809)
+    graphs = []
+    for i in range(200):
+        sizes = [rng.randint(3, 6), rng.randint(3, 6)]
+        prob = rng.uniform(0.35, 0.6)
+        graphs.append(random_product_instance(sizes, seed=100000 + i, edge_prob=prob).graph)
+    return graphs
 
 
 @pytest.fixture(scope="session")

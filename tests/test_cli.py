@@ -167,3 +167,16 @@ def test_generate_without_instance_exits_two(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_factor_exact_too_deep_exits_two(tmp_path, capsys):
+    # the extension search recurses once per placed pair; P_600 x P_3 has
+    # far more pairs than the default recursion limit allows
+    graph, _ = strong_product([path_graph(600), path_graph(3)])
+    path = tmp_path / "strip.json"
+    save_graph(graph, path)
+    assert main(["factor-exact", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: maximum recursion depth exceeded")
+    assert "Traceback" not in captured.err

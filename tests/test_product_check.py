@@ -1,0 +1,96 @@
+"""The O(m·k) strong-product check against the pairwise scan it replaced.
+
+``rebuilds_strong_product`` checks edges and degrees only; the scan below
+compares the strong rule with adjacency on all n² pairs and serves as the
+oracle.  On seeded products and on coordinate maps perturbed by one swap,
+one dropped edge or one added edge, both must give the same verdict, and
+the first failing pair named in the diagnostic must be the scan's.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from strongpfd import Graph, path_graph, random_connected_graph, random_product_instance
+from strongpfd.factorize import rebuilds_strong_product
+from strongpfd.products import strong_product
+from strongpfd.recognize import _first_mismatch
+
+
+def strong_rule_adjacent(cu, cv, factors) -> bool:
+    if cu == cv:
+        return False
+    return all(cu[i] == cv[i] or factors[i].adjacent(cu[i], cv[i]) for i in range(len(factors)))
+
+
+def first_failing_pair(graph, coords, factors):
+    n = graph.vertex_count
+    for u in range(n):
+        for v in range(u + 1, n):
+            if strong_rule_adjacent(coords[u], coords[v], factors) != graph.adjacent(u, v):
+                return u, v
+    return None
+
+
+def seeded_products(count: int):
+    for seed in range(count):
+        rng = random.Random(seed)
+        if seed % 4 == 3:
+            factors = [random_connected_graph(rng.randint(2, 4), 0.6, rng.randrange(2**32)) for _ in range(3)]
+        else:
+            sizes = [rng.randint(3, 6), rng.randint(3, 6)]
+            inst = random_product_instance(sizes, seed=seed, edge_prob=rng.uniform(0.3, 0.7))
+            factors = list(inst.ground_truth_factors)
+        graph, coords = strong_product(factors)
+        yield rng, graph, list(coords.coords), factors
+
+
+def perturbations(rng: random.Random, graph: Graph, coords: list[tuple[int, ...]]):
+    n = graph.vertex_count
+    u, v = rng.sample(range(n), 2)
+    swapped = list(coords)
+    swapped[u], swapped[v] = swapped[v], swapped[u]
+    yield "swap", graph, swapped
+    edges = list(graph.edges())
+    dropped = rng.choice(edges)
+    yield "drop", Graph(n, [e for e in edges if e != dropped]), coords
+    missing = [(a, b) for a in range(n) for b in range(a + 1, n) if not graph.adjacent(a, b)]
+    if missing:
+        yield "add", Graph(n, edges + [rng.choice(missing)]), coords
+
+
+def test_linear_check_agrees_with_the_pairwise_scan():
+    verdicts = {True: 0, False: 0}
+    for rng, graph, coords, factors in seeded_products(120):
+        assert rebuilds_strong_product(graph, coords, factors)
+        assert first_failing_pair(graph, coords, factors) is None
+        for kind, g, c in perturbations(rng, graph, coords):
+            expected = first_failing_pair(g, c, factors)
+            verdict = rebuilds_strong_product(g, c, factors)
+            assert verdict == (expected is None), kind
+            verdicts[verdict] += 1
+            if expected is not None:
+                assert _first_mismatch(g, c, factors) == expected, kind
+    # swaps of automorphic vertices keep a valid map; edge edits never do
+    assert verdicts[True] > 0 and verdicts[False] > 200
+
+
+@pytest.mark.parametrize(
+    "graph,coords,factors",
+    [
+        (path_graph(2), [(0,), (1,)], [path_graph(3)]),  # an induced subproduct
+        (Graph(1), [(0,)], [Graph(2)]),  # a whole component of a disconnected product
+        (path_graph(3), [(0,), (1,), (1,)], [path_graph(3)]),  # not injective
+        (path_graph(3), [(0,), (1,), (3,)], [path_graph(3)]),  # out of range
+        (path_graph(3), [(0,), (1,), (2, 0)], [path_graph(3)]),  # ragged
+    ],
+)
+def test_coordinates_must_be_a_bijection_onto_the_product(graph, coords, factors):
+    assert not rebuilds_strong_product(graph, coords, factors)
+
+
+def test_trivial_product():
+    assert rebuilds_strong_product(Graph(1), [()], [])
+    assert not rebuilds_strong_product(path_graph(2), [(), ()], [])

@@ -28,7 +28,7 @@ from strongpfd import (
 )
 from strongpfd import coloring, skeleton
 
-from conftest import house_graph
+from conftest import house_graph, recovery_corpus
 from legacy_skeleton import legacy_recognize
 
 
@@ -47,17 +47,6 @@ def mobius_king_strip(k: int) -> Graph:
                     u, v = 3 * col + r1, 3 * nxt + r2
                     edges.add((min(u, v), max(u, v)))
     return Graph(3 * k, sorted(edges))
-
-
-def recovery_corpus() -> list[Graph]:
-    """The 200 seeded two-factor instances of the acceptance suite."""
-    rng = random.Random(20260809)
-    graphs = []
-    for i in range(200):
-        sizes = [rng.randint(3, 6), rng.randint(3, 6)]
-        prob = rng.uniform(0.35, 0.6)
-        graphs.append(random_product_instance(sizes, seed=100000 + i, edge_prob=prob).graph)
-    return graphs
 
 
 def fixture_corpus() -> list[tuple[str, Graph]]:
