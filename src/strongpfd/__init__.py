@@ -55,14 +55,9 @@ from .skeleton import (
     find_square,
     merge_parallel_colors,
     n2_sweep,
-)
-from .recognize import (
-    RecognitionReport,
-    pfd_fast,
     product_coordinates,
-    recognize,
-    verify_product,
 )
+from .recognize import RecognitionReport, pfd_fast, recognize, verify_product
 from .oracle import (
     GenerationError,
     ORACLE_CAP,
@@ -71,7 +66,6 @@ from .oracle import (
     random_connected_graph,
     random_product_instance,
     random_thin_graph,
-    scaling_family_member,
     twisted_instance,
 )
 

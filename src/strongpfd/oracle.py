@@ -15,11 +15,11 @@ import random
 from dataclasses import dataclass
 from math import isqrt
 
-from .graph import DisconnectedError, Graph, GraphError, path_graph
-from .factorize import LocalFactorization
+from .graph import DisconnectedError, Graph, GraphError
+from .factorize import LocalFactorization, factor_neighborhood
 from .isomorphism import canonical_form, find_isomorphism
-from .products import Coordinatization
-from .sclasses import is_thin
+from .products import Coordinatization, strong_product
+from .sclasses import backbone, is_thin
 
 ORACLE_CAP = 16
 
@@ -178,8 +178,6 @@ def random_product_instance(
     thin: bool = True,
 ) -> ProductInstance:
     """Strong product of seeded random factors with recorded ground truth."""
-    from .products import strong_product
-
     if any(s < 2 for s in factor_sizes):
         raise GraphError("factor sizes must be at least 2")
     rng = random.Random(seed)
@@ -251,9 +249,6 @@ def twisted_instance() -> Graph:
     backbone neighborhood with exactly two local prime factors, and prime
     according to the brute-force oracle.
     """
-    from .factorize import factor_neighborhood
-    from .sclasses import backbone
-
     for candidate in _twisted_candidates():
         if candidate.vertex_count > ORACLE_CAP:
             continue
@@ -274,14 +269,6 @@ def twisted_instance() -> Graph:
     raise GenerationError("no twisted fixture found in the candidate family")
 
 
-def scaling_family_member(k: int) -> Graph:
-    """The k-by-3 king strip used by the wall-clock scaling benchmark."""
-    from .products import strong_product
-
-    graph, _ = strong_product([path_graph(k), path_graph(3)])
-    return graph
-
-
 __all__ = [
     "GenerationError",
     "ProductInstance",
@@ -291,5 +278,4 @@ __all__ = [
     "random_thin_graph",
     "random_product_instance",
     "twisted_instance",
-    "scaling_family_member",
 ]

@@ -1,7 +1,8 @@
-"""Colored Cartesian skeleton assembly: single-pass stitching of the lifted
-edges of every backbone neighborhood, square merging of parallel fiber
-colors, and the 2-neighborhood sweep for product edges that no
-1-neighborhood can certify.
+"""Colored Cartesian skeleton assembly and product verification:
+single-pass stitching of the lifted edges of every backbone neighborhood,
+square merging of parallel fiber colors, the 2-neighborhood sweep for
+product edges that no 1-neighborhood can certify, and the per-color fiber
+components whose coordinates must rebuild the graph.
 
 Every backbone neighborhood is factored once.  Each (center, local factor)
 pair opens one raw color in a union-find; a lifted edge joins the raw colors
@@ -9,10 +10,15 @@ of all centers that lift it, and a diagonal-free square joins the colors of
 its opposite edges.  The expensive 2-neighborhood sweep runs only when the
 colored structure does not already verify as a product; on locally
 unrefined inputs whose fibers are all witnessed it is skipped.
+``fiber_components`` is the one routine that splits a coloring into its
+fibers; ``product_coordinates`` reads the factors and coordinates off them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, GraphError, edge_key
@@ -24,7 +30,12 @@ from .coloring import (
     PartialProductColoring,
     completion_sweep,
 )
-from .factorize import FactoredQuotient, FactorSizeError, factor_quotient
+from .factorize import (
+    FactoredQuotient,
+    FactorSizeError,
+    factor_quotient,
+    rebuilds_strong_product,
+)
 from .sclasses import NotThinError, backbone, is_thin, quotient
 
 
@@ -166,11 +177,7 @@ def n2_sweep(
     ``factor_quotient``.  Returns the per-vertex prime counts observed.
     """
     if targets is None:
-        targets = [
-            v
-            for v in graph.vertices()
-            if any(edge_key(v, w) not in edge_color for w in graph.neighbors(v))
-        ]
+        targets = _undercolored_vertices(graph, edge_color)
     targets = sorted(targets)
     counts: dict[int, int] = {}
     fresh: dict[tuple[int, int], int] = {}
@@ -295,8 +302,6 @@ def build_skeleton(
         raise GraphError("skeleton construction requires a connected graph")
     if not is_thin(graph):
         raise NotThinError("skeleton construction requires a thin graph")
-    from .recognize import product_coordinates  # local import; recognizer uses us too
-
     if cache is None:
         cache = NeighborhoodCache(graph, size_cap)
     uf = UnionFind()
@@ -323,11 +328,7 @@ def build_skeleton(
         if attempt == 0:
             targets = _undersized_fiber_vertices(graph, final, n_colors)
         else:
-            targets = [
-                v
-                for v in graph.vertices()
-                if any(edge_key(v, w) not in edge_color for w in graph.neighbors(v))
-            ]
+            targets = _undercolored_vertices(graph, edge_color)
         targets = [v for v in targets if v not in swept]
         swept.update(targets)
         if targets:
@@ -366,11 +367,165 @@ def _undersized_fiber_vertices(
     graph: Graph, edge_color: dict[Edge, int], n_colors: int
 ) -> list[int]:
     """Vertices lying in a smaller-than-maximal fiber of some color."""
-    from .recognize import _color_components  # local import; recognizer uses us too
-
+    _, comps_of, _ = fiber_components(graph, edge_color, n_colors)
     targets: set[int] = set()
-    for color in range(n_colors):
-        comp, comps = _color_components(graph, edge_color, color)
+    for comps in comps_of:
         top = max(len(members) for members in comps)
-        targets.update(v for v in graph.vertices() if len(comps[comp[v]]) < top)
+        targets.update(v for members in comps if len(members) < top for v in members)
     return sorted(targets)
+
+
+def _undercolored_vertices(graph: Graph, edge_color: dict[Edge, int]) -> list[int]:
+    """Vertices with an uncolored incident edge, ascending."""
+    return [
+        v
+        for v in graph.vertices()
+        if any(edge_key(v, w) not in edge_color for w in graph.neighbors(v))
+    ]
+
+
+# -- product verification --------------------------------------------------------
+
+
+def fiber_components(
+    graph: Graph, edge_color: dict[Edge, int], n_colors: int
+) -> tuple[list[list[int]], list[list[list[int]]], list[list[list[int]]]]:
+    """The fibers of colors 0..n_colors-1: the connected components of each
+    color's edges, isolated vertices becoming singletons.
+
+    Returns (comp, comps, nbrs), each indexed by color first: ``comp[c][v]``
+    is the id of the c-fiber through v, ``comps[c][k]`` the ascending
+    members of c-fiber k, and ``nbrs[c][v]`` the neighbors of v along
+    c-colored edges.  Fibers are numbered by their least vertex.  One pass
+    over ``edge_color`` fills every color; edges of other colors are
+    ignored.
+    """
+    n = graph.vertex_count
+    adjacency: dict[int, list[list[int]]] = {c: [[] for _ in range(n)] for c in range(n_colors)}
+    for (u, v), c in edge_color.items():
+        adj = adjacency.get(c)
+        if adj is not None:
+            adj[u].append(v)
+            adj[v].append(u)
+    nbrs = list(adjacency.values())
+    comp_of: list[list[int]] = []
+    comps_of: list[list[list[int]]] = []
+    for adj in nbrs:
+        comp = [-1] * n
+        comps: list[list[int]] = []
+        for v in range(n):
+            if comp[v] >= 0:
+                continue
+            k = comp[v] = len(comps)
+            members = [v]
+            for u in members:  # grows while it is read: a breadth-first search
+                for w in adj[u]:
+                    if comp[w] < 0:
+                        comp[w] = k
+                        members.append(w)
+            members.sort()
+            comps.append(members)
+        comp_of.append(comp)
+        comps_of.append(comps)
+    return comp_of, comps_of, nbrs
+
+
+def product_coordinates(
+    graph: Graph, edge_color: dict[Edge, int], n_colors: int
+) -> tuple[bool, list[tuple[int, ...]] | None, list[Graph] | None, list[str]]:
+    """Derive per-vertex factor coordinates from a product coloring.
+
+    For every color the fibers are its edge components; the fiber through
+    vertex 0 is the reference factor, and coordinates of other fibers are
+    carried over by parallel transport along edges of the other colors,
+    visiting each vertex's colored neighbors in ascending order.  Returns
+    (ok, coords, factors, diagnostics); when ok, the coordinates rebuild the
+    graph edge-exactly.
+    """
+    n = graph.vertex_count
+    if n_colors == 0:
+        if n == 1 and graph.edge_count == 0:
+            return True, [()], [], []
+        return False, None, None, ["no colors but the graph is larger than one vertex"]
+
+    comp_of, comps_of, nbrs = fiber_components(graph, edge_color, n_colors)
+    # fiber 0 of every color passes through vertex 0
+    ref_sets = [comps[0] for comps in comps_of]
+    for c, comps in enumerate(comps_of):
+        sizes = {len(members) for members in comps}
+        if sizes != {len(ref_sets[c])}:
+            return False, None, None, [f"color {c} has fibers of unequal sizes {sorted(sizes)}"]
+    if math.prod(len(r) for r in ref_sets) != n:
+        return False, None, None, ["reference fiber sizes do not multiply to the vertex count"]
+
+    # On a coloring that is not a product, the path that first reaches a fiber
+    # decides whether transport fails; a fixed neighbor order keeps the
+    # verdict and the diagnostic independent of the order of ``edge_color``.
+    incident = [
+        sorted((v, d) for d, adj in enumerate(nbrs) for v in adj[u]) for u in graph.vertices()
+    ]
+    # parallel transport of each color's fiber onto the reference fiber
+    position: list[dict[int, int]] = []
+    for c in range(n_colors):
+        comp = comp_of[c]
+        comps = comps_of[c]
+        psi: dict[int, int] = {v: i for i, v in enumerate(ref_sets[c])}
+        known = {0}
+        queue = deque([0])
+        while queue:
+            k = queue.popleft()
+            for u in comps[k]:
+                for v, d in incident[u]:
+                    if d == c:
+                        continue
+                    k2 = comp[v]
+                    if k2 in known:
+                        continue
+                    mapped: dict[int, int] = {}
+                    ok = True
+                    for w in comps[k2]:
+                        back = [t for t in nbrs[d][w] if comp[t] == k]
+                        if len(back) != 1 or back[0] not in psi:
+                            ok = False
+                            break
+                        mapped[w] = psi[back[0]]
+                    if not ok:
+                        return False, None, None, [
+                            f"fiber transport failed between components of color {c}"
+                        ]
+                    psi.update(mapped)
+                    known.add(k2)
+                    queue.append(k2)
+        if len(known) != len(comps):
+            return False, None, None, [f"fibers of color {c} are not connected by other colors"]
+        position.append(psi)
+
+    coords = [tuple(position[c][v] for c in range(n_colors)) for v in range(n)]
+    if len(set(coords)) != n:
+        return False, None, None, ["coordinate map is not a bijection"]
+
+    factors = [graph.induced_subgraph(ref)[0] for ref in ref_sets]
+    if not rebuilds_strong_product(graph, coords, factors):
+        u, v = _first_mismatch(graph, coords, factors)
+        return False, None, None, [f"edge-exact reconstruction failed at pair ({u}, {v})"]
+    return True, coords, factors, []
+
+
+def _first_mismatch(
+    graph: Graph, coords: list[tuple[int, ...]], factors: list[Graph]
+) -> tuple[int, int]:
+    """The least pair u < v whose adjacency disagrees with the strong rule on
+    its coordinates, which must be a bijection onto the product's vertices.
+
+    Reads each vertex's product neighbors off its coordinates, so the cost
+    is the product's edge count rather than n².
+    """
+    index = {c: v for v, c in enumerate(coords)}
+    closed = [[(x,) + f.neighbors(x) for x in f.vertices()] for f in factors]
+    for u, cu in enumerate(coords):
+        near = {index[c] for c in itertools.product(*(closed[i][x] for i, x in enumerate(cu)))}
+        near.discard(u)
+        later = [v for v in near.symmetric_difference(graph.adjacency_set(u)) if v > u]
+        if later:
+            return u, min(later)
+    raise ValueError("the coordinates rebuild the graph")

@@ -19,7 +19,7 @@ from strongpfd import (
 from strongpfd.coloring import completion_sweep
 from strongpfd.graph import edge_key
 from strongpfd.oracle import random_thin_graph
-from strongpfd.recognize import _fiber_component
+from strongpfd.skeleton import fiber_components
 
 from conftest import neighborhood_blind_product, wheel_graph
 
@@ -74,8 +74,9 @@ def test_color_fibers_p3_product(p3xp3):
         assert true_dir is not None
         assert label_dir.setdefault(raw, true_dir) == true_dir
     # both fibers through the anchor are complete, two edges each
+    comp, comps, _ = fiber_components(graph, coloring.colors, 2)
     for raw in (0, 1):
-        members = _fiber_component(graph, coloring.colors, raw, center)
+        members = comps[raw][comp[raw][center]]
         assert len(members) == 3
         edges = [
             e for e, c in coloring.colors.items() if c == raw and set(e) <= set(members)
@@ -89,10 +90,10 @@ def test_color_fibers_recovers_both_factors():
     graph, coords = strong_product([path_graph(4), cycle_graph(5)])
     anchor = min(backbone(graph))
     coloring = color_fibers_from(graph, anchor)
+    comp, comps, _ = fiber_components(graph, coloring.colors, len(coloring.palette))
     shapes = []
     for raw in range(len(coloring.palette)):
-        members = _fiber_component(graph, coloring.colors, raw, anchor)
-        sub, _ = graph.induced_subgraph(members)
+        sub, _ = graph.induced_subgraph(comps[raw][comp[raw][anchor]])
         shapes.append(sub)
     assert sorted(s.vertex_count for s in shapes) == [4, 5]
     assert any(is_isomorphic(s, path_graph(4)) for s in shapes)

@@ -16,7 +16,7 @@ import pytest
 from strongpfd import Graph, path_graph, random_connected_graph, random_product_instance
 from strongpfd.factorize import rebuilds_strong_product
 from strongpfd.products import strong_product
-from strongpfd.recognize import _first_mismatch
+from strongpfd.skeleton import _first_mismatch
 
 
 def strong_rule_adjacent(cu, cv, factors) -> bool:
