@@ -38,9 +38,10 @@ class NeighborhoodCache:
 
     ``entries`` holds the factorization of each center's neighborhood.
     ``quotients`` is the memo of ``factor_quotient``: it maps a quotient's
-    ``closed_masks``, which fix the labelled graph, to its factorization and
-    Cartesian edges.  On bounded-degree products most neighborhoods have
-    labelled-equal quotients, so each distinct one is factored once; every
+    ``closed_masks``, which fix the labelled graph, to the quotient graph,
+    its factorization and its Cartesian edges.  On bounded-degree products
+    most neighborhoods have labelled-equal quotients, so each distinct one
+    is built and factored once, and a hit builds no graph at all; every
     neighborhood still lifts through its own classes and host ids.  The N2
     sweep of ``build_skeleton`` shares the memo.  It lives as long as the
     cache, which serves one graph.
@@ -189,11 +190,13 @@ def completion_sweep(
         u, v = worklist.popleft()
         c = coloring.colors[(u, v)]
         for z, other in ((u, v), (v, u)):
-            for w, cw in list(incident[z]):
+            near = graph.adjacency_set(other)
+            # appends below go to other's and w's lists, never to z's
+            for w, cw in incident[z]:
                 if cw != c or w == other:
                     continue
                 edge = edge_key(other, w)
-                if edge in coloring.colors or not graph.adjacent(other, w):
+                if edge in coloring.colors or w not in near:
                     continue
                 coloring.assign(edge, c, stage)
                 incident[other].append((w, c))

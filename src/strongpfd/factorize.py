@@ -13,6 +13,11 @@ Candidate generation has two routes:
   through a max-degree anchor, pruned by degree and edge-count laws.
 
 Both routes are exact; the size cap only bounds running time.
+
+Neighborhood factorization never builds a subgraph of the host: the classes
+of N[v] and the key of its quotient come from ``sclasses.relative_quotient``
+on the host's bitmasks, and ``factor_quotient`` builds and factors the
+quotient graph only when its memo has no entry under that key.
 """
 
 from __future__ import annotations
@@ -23,8 +28,15 @@ from typing import Iterator, Sequence
 
 from .graph import DisconnectedError, Edge, Graph, GraphError, VertexSet, edge_key
 from .isomorphism import canonical_form
-from .products import Coordinatization, cartesian_index
-from .sclasses import NotThinError, QuotientResult, backbone, is_thin, quotient
+from .products import Coordinatization
+from .sclasses import (
+    NotThinError,
+    QuotientResult,
+    backbone,
+    is_thin,
+    quotient_graph,
+    relative_quotient,
+)
 
 DEFAULT_SIZE_CAP = 24
 
@@ -48,10 +60,6 @@ class LocalFactorization:
     @property
     def prime_count(self) -> int:
         return len(self.factors)
-
-
-#: A factored quotient and its Cartesian edges as (qa, qb, factor index).
-FactoredQuotient = tuple[LocalFactorization, tuple[tuple[int, int, int], ...]]
 
 
 def rebuilds_strong_product(
@@ -96,7 +104,8 @@ def reconstructs(graph: Graph, factorization: LocalFactorization) -> bool:
 def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> LocalFactorization:
     """Complete prime factor decomposition of a connected graph.
 
-    Factor order is normalized by (vertex count, canonical form).  Raises
+    Factor order is normalized by (vertex count, canonical form); a result
+    with fewer than two factors has nothing to order.  Raises
     FactorSizeError above ``size_cap`` and DisconnectedError on
     disconnected input.
     """
@@ -108,12 +117,13 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
     if not graph.is_connected():
         raise DisconnectedError("prime factorization requires a connected graph")
     factors, coords_rows = _pfd(graph)
-    order = sorted(
-        range(len(factors)),
-        key=lambda i: (factors[i].vertex_count, canonical_form(factors[i])),
-    )
-    factors = [factors[i] for i in order]
-    coords_rows = [tuple(row[i] for i in order) for row in coords_rows]
+    if len(factors) > 1:
+        order = sorted(
+            range(len(factors)),
+            key=lambda i: (factors[i].vertex_count, canonical_form(factors[i])),
+        )
+        factors = [factors[i] for i in order]
+        coords_rows = [tuple(row[i] for i in order) for row in coords_rows]
     coords = Coordinatization(tuple(f.vertex_count for f in factors), tuple(coords_rows))
     result = LocalFactorization(tuple(factors), coords)
     if not reconstructs(graph, result):
@@ -529,17 +539,28 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
 
 
 @dataclass(frozen=True)
+class FactoredQuotient:
+    """A quotient graph, its factorization and its Cartesian edges, listed
+    as (qa, qb, factor index) in the order of ``graph.edges()``."""
+
+    graph: Graph
+    factorization: LocalFactorization
+    cartesian_edges: tuple[tuple[int, int, int], ...]
+
+
+@dataclass(frozen=True)
 class NeighborhoodFactorization:
     """Factored quotient of one closed neighborhood plus the lifted edges.
 
-    ``lifted`` maps host-graph edges inside N[center] to a local factor
-    index; an edge is lifted when its quotient image changes exactly one
-    local coordinate and at least one endpoint class is a singleton.
+    ``quotient`` numbers the members of N[center] by their position in
+    ``vertices``.  ``lifted`` maps host-graph edges inside N[center] to a
+    local factor index; an edge is lifted when its quotient image changes
+    exactly one local coordinate and at least one endpoint class is a
+    singleton.
     """
 
     center: int
     vertices: VertexSet
-    subgraph: Graph
     quotient: QuotientResult
     factorization: LocalFactorization
     lifted: dict[Edge, int]
@@ -550,34 +571,42 @@ class NeighborhoodFactorization:
 
 
 def factor_quotient(
-    qgraph: Graph,
+    masks: tuple[int, ...],
     size_cap: int | None = None,
     memo: dict[tuple[int, ...], FactoredQuotient] | None = None,
 ) -> FactoredQuotient:
-    """``factor_exact`` of a neighborhood quotient plus its Cartesian edges.
+    """``factor_exact`` of the quotient whose ``closed_masks`` are ``masks``,
+    plus its Cartesian edges.
 
-    With ``memo`` the result is kept under the quotient's ``closed_masks``,
-    which fix the labelled graph, and a labelled-equal quotient is not
-    factored again.  Above ``size_cap`` the memo is bypassed, so the cap
-    raises as it would without one.
+    ``masks`` fix the labelled quotient, as ``relative_quotient`` returns
+    them; the graph is built only when the memo misses.  With ``memo`` the
+    result is kept under ``masks``, so a labelled-equal quotient is neither
+    built nor factored again.  Above ``size_cap`` the memo is bypassed, so
+    the cap raises as it would without one.
     """
-    capped = size_cap is not None and qgraph.vertex_count > size_cap
+    capped = size_cap is not None and len(masks) > size_cap
     if memo is not None and not capped:
-        entry = memo.get(qgraph.closed_masks)
+        entry = memo.get(masks)
         if entry is not None:
             return entry
+    qgraph = quotient_graph(masks)
     fact = factor_exact(qgraph, size_cap=size_cap)
     edges: tuple[tuple[int, int, int], ...] = ()
-    if fact.factors:
+    if len(fact.factors) == 1:  # the one coordinate changes along every edge
+        edges = tuple((qa, qb, 0) for qa, qb in qgraph.edges())
+    elif fact.factors:
         assert fact.coords is not None
-        edges = tuple(
-            (qa, qb, idx)
-            for qa, qb in qgraph.edges()
-            if (idx := cartesian_index(qgraph, fact.coords, qa, qb)) is not None
-        )
+        rows = fact.coords.coords
+        found = []
+        for qa, qb in qgraph.edges():
+            changed = [i for i, (x, y) in enumerate(zip(rows[qa], rows[qb])) if x != y]
+            if len(changed) == 1:
+                found.append((qa, qb, changed[0]))
+        edges = tuple(found)
+    entry = FactoredQuotient(qgraph, fact, edges)
     if memo is not None:
-        memo[qgraph.closed_masks] = (fact, edges)
-    return fact, edges
+        memo[masks] = entry
+    return entry
 
 
 def factor_neighborhood(
@@ -589,23 +618,24 @@ def factor_neighborhood(
 ) -> NeighborhoodFactorization:
     """Factor the quotient of <N[v]> and lift its identifiable product edges.
 
-    ``memo`` is passed to ``factor_quotient``; the lifting always goes
-    through this neighborhood's own classes and host ids.
+    The classes and the quotient's key come from ``relative_quotient`` on
+    the host's bitmasks; no subgraph of the host is built.  ``memo`` is
+    passed to ``factor_quotient``; the lifting always goes through this
+    neighborhood's own classes and host ids.
     """
     if not assume_thin and not is_thin(graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
     members = graph.closed_neighborhood(v)
-    sub, _ = graph.induced_subgraph(members)
-    quot = quotient(sub)
-    fact, cartesian_edges = factor_quotient(quot.quotient, size_cap, memo)
+    classes, class_map, masks = relative_quotient(graph, members)
+    entry = factor_quotient(masks, size_cap, memo)
     lifted: dict[Edge, int] = {}
-    for qa, qb, idx in cartesian_edges:
-        side_a = quot.class_members[qa]
-        side_b = quot.class_members[qb]
+    for qa, qb, idx in entry.cartesian_edges:
+        side_a = classes[qa]
+        side_b = classes[qb]
         if len(side_a) != 1 and len(side_b) != 1:
             continue
-        # sub numbers the sorted members consecutively
         for ha in side_a:
             for hb in side_b:
                 lifted[edge_key(members[ha], members[hb])] = idx
-    return NeighborhoodFactorization(v, members, sub, quot, fact, lifted)
+    quot = QuotientResult(entry.graph, class_map, classes)
+    return NeighborhoodFactorization(v, members, quot, entry.factorization, lifted)

@@ -64,20 +64,34 @@ def verify_product(
     graph: Graph,
 ) -> bool:
     """Check that the coloring coordinatizes the graph as the product of
-    ``factors``, edge-exactly."""
+    ``factors``, edge-exactly.
+
+    A plain dict may use any color labels; they are renumbered densely in
+    ascending order.  ``factors`` are matched to the coloring's fibers as a
+    multiset up to isomorphism, so their order does not matter.
+    """
     if isinstance(coloring, ColoredSkeleton):
         edge_color = coloring.edge_color
         n_colors = coloring.n_colors
     else:
-        edge_color = coloring
-        n_colors = len(set(edge_color.values())) if edge_color else 0
+        dense = {c: i for i, c in enumerate(sorted(set(coloring.values())))}
+        edge_color = {edge: dense[c] for edge, c in coloring.items()}
+        n_colors = len(dense)
     ok, _, ref_factors, _ = product_coordinates(graph, edge_color, n_colors)
     if not ok:
         return False
     assert ref_factors is not None
     if len(factors) != len(ref_factors):
         return False
-    return all(is_isomorphic(f, r) for f, r in zip(factors, ref_factors))
+    # isomorphism is an equivalence, so greedy matching finds a perfect one
+    # whenever one exists
+    unmatched = list(ref_factors)
+    for f in factors:
+        match = next((i for i, r in enumerate(unmatched) if is_isomorphic(f, r)), None)
+        if match is None:
+            return False
+        del unmatched[match]
+    return True
 
 
 def _validate_input(graph: Graph) -> None:

@@ -5,6 +5,12 @@ Two vertices are equivalent relative to a vertex subset H when their closed
 neighborhoods intersected with H coincide.  The backbone is the set of
 vertices whose closed neighborhood is strictly maximal; on thin connected
 graphs it induces a connected dominating set.
+
+``relative_quotient`` is the one quotient routine: it splits a vertex set
+into its relative classes by the host's closed-neighborhood bitmasks and
+returns the quotient's own closed masks, which fix the quotient as a
+labelled graph, without building any graph.  ``quotient`` is that routine
+over all vertices, and ``quotient_graph`` builds the graph from the masks.
 """
 
 from __future__ import annotations
@@ -38,19 +44,69 @@ class QuotientResult:
     class_members: tuple[VertexSet, ...]
 
 
+def relative_quotient(
+    graph: Graph, members: VertexSet
+) -> tuple[tuple[VertexSet, ...], tuple[int, ...], tuple[int, ...]]:
+    """Classes of the sorted vertex set ``members`` relative to itself, read
+    straight off the host's closed-neighborhood bitmasks.
+
+    Two members share a class when N[u] intersected with ``members``
+    coincides.  Returns (classes, class_map, masks): the classes as
+    ascending positions in ``members``, numbered by their least position;
+    each position's class; and the quotient's ``closed_masks``, which fix
+    the quotient as a labelled graph.  No graph is built.
+    """
+    host_mask = 0
+    for v in members:
+        host_mask |= 1 << v
+    masks = graph.closed_masks
+    index: dict[int, int] = {}
+    groups: list[list[int]] = []
+    reps: list[int] = []
+    class_map = []
+    for pos, v in enumerate(members):
+        key = masks[v] & host_mask
+        c = index.get(key)
+        if c is None:
+            c = index[key] = len(groups)
+            groups.append([pos])
+            reps.append(v)
+        else:
+            groups[c].append(pos)
+        class_map.append(c)
+    # members of two classes are all adjacent or all apart, so the
+    # representatives' adjacency decides the quotient's edges
+    class_at = {r: c for c, r in enumerate(reps)}
+    qmasks = []
+    for c, r in enumerate(reps):
+        qmask = 1 << c
+        for w in graph.adjacency_set(r):
+            d = class_at.get(w)
+            if d is not None:
+                qmask |= 1 << d
+        qmasks.append(qmask)
+    return tuple(tuple(g) for g in groups), tuple(class_map), tuple(qmasks)
+
+
+def quotient_graph(masks: tuple[int, ...]) -> Graph:
+    """The graph whose closed neighborhoods are ``masks``."""
+    edges = []
+    for u, m in enumerate(masks):
+        m >>= u + 1
+        while m:
+            low = m & -m
+            edges.append((u, u + low.bit_length()))
+            m ^= low
+    return Graph(len(masks), edges)
+
+
 def relative_s_partition(graph: Graph, host: Iterable[int]) -> SPartition:
     """Group the vertices of ``host`` by their closed neighborhood within it."""
     members = tuple(sorted(set(host)))
     if not members:
         raise GraphError("relative partition of an empty host set")
-    host_mask = 0
-    for v in members:
-        host_mask |= 1 << v
-    masks = graph.closed_masks
-    groups: dict[int, list[int]] = {}
-    for v in members:
-        groups.setdefault(masks[v] & host_mask, []).append(v)
-    classes = tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
+    positions, _, _ = relative_quotient(graph, members)
+    classes = tuple(tuple(members[p] for p in cls) for cls in positions)
     class_index = {v: i for i, cls in enumerate(classes) for v in cls}
     return SPartition(host=members, classes=classes, class_index=class_index)
 
@@ -80,23 +136,8 @@ def is_thin(graph: Graph) -> bool:
 
 def quotient(graph: Graph) -> QuotientResult:
     """Collapse every global class to one vertex; the result is thin."""
-    n = graph.vertex_count
-    if n == 0:
-        return QuotientResult(Graph(0), (), ())
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(graph.closed_masks[v], []).append(v)
-    classes = tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
-    class_map = [0] * n
-    for i, cls in enumerate(classes):
-        for v in cls:
-            class_map[v] = i
-    edges = set()
-    for u, v in graph.edges():
-        cu, cv = class_map[u], class_map[v]
-        if cu != cv:
-            edges.add((min(cu, cv), max(cu, cv)))
-    return QuotientResult(Graph(len(classes), sorted(edges)), tuple(class_map), classes)
+    classes, class_map, masks = relative_quotient(graph, tuple(graph.vertices()))
+    return QuotientResult(quotient_graph(masks), class_map, classes)
 
 
 def backbone(graph: Graph) -> VertexSet:

@@ -36,7 +36,7 @@ from .factorize import (
     factor_quotient,
     rebuilds_strong_product,
 )
-from .sclasses import NotThinError, backbone, is_thin, quotient
+from .sclasses import NotThinError, backbone, is_thin, relative_quotient
 
 
 class SkeletonError(RuntimeError):
@@ -114,16 +114,20 @@ def find_square(graph: Graph, e: Edge, f: Edge) -> tuple[int, int, int, int] | N
     u = shared.pop()
     p = e[0] if e[1] == u else e[1]
     q = f[0] if f[1] == u else f[1]
-    if graph.adjacent(p, q):
+    adj = graph.adjacency_set
+    d = _far_corner(u, q, adj(u), adj(p), adj(q))
+    return None if d is None else (u, p, d, q)
+
+
+def _far_corner(
+    u: int, q: int, near_u: frozenset[int], near_p: frozenset[int], near_q: frozenset[int]
+) -> int | None:
+    """The corner d of the unique diagonal-free square u-p-d-q, given the
+    neighborhoods of u, p and q, or None."""
+    if q in near_p:
         return None
-    candidates = [
-        d
-        for d in graph.adjacency_set(p) & graph.adjacency_set(q)
-        if d != u and not graph.adjacent(d, u)
-    ]
-    if len(candidates) != 1:
-        return None
-    return (u, p, candidates[0], q)
+    candidates = [d for d in near_p & near_q if d != u and d not in near_u]
+    return candidates[0] if len(candidates) == 1 else None
 
 
 def merge_parallel_colors(
@@ -136,6 +140,7 @@ def merge_parallel_colors(
     unions performed.
     """
     skeleton = Graph(graph.vertex_count, edge_color.keys())
+    adj = [skeleton.adjacency_set(v) for v in skeleton.vertices()]
     merged_total = 0
     while True:
         merged = 0
@@ -146,13 +151,12 @@ def merge_parallel_colors(
                     ep, eq = edge_key(u, p), edge_key(u, q)
                     if uf.find(edge_color[ep]) == uf.find(edge_color[eq]):
                         continue
-                    square = find_square(skeleton, ep, eq)
-                    if square is None:
+                    d = _far_corner(u, q, adj[u], adj[p], adj[q])
+                    if d is None:
                         continue
-                    _, sp, d, sq = square
-                    if uf.union(edge_color[ep], edge_color[edge_key(sq, d)]):
+                    if uf.union(edge_color[ep], edge_color[edge_key(q, d)]):
                         merged += 1
-                    if uf.union(edge_color[eq], edge_color[edge_key(sp, d)]):
+                    if uf.union(edge_color[eq], edge_color[edge_key(p, d)]):
                         merged += 1
         merged_total += merged
         if not merged:
@@ -171,9 +175,10 @@ def n2_sweep(
     """Identify product edges inside 2-neighborhoods of under-colored vertices.
 
     For each target vertex (default: every vertex with an uncolored incident
-    edge), the 2-neighborhood is factored through its quotient; the center's
-    class is a singleton in a thin graph, so every product edge at the
-    center is identified and gets a fresh raw color.  ``memo`` is passed to
+    edge), the 2-neighborhood is factored through its quotient, read off the
+    host's bitmasks by ``relative_quotient``; the center's class is a
+    singleton in a thin graph, so every product edge at the center is
+    identified and gets a fresh raw color.  ``memo`` is passed to
     ``factor_quotient``.  Returns the per-vertex prime counts observed.
     """
     if targets is None:
@@ -183,29 +188,28 @@ def n2_sweep(
     fresh: dict[tuple[int, int], int] = {}
     for x in targets:
         members = graph.n_neighborhood(x, 2)
-        sub, to_sub = graph.induced_subgraph(members)
-        quot = quotient(sub)
-        if size_cap is not None and quot.quotient.vertex_count > size_cap:
+        classes, class_map, masks = relative_quotient(graph, members)
+        if size_cap is not None and len(masks) > size_cap:
             raise SkeletonError(
                 f"N2 sweep infeasible at this degree: quotient of the "
-                f"2-neighborhood of {x} has {quot.quotient.vertex_count} vertices, "
+                f"2-neighborhood of {x} has {len(masks)} vertices, "
                 f"cap is {size_cap}"
             )
         try:
-            fact, cartesian_edges = factor_quotient(quot.quotient, size_cap, memo)
+            entry = factor_quotient(masks, size_cap, memo)
         except FactorSizeError as exc:
             raise SkeletonError(f"N2 sweep infeasible at this degree: {exc}") from exc
-        counts[x] = fact.prime_count
-        qx = quot.class_map[to_sub[x]]
-        if len(quot.class_members[qx]) != 1:
+        counts[x] = entry.factorization.prime_count
+        qx = class_map[members.index(x)]
+        if len(classes[qx]) != 1:
             raise SkeletonError(
                 f"2-neighborhood class of {x} is not a singleton; host graph is not thin"
             )
         # edges come sorted, so the far ends of those at qx ascend
-        for qa, qb, idx in cartesian_edges:
+        for qa, qb, idx in entry.cartesian_edges:
             if qx not in (qa, qb):
                 continue
-            for hy in quot.class_members[qb if qa == qx else qa]:
+            for hy in classes[qb if qa == qx else qa]:
                 edge = edge_key(x, members[hy])
                 if edge in edge_color:
                     continue

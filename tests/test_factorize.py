@@ -21,6 +21,7 @@ from strongpfd import (
     reconstructs,
     strong_product,
 )
+from strongpfd import factorize
 from strongpfd.oracle import random_thin_graph
 
 from conftest import house_graph
@@ -167,3 +168,30 @@ def test_factor_order_normalized():
     result = factor_exact(graph, size_cap=None)
     sizes = [f.vertex_count for f in result.factors]
     assert sizes == sorted(sizes)
+
+
+def count_calls(monkeypatch: pytest.MonkeyPatch, name: str) -> list[int]:
+    calls = [0]
+    original = getattr(factorize, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(factorize, name, counted)
+    return calls
+
+
+def test_factor_exact_orders_only_several_factors(monkeypatch):
+    forms = count_calls(monkeypatch, "canonical_form")
+    checks = count_calls(monkeypatch, "reconstructs")
+    exact = count_calls(monkeypatch, "factor_exact")
+    # composite orders reach factor_exact again on neighborhood quotients
+    for prime in (cycle_graph(7), cycle_graph(9), path_graph(12), Graph(1)):
+        result = factorize.factor_exact(prime)
+        assert result.prime_count == (prime.vertex_count > 1)
+    assert forms[0] == 0
+    assert checks[0] == exact[0] > 4
+    assert factorize.factor_exact(strong_product([path_graph(3), cycle_graph(4)])[0]).prime_count == 2
+    assert forms[0] > 0
+    assert checks[0] == exact[0]

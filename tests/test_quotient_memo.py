@@ -9,6 +9,7 @@ recognition report and fast-path factors per graph.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -24,7 +25,7 @@ from strongpfd import (
     strong_product,
     twisted_instance,
 )
-from strongpfd import factorize, skeleton
+from strongpfd import factorize, products, skeleton
 
 from conftest import house_graph, recovery_corpus
 
@@ -53,8 +54,8 @@ def unmemoized(monkeypatch: pytest.MonkeyPatch) -> None:
     """Make every quotient factorization ignore the memo it is handed."""
     factor_quotient = factorize.factor_quotient
 
-    def without_memo(qgraph, size_cap=None, memo=None):
-        return factor_quotient(qgraph, size_cap)
+    def without_memo(masks, size_cap=None, memo=None):
+        return factor_quotient(masks, size_cap)
 
     monkeypatch.setattr(factorize, "factor_quotient", without_memo)
     monkeypatch.setattr(skeleton, "factor_quotient", without_memo)
@@ -128,3 +129,42 @@ def test_n2_sweep_reuses_the_memo(monkeypatch):
     unmemoized(monkeypatch)
     assert recognize(graph).to_dict() == report.to_dict()
     assert memoized < calls[0]
+
+
+#: Functions that factor one neighborhood or 2-neighborhood quotient.
+NEIGHBORHOOD_LAYER = {"factor_neighborhood", "factor_quotient", "relative_quotient", "n2_sweep"}
+
+
+def record_callers(monkeypatch: pytest.MonkeyPatch, owner, name: str) -> list[str]:
+    """Replace ``owner.name`` by a wrapper that records its direct callers;
+    for a module function, every package module's binding is replaced."""
+    callers: list[str] = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, recorded)
+        return callers
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("strongpfd") and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, recorded)
+    return callers
+
+
+@pytest.mark.parametrize("entry", [pfd_fast, recognize])
+def test_neighborhoods_build_no_subgraph(entry, monkeypatch):
+    subgraphs = record_callers(monkeypatch, Graph, "induced_subgraph")
+    indices = record_callers(monkeypatch, products, "cartesian_index")
+    counts = []
+    for k in (30, 60):
+        subgraphs.clear()
+        entry(strong_product([path_graph(k), path_graph(3)])[0])
+        assert not NEIGHBORHOOD_LAYER & set(subgraphs), subgraphs
+        counts.append(len(subgraphs))
+    assert indices == []
+    # what is left (splitting the one factored quotient, reading off the
+    # factors) does not grow with the strip
+    assert counts[0] == counts[1]

@@ -172,3 +172,25 @@ def test_recognize_survives_coloring_abort(p3xp3):
     assert report.coloring is None
     assert report.max_local_factors == 2
     assert any("local factors" in d for d in report.diagnostics)
+
+
+def test_verify_product_accepts_any_color_labels():
+    graph, _ = strong_product([path_graph(3), path_graph(4)])
+    skeleton = recognize(graph).coloring
+    factors = [path_graph(4), path_graph(3)]
+    assert verify_product(factors, dict(skeleton.edge_color), graph)
+    shifted = {edge: c + 1 for edge, c in skeleton.edge_color.items()}
+    assert verify_product(factors, shifted, graph)
+    spread = {edge: 10 * c + 7 for edge, c in skeleton.edge_color.items()}
+    assert verify_product(factors, spread, graph)
+
+
+def test_verify_product_ignores_factor_order():
+    graph, _ = strong_product([path_graph(3), path_graph(4)])
+    skeleton = recognize(graph).coloring
+    assert verify_product([path_graph(4), path_graph(3)], skeleton, graph)
+    assert verify_product([path_graph(3), path_graph(4)], skeleton, graph)
+    # a multiset, not a set: the same factor twice matches only one fiber
+    assert not verify_product([path_graph(3), path_graph(3)], skeleton, graph)
+    assert not verify_product([path_graph(4), path_graph(4)], skeleton, graph)
+    assert not verify_product([path_graph(4), cycle_graph(3)], skeleton, graph)
