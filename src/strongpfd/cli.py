@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (for ``recognize``: the graph is locally unrefined),
 1 negative pipeline verdict, 2 input or resource errors (malformed file,
-disconnected, non-thin where thinness is required, generation parameters
-that admit no instance, a search deeper than the recursion limit).
+empty, disconnected, non-thin where thinness is required, generation
+parameters that admit no instance, a search deeper than the recursion limit).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .factorize import factor_exact
 from .oracle import GenerationError, random_product_instance
 from .products import strong_product
 from .recognize import pfd_fast, recognize
-from .sclasses import backbone, is_thin, quotient, relative_s_partition
+from .sclasses import backbone, is_thin, quotient, relative_s_partition, require_thin_connected
 from .skeleton import SkeletonError, build_skeleton
 
 DEFAULT_BENCH_SIZES = (50, 100, 200, 400, 800)
@@ -46,13 +46,15 @@ def _load(args: argparse.Namespace) -> Graph:
 
 def _thin_report(graph: Graph) -> dict:
     part = relative_s_partition(graph, range(graph.vertex_count))
-    thin = is_thin(graph)
-    data = {
-        "thin": thin,
+    try:
+        members = list(backbone(graph))
+    except GraphError:  # disconnected or not thin: there is no backbone
+        members = []
+    return {
+        "thin": is_thin(graph),
         "s_classes": [list(cls) for cls in part.classes],
-        "backbone": list(backbone(graph)) if thin and graph.is_connected() else [],
+        "backbone": members,
     }
-    return data
 
 
 def cmd_check_thin(args: argparse.Namespace) -> int:
@@ -63,14 +65,8 @@ def cmd_check_thin(args: argparse.Namespace) -> int:
 
 def cmd_backbone(args: argparse.Namespace) -> int:
     graph = _load(args)
-    report = _thin_report(graph)
-    if not report["thin"]:
-        print("input graph is not thin; run the quotient first", file=sys.stderr)
-        return 2
-    if not graph.is_connected():
-        print("input graph is disconnected", file=sys.stderr)
-        return 2
-    _emit_json(report, args.output)
+    require_thin_connected(graph, "backbone")
+    _emit_json(_thin_report(graph), args.output)
     return 0
 
 

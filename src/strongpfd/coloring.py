@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, GraphError, VertexSet, edge_key
 from .factorize import FactoredQuotient, NeighborhoodFactorization, factor_neighborhood
-from .sclasses import NotThinError, backbone, is_thin
+from .sclasses import backbone, require_thin_connected
 
 STAGE_LIFT = "S1-local"
 STAGE_COMPLETION = "completion"
@@ -26,8 +26,8 @@ STAGE_N2 = "N2-sweep"
 class ColoringError(RuntimeError):
     """Color continuation or local factor structure broke down.
 
-    This signals that the input is not locally unrefined (or not thin);
-    callers in the recognition pipeline turn it into a negative verdict.
+    This signals that the input is not locally unrefined; callers in the
+    recognition pipeline turn it into a negative verdict.
     """
 
 
@@ -55,9 +55,7 @@ class NeighborhoodCache:
     def get(self, v: int) -> NeighborhoodFactorization:
         nf = self.entries.get(v)
         if nf is None:
-            nf = factor_neighborhood(
-                self.graph, v, size_cap=self.size_cap, assume_thin=True, memo=self.quotients
-            )
+            nf = factor_neighborhood(self.graph, v, size_cap=self.size_cap, memo=self.quotients)
             self.entries[v] = nf
         return nf
 
@@ -219,12 +217,9 @@ def color_fibers_from(
     open one color per local factor, run the color-restricted backbone BFS,
     and finish with the completion sweep.  Raises ColoringError when the
     continuation or the local factor counts break down, which means the
-    graph is not locally unrefined (or not thin).
+    graph is not locally unrefined.
     """
-    if not graph.is_connected():
-        raise GraphError("fiber coloring requires a connected graph")
-    if not is_thin(graph):
-        raise NotThinError("fiber coloring requires a thin graph")
+    require_thin_connected(graph, "fiber coloring")
     if backbone_vertices is None:
         backbone_vertices = backbone(graph)
     backbone_set = frozenset(backbone_vertices)

@@ -211,7 +211,7 @@ def _local_box_data(graph: Graph, v: int, memo: dict[tuple[int, ...], FactoredQu
     member of one quotient class shares its coordinate tuple.  Only called
     for vertices whose own class is a singleton.
     """
-    nf = factor_neighborhood(graph, v, assume_thin=True, memo=memo)
+    nf = factor_neighborhood(graph, v, memo=memo)
     rows = nf.factorization.coords.coords
     coords = {g: rows[nf.quotient.class_map[h]] for h, g in enumerate(nf.vertices)}
     return frozenset(nf.vertices), coords, nf.prime_count
@@ -613,7 +613,6 @@ def factor_neighborhood(
     graph: Graph,
     v: int,
     size_cap: int | None = None,
-    assume_thin: bool = False,
     memo: dict[tuple[int, ...], FactoredQuotient] | None = None,
 ) -> NeighborhoodFactorization:
     """Factor the quotient of <N[v]> and lift its identifiable product edges.
@@ -623,7 +622,7 @@ def factor_neighborhood(
     passed to ``factor_quotient``; the lifting always goes through this
     neighborhood's own classes and host ids.
     """
-    if not assume_thin and not is_thin(graph):
+    if not is_thin(graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
     members = graph.closed_neighborhood(v)
     classes, class_map, masks = relative_quotient(graph, members)

@@ -1,8 +1,9 @@
 """Immutable simple-graph type with the neighborhood and traversal primitives.
 
 Vertices are dense integers ``0..n-1``.  Adjacency is stored both as frozen
-sets (membership tests) and sorted tuples (deterministic iteration), plus a
-lazily built bitmask per closed neighborhood for fast subset algebra.
+sets (membership tests) and sorted tuples (deterministic iteration).  Facts
+derived from the immutable graph are computed at most once per instance: the
+bitmask per closed neighborhood, connectivity and thinness.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ class Graph:
             masks.append(m)
         return tuple(masks)
 
+    @cached_property
+    def thin(self) -> bool:
+        """True iff no two vertices share a closed neighborhood."""
+        return len(set(self.closed_masks)) == self._n
+
     def closed_neighborhood(self, v: int) -> VertexSet:
         """N[v] = N(v) together with v itself, ascending."""
         self._check_vertex(v)
@@ -157,9 +163,11 @@ class Graph:
         return d
 
     def is_connected(self) -> bool:
-        if self._n == 0:
-            return True
-        return self.distances_from(0).count(-1) == 0
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        return self._n == 0 or self.distances_from(0).count(-1) == 0
 
     # -- derived graphs ----------------------------------------------------
 

@@ -130,26 +130,31 @@ def oracle_pfd(graph: Graph, cap: int = ORACLE_CAP) -> LocalFactorization:
 # -- seeded generators ---------------------------------------------------------
 
 
-def random_connected_graph(
-    n: int, edge_prob: float, seed: int, max_tries: int = 20000
-) -> Graph:
-    """Seeded G(n, p) conditioned on connectivity.
+def _sample_graph(n: int, edge_prob: float, seed: int, max_tries: int, thin: bool) -> Graph:
+    """Seeded G(n, p) by rejection sampling until connected (and thin).
 
     Edges are sampled over ascending vertex pairs from Python's Mersenne
     Twister, so a seed pins the graph exactly.
     """
-    if n < 1:
-        raise GraphError("need at least one vertex")
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
     for _ in range(max_tries):
-        edges = [e for e in pairs if rng.random() < edge_prob]
-        graph = Graph(n, edges)
-        if graph.is_connected():
+        graph = Graph(n, [e for e in pairs if rng.random() < edge_prob])
+        if graph.is_connected() and (not thin or is_thin(graph)):
             return graph
     raise GenerationError(
-        f"no connected graph found in {max_tries} tries (n={n}, p={edge_prob}, seed={seed})"
+        f"no {'thin ' if thin else ''}connected graph found in {max_tries} tries "
+        f"(n={n}, p={edge_prob}, seed={seed})"
     )
+
+
+def random_connected_graph(
+    n: int, edge_prob: float, seed: int, max_tries: int = 20000
+) -> Graph:
+    """Seeded G(n, p) conditioned on connectivity."""
+    if n < 1:
+        raise GraphError("need at least one vertex")
+    return _sample_graph(n, edge_prob, seed, max_tries, thin=False)
 
 
 def random_thin_graph(
@@ -158,17 +163,7 @@ def random_thin_graph(
     """Seeded connected thin graph by rejection sampling."""
     if n < 2:
         raise GraphError("thin sampling needs at least two vertices")
-    rng = random.Random(seed)
-    pairs = list(itertools.combinations(range(n), 2))
-    for _ in range(max_tries):
-        edges = [e for e in pairs if rng.random() < edge_prob]
-        graph = Graph(n, edges)
-        if graph.is_connected() and is_thin(graph):
-            return graph
-    raise GenerationError(
-        f"no thin connected graph found in {max_tries} tries "
-        f"(n={n}, p={edge_prob}, seed={seed})"
-    )
+    return _sample_graph(n, edge_prob, seed, max_tries, thin=True)
 
 
 def random_product_instance(
@@ -255,12 +250,7 @@ def twisted_instance() -> Graph:
         if not candidate.is_connected() or not is_thin(candidate):
             continue
         anchors = backbone(candidate)
-        if not anchors:
-            continue
-        counts = {
-            factor_neighborhood(candidate, v, assume_thin=True).prime_count
-            for v in anchors
-        }
+        counts = {factor_neighborhood(candidate, v).prime_count for v in anchors}
         if counts != {2}:
             continue
         if oracle_pfd(candidate).prime_count != 1:

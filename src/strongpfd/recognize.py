@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph import DisconnectedError, Edge, Graph, GraphError
+from .graph import Edge, Graph
 from .coloring import ColoringError, NeighborhoodCache, color_fibers_from
 from .factorize import FactorSizeError, LocalFactorization
 from .io import graph_to_dict
 from .isomorphism import canonical_form, is_isomorphic
-from .sclasses import NotThinError, backbone, is_thin
+from .sclasses import backbone, require_thin_connected
 from .skeleton import (
     ColoredSkeleton,
     SkeletonError,
@@ -94,16 +94,9 @@ def verify_product(
     return True
 
 
-def _validate_input(graph: Graph) -> None:
-    if not graph.is_connected():
-        raise DisconnectedError("recognition requires a connected graph")
-    if not is_thin(graph):
-        raise NotThinError("recognition requires a thin graph; run the quotient first")
-
-
 def recognize(graph: Graph, size_cap: int | None = None) -> RecognitionReport:
     """Decide local unrefinedness, extract factors, verify the product."""
-    _validate_input(graph)
+    require_thin_connected(graph, "recognition")
     cache = NeighborhoodCache(graph, size_cap)
     try:
         skeleton = build_skeleton(graph, size_cap=size_cap, cache=cache)
@@ -167,11 +160,9 @@ def pfd_fast(
     ``recognize`` to decide membership first).  The result carries no
     coordinates, only the factor graphs.
     """
-    _validate_input(graph)
+    require_thin_connected(graph, "recognition")
     anchors = backbone(graph)
     x = anchors[0] if anchor is None else anchor
-    if x not in anchors:
-        raise GraphError(f"anchor {x} is not a backbone vertex")
     try:
         partial = color_fibers_from(
             graph, x, backbone_vertices=anchors, size_cap=size_cap

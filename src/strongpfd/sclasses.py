@@ -1,5 +1,6 @@
 """Neighborhood-equivalence machinery: relative classes, thinness, quotient,
-backbone, and witnesses for the singleton-class edge condition.
+backbone, witnesses for the singleton-class edge condition, and the validity
+gate of the backbone pipeline.
 
 Two vertices are equivalent relative to a vertex subset H when their closed
 neighborhoods intersected with H coincide.  The backbone is the set of
@@ -11,6 +12,10 @@ into its relative classes by the host's closed-neighborhood bitmasks and
 returns the quotient's own closed masks, which fix the quotient as a
 labelled graph, without building any graph.  ``quotient`` is that routine
 over all vertices, and ``quotient_graph`` builds the graph from the masks.
+
+``require_thin_connected`` is the one validity gate of the pipeline, whose
+backbone is defined only on nonempty, connected, thin graphs; both facts are
+memoized on the ``Graph``, so each entry point may call it at O(1) cost.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Graph, GraphError, VertexSet
+from .graph import DisconnectedError, Graph, GraphError, VertexSet
 
 
 class NotThinError(GraphError):
@@ -130,8 +135,22 @@ def s_class_size(graph: Graph, z: int, x: int) -> int:
 
 
 def is_thin(graph: Graph) -> bool:
-    """True iff no two vertices share a closed neighborhood."""
-    return len(set(graph.closed_masks)) == graph.vertex_count
+    """True iff no two vertices share a closed neighborhood (memoized)."""
+    return graph.thin
+
+
+def require_thin_connected(graph: Graph, purpose: str) -> None:
+    """Raise unless ``graph`` is a valid input of the backbone pipeline.
+
+    An empty graph raises GraphError, a disconnected one DisconnectedError
+    and a non-thin one NotThinError, each saying what ``purpose`` requires.
+    """
+    if graph.vertex_count == 0:
+        raise GraphError(f"{purpose} requires a nonempty graph")
+    if not graph.is_connected():
+        raise DisconnectedError(f"{purpose} requires a connected graph")
+    if not is_thin(graph):
+        raise NotThinError(f"{purpose} requires a thin graph; run the quotient first")
 
 
 def quotient(graph: Graph) -> QuotientResult:
@@ -144,12 +163,9 @@ def backbone(graph: Graph) -> VertexSet:
     """Vertices whose closed neighborhood is strictly maximal.
 
     Equivalently the vertices whose own class relative to their neighborhood
-    is a singleton.  Requires a thin connected graph.
+    is a singleton.  Requires a nonempty thin connected graph.
     """
-    if not graph.is_connected():
-        raise GraphError("backbone requires a connected graph")
-    if not is_thin(graph):
-        raise NotThinError("backbone requires a thin graph; quotient first")
+    require_thin_connected(graph, "backbone")
     masks = graph.closed_masks
     result = []
     for v in graph.vertices():

@@ -36,7 +36,7 @@ from .factorize import (
     factor_quotient,
     rebuilds_strong_product,
 )
-from .sclasses import NotThinError, backbone, is_thin, relative_quotient
+from .sclasses import backbone, relative_quotient, require_thin_connected
 
 
 class SkeletonError(RuntimeError):
@@ -137,8 +137,10 @@ def merge_parallel_colors(
 
     Iterates incident differently-colored edge pairs (ordered by shared
     vertex, then neighbor ids) until no merge fires.  Returns the number of
-    unions performed.
+    unions performed; with one root left there is nothing to merge.
     """
+    if len({uf.find(c) for c in set(edge_color.values())}) < 2:
+        return 0
     skeleton = Graph(graph.vertex_count, edge_color.keys())
     adj = [skeleton.adjacency_set(v) for v in skeleton.vertices()]
     merged_total = 0
@@ -302,10 +304,7 @@ def build_skeleton(
     2-neighborhood sweep when the result does not already verify as a
     product coloring.
     """
-    if not graph.is_connected():
-        raise GraphError("skeleton construction requires a connected graph")
-    if not is_thin(graph):
-        raise NotThinError("skeleton construction requires a thin graph")
+    require_thin_connected(graph, "skeleton construction")
     if cache is None:
         cache = NeighborhoodCache(graph, size_cap)
     uf = UnionFind()

@@ -123,7 +123,7 @@ def test_neighborhoods_match_the_subgraph_path():
         cache = NeighborhoodCache(graph)
         for v in graph.vertices():
             assert_same_neighborhood(cache.get(v), graph, (label, v, "memo"))
-            plain = factor_neighborhood(graph, v, assume_thin=True)
+            plain = factor_neighborhood(graph, v)
             assert_same_neighborhood(plain, graph, (label, v, "plain"))
 
 

@@ -73,7 +73,7 @@ def test_memo_hits_give_the_unmemoized_neighborhoods():
         cache = NeighborhoodCache(graph)
         for v in graph.vertices():
             memoized = cache.get(v)
-            plain = factor_neighborhood(graph, v, assume_thin=True)
+            plain = factor_neighborhood(graph, v)
             assert memoized.prime_count == plain.prime_count, (label, v)
             assert memoized.factorization == plain.factorization, (label, v)
             assert list(memoized.lifted.items()) == list(plain.lifted.items()), (label, v)

@@ -18,6 +18,7 @@ from strongpfd import (
     merge_parallel_colors,
     path_graph,
 )
+from strongpfd import skeleton as skeleton_module
 from strongpfd.coloring import STAGE_LIFT, STAGE_N2
 from strongpfd.oracle import random_product_instance
 
@@ -92,6 +93,21 @@ def test_merge_is_idempotent(p3xp3):
     color = uf.add()
     edge_color = {e: color for e in cartesian_edge_set(graph, coords)}
     assert merge_parallel_colors(graph, edge_color, uf) == 0
+
+
+def test_merge_skips_a_single_root_coloring(p3xp3, monkeypatch):
+    graph, coords = p3xp3
+    uf = UnionFind()
+    ids = [uf.add() for _ in range(3)]
+    uf.union(ids[0], ids[1])
+    uf.union(ids[0], ids[2])
+    edges = sorted(cartesian_edge_set(graph, coords))
+    edge_color = {e: ids[i % 3] for i, e in enumerate(edges)}
+    parent = list(uf.parent)
+    # three raw colors, one root: nothing can merge, so no skeleton is built
+    monkeypatch.setattr(skeleton_module, "Graph", None)
+    assert merge_parallel_colors(graph, edge_color, uf) == 0
+    assert uf.parent == parent
 
 
 def test_skeleton_on_product_matches_ground_truth(p3xp3):
