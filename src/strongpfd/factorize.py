@@ -17,7 +17,11 @@ Both routes are exact; the size cap only bounds running time.
 Neighborhood factorization never builds a subgraph of the host: the classes
 of N[v] and the key of its quotient come from ``sclasses.relative_quotient``
 on the host's bitmasks, and ``factor_quotient`` builds and factors the
-quotient graph only when its memo has no entry under that key.
+quotient graph only when its memo has no entry under that key.  A miss
+costs one split search and one verification: internal quotient
+factorizations are left in the order the split search found them, and only
+the public ``factor_exact`` orders its factors.  A one-factor result under
+identity coordinates is verified by graph equality.
 """
 
 from __future__ import annotations
@@ -71,11 +75,15 @@ def rebuilds_strong_product(
     Once the coordinates are a bijection onto the product's vertices, every
     edge obeying the strong rule and every degree matching the product
     degree prod(deg_i + 1) - 1 leave no room for a missing or extra edge.
+    With one factor and identity coordinates those two checks hold exactly
+    when the factor equals the graph, so that case is a graph comparison.
     """
     n = graph.vertex_count
     sizes = [f.vertex_count for f in factors]
     if len(coords) != n or math.prod(sizes) != n or len(set(coords)) != n:
         return False
+    if len(factors) == 1 and all(c == (u,) for u, c in enumerate(coords)):
+        return factors[0] == graph
     if any(
         len(c) != len(sizes) or not all(0 <= x < s for x, s in zip(c, sizes)) for c in coords
     ):
@@ -105,10 +113,28 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
     """Complete prime factor decomposition of a connected graph.
 
     Factor order is normalized by (vertex count, canonical form); a result
-    with fewer than two factors has nothing to order.  Raises
-    FactorSizeError above ``size_cap`` and DisconnectedError on
+    with fewer than two factors has nothing to order.  The factorization is
+    verified before it is ordered, a one-factor result by graph equality.
+    Raises FactorSizeError above ``size_cap`` and DisconnectedError on
     disconnected input.
     """
+    result = _factor_verified(graph, size_cap)
+    factors = result.factors
+    if len(factors) < 2:
+        return result
+    assert result.coords is not None
+    order = sorted(
+        range(len(factors)),
+        key=lambda i: (factors[i].vertex_count, canonical_form(factors[i])),
+    )
+    rows = tuple(tuple(row[i] for i in order) for row in result.coords.coords)
+    coords = Coordinatization(tuple(factors[i].vertex_count for i in order), rows)
+    return LocalFactorization(tuple(factors[i] for i in order), coords)
+
+
+def _factor_verified(graph: Graph, size_cap: int | None) -> LocalFactorization:
+    """``factor_exact`` without the factor ordering: the factors in the order
+    the split search found them, verified against ``graph``."""
     n = graph.vertex_count
     if n == 0:
         raise GraphError("cannot factor an empty graph")
@@ -117,13 +143,6 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
     if not graph.is_connected():
         raise DisconnectedError("prime factorization requires a connected graph")
     factors, coords_rows = _pfd(graph)
-    if len(factors) > 1:
-        order = sorted(
-            range(len(factors)),
-            key=lambda i: (factors[i].vertex_count, canonical_form(factors[i])),
-        )
-        factors = [factors[i] for i in order]
-        coords_rows = [tuple(row[i] for i in order) for row in coords_rows]
     coords = Coordinatization(tuple(f.vertex_count for f in factors), tuple(coords_rows))
     result = LocalFactorization(tuple(factors), coords)
     if not reconstructs(graph, result):
@@ -477,10 +496,11 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
     for a in fa:
         if a == v0:
             continue
+        row = graph.adjacency_set(a)
         for b in fb:
             if b == v0:
                 continue
-            if graph.adjacent(a, b) != (a in near_a and b in near_b):
+            if (b in row) != (a in near_a and b in near_b):
                 return None
 
     phi: dict[tuple[int, int], int] = {}
@@ -516,9 +536,10 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
             m ^= low
             if u in used:
                 continue
+            row = graph.adjacency_set(u)
             ok = True
             for q, placed in phi.items():
-                if pair_adjacent(pair, q) != graph.adjacent(u, placed):
+                if pair_adjacent(pair, q) != (placed in row):
                     ok = False
                     break
             if ok:
@@ -541,11 +562,22 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
 @dataclass(frozen=True)
 class FactoredQuotient:
     """A quotient graph, its factorization and its Cartesian edges, listed
-    as (qa, qb, factor index) in the order of ``graph.edges()``."""
+    as (qa, qb, factor index) in the order of ``graph.edges()``.
+
+    Only a quotient with two or more factors stores its Cartesian edges; a
+    prime quotient reads them off its graph, since its one coordinate
+    changes along every edge.
+    """
 
     graph: Graph
     factorization: LocalFactorization
-    cartesian_edges: tuple[tuple[int, int, int], ...]
+    composite_edges: tuple[tuple[int, int, int], ...]
+
+    @property
+    def cartesian_edges(self) -> tuple[tuple[int, int, int], ...]:
+        if self.factorization.prime_count == 1:
+            return tuple((qa, qb, 0) for qa, qb in self.graph.edges())
+        return self.composite_edges
 
 
 @dataclass(frozen=True)
@@ -575,8 +607,11 @@ def factor_quotient(
     size_cap: int | None = None,
     memo: dict[tuple[int, ...], FactoredQuotient] | None = None,
 ) -> FactoredQuotient:
-    """``factor_exact`` of the quotient whose ``closed_masks`` are ``masks``,
-    plus its Cartesian edges.
+    """Verified factorization of the quotient whose ``closed_masks`` are
+    ``masks``, plus its Cartesian edges.
+
+    The factors come in the order the split search found them; nothing in
+    the pipeline needs ``factor_exact``'s canonical order.
 
     ``masks`` fix the labelled quotient, as ``relative_quotient`` returns
     them; the graph is built only when the memo misses.  With ``memo`` the
@@ -590,20 +625,16 @@ def factor_quotient(
         if entry is not None:
             return entry
     qgraph = quotient_graph(masks)
-    fact = factor_exact(qgraph, size_cap=size_cap)
-    edges: tuple[tuple[int, int, int], ...] = ()
-    if len(fact.factors) == 1:  # the one coordinate changes along every edge
-        edges = tuple((qa, qb, 0) for qa, qb in qgraph.edges())
-    elif fact.factors:
+    fact = _factor_verified(qgraph, size_cap)
+    found = []
+    if len(fact.factors) > 1:
         assert fact.coords is not None
         rows = fact.coords.coords
-        found = []
         for qa, qb in qgraph.edges():
             changed = [i for i, (x, y) in enumerate(zip(rows[qa], rows[qb])) if x != y]
             if len(changed) == 1:
                 found.append((qa, qb, changed[0]))
-        edges = tuple(found)
-    entry = FactoredQuotient(qgraph, fact, edges)
+    entry = FactoredQuotient(qgraph, fact, tuple(found))
     if memo is not None:
         memo[masks] = entry
     return entry

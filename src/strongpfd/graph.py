@@ -3,7 +3,8 @@
 Vertices are dense integers ``0..n-1``.  Adjacency is stored both as frozen
 sets (membership tests) and sorted tuples (deterministic iteration).  Facts
 derived from the immutable graph are computed at most once per instance: the
-bitmask per closed neighborhood, connectivity and thinness.
+bitmask per closed neighborhood, connectivity, thinness and the vertices
+whose closed neighborhood is maximal.
 """
 
 from __future__ import annotations
@@ -114,6 +115,21 @@ class Graph:
     def thin(self) -> bool:
         """True iff no two vertices share a closed neighborhood."""
         return len(set(self.closed_masks)) == self._n
+
+    @cached_property
+    def maximal_vertices(self) -> VertexSet:
+        """Vertices whose closed neighborhood lies inside no other vertex's.
+
+        Only a neighbor's closed neighborhood can contain N[v], since only
+        it contains v.  ``sclasses.backbone`` is this set on the graphs
+        where the backbone is defined.
+        """
+        masks = self.closed_masks
+        return tuple(
+            v
+            for v in range(self._n)
+            if all(masks[v] | masks[u] != masks[u] for u in self._sorted[v])
+        )
 
     def closed_neighborhood(self, v: int) -> VertexSet:
         """N[v] = N(v) together with v itself, ascending."""

@@ -117,12 +117,14 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
         if idx == n:
             return True
         v = order[idx]
+        near_v = g1.adjacency_set(v)
         for u in cands[v]:
             if used[u]:
                 continue
+            near_u = g2.adjacency_set(u)
             ok = True
             for w, t in mapping.items():
-                if g1.adjacent(v, w) != g2.adjacent(u, t):
+                if (w in near_v) != (t in near_u):
                     ok = False
                     break
             if ok:

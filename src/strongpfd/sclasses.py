@@ -16,6 +16,7 @@ over all vertices, and ``quotient_graph`` builds the graph from the masks.
 ``require_thin_connected`` is the one validity gate of the pipeline, whose
 backbone is defined only on nonempty, connected, thin graphs; both facts are
 memoized on the ``Graph``, so each entry point may call it at O(1) cost.
+The backbone itself is memoized there too.
 """
 
 from __future__ import annotations
@@ -163,16 +164,11 @@ def backbone(graph: Graph) -> VertexSet:
     """Vertices whose closed neighborhood is strictly maximal.
 
     Equivalently the vertices whose own class relative to their neighborhood
-    is a singleton.  Requires a nonempty thin connected graph.
+    is a singleton.  Requires a nonempty thin connected graph.  Memoized on
+    the ``Graph``, so all callers on one graph share one pass.
     """
     require_thin_connected(graph, "backbone")
-    masks = graph.closed_masks
-    result = []
-    for v in graph.vertices():
-        mv = masks[v]
-        if all(mv | masks[u] != masks[u] for u in graph.neighbors(v)):
-            result.append(v)
-    return tuple(result)
+    return graph.maximal_vertices
 
 
 def s1_witness(

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
-from strongpfd import complete_graph, path_graph, strong_product, twisted_instance
+from strongpfd import Graph, complete_graph, path_graph, strong_product, twisted_instance
 from strongpfd.cli import main
 from strongpfd.io import parse_dot_edge_colors, save_graph
 
@@ -180,3 +181,24 @@ def test_factor_exact_too_deep_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: maximum recursion depth exceeded")
     assert "Traceback" not in captured.err
+
+
+def test_factor_computes_the_backbone_once(tmp_path, capsys, monkeypatch):
+    # the default anchor and pfd_fast's backbone come from one pass
+    passes = []
+    compute = Graph.maximal_vertices.func
+
+    def counted(graph):
+        passes.append(graph.vertex_count)
+        return compute(graph)
+
+    recorded = cached_property(counted)
+    recorded.__set_name__(Graph, "maximal_vertices")
+    monkeypatch.setattr(Graph, "maximal_vertices", recorded)
+    graph, _ = strong_product([path_graph(40), path_graph(3)])
+    path = tmp_path / "strip.json"
+    save_graph(graph, path)
+    assert main(["factor", "--input", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["anchor"], data["prime_count"]) == (4, 2)
+    assert passes == [120]

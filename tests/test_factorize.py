@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -17,8 +18,11 @@ from strongpfd import (
     factor_neighborhood,
     is_isomorphic,
     path_graph,
+    pfd_fast,
     quotient,
+    random_product_instance,
     reconstructs,
+    recognize,
     strong_product,
 )
 from strongpfd import factorize
@@ -185,13 +189,53 @@ def count_calls(monkeypatch: pytest.MonkeyPatch, name: str) -> list[int]:
 def test_factor_exact_orders_only_several_factors(monkeypatch):
     forms = count_calls(monkeypatch, "canonical_form")
     checks = count_calls(monkeypatch, "reconstructs")
-    exact = count_calls(monkeypatch, "factor_exact")
-    # composite orders reach factor_exact again on neighborhood quotients
+    verified = count_calls(monkeypatch, "_factor_verified")
+    # composite orders factor neighborhood quotients through the verified
+    # core again; each factorization is verified once
     for prime in (cycle_graph(7), cycle_graph(9), path_graph(12), Graph(1)):
         result = factorize.factor_exact(prime)
         assert result.prime_count == (prime.vertex_count > 1)
     assert forms[0] == 0
-    assert checks[0] == exact[0] > 4
+    assert checks[0] == verified[0] > 4
     assert factorize.factor_exact(strong_product([path_graph(3), cycle_graph(4)])[0]).prime_count == 2
     assert forms[0] > 0
-    assert checks[0] == exact[0]
+    assert checks[0] == verified[0]
+
+
+def record_canonical_form_callers(monkeypatch: pytest.MonkeyPatch) -> list[set[str]]:
+    """Replace every package binding of ``canonical_form`` by a wrapper that
+    records the names of all functions on the stack at each call."""
+    stacks: list[set[str]] = []
+    original = canonical_form
+
+    def recorded(graph):
+        names = set()
+        frame = sys._getframe(1)
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return original(graph)
+
+    for module in list(sys.modules.values()):
+        bound = vars(module).get("canonical_form")
+        if module.__name__.startswith("strongpfd") and bound is original:
+            monkeypatch.setattr(module, "canonical_form", recorded)
+    return stacks
+
+
+def test_neighborhood_factoring_never_orders_factors(monkeypatch):
+    stacks = record_canonical_form_callers(monkeypatch)
+    rng = random.Random(5)
+    for seed, sizes in enumerate([(3, 3), (3, 4), (4, 4), (3, 5), (3, 3, 3)] * 2):
+        graph = random_product_instance(sizes, seed=seed, edge_prob=0.5).graph
+        perm = list(range(graph.vertex_count))
+        rng.shuffle(perm)
+        relabelled = graph.relabeled(perm)
+        assert recognize(relabelled).in_upsilon
+        assert pfd_fast(relabelled).prime_count == len(sizes)
+    internal = {"factor_quotient", "factor_neighborhood"}
+    assert not [names for names in stacks if names & internal]
+    # the recorder does see the public ordering, also below a quotient split
+    factor_exact(strong_product([path_graph(3), cycle_graph(4)])[0])
+    assert stacks and "factor_exact" in stacks[-1]

@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strongpfd import canonical_form, pfd_fast, random_product_instance, recognize
+from strongpfd import canonical_form, oracle_pfd, pfd_fast, random_product_instance, recognize
 from strongpfd.cli import main
 
 CLI_COMMANDS = (
@@ -48,6 +48,27 @@ def test_relabelling_keeps_verdict_and_factors(sizes, seed, edge_prob, shuffle):
         factors = factor_multiset(after.extracted_factors)
         assert factors == factor_multiset(before.extracted_factors)
         assert factor_multiset(pfd_fast(relabelled).factors) == factors
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    sizes=st.sampled_from([(3, 3), (3, 4), (3, 5), (4, 4)]),
+    seed=st.integers(0, 2**32 - 1),
+    edge_prob=st.sampled_from([0.35, 0.5, 0.65]),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_fast_path_recognition_and_oracle_agree(sizes, seed, edge_prob, shuffle):
+    # every product of at most 16 vertices is in reach of the brute-force
+    # oracle, which shares no split search with the pipeline
+    graph = random_product_instance(sizes, seed=seed, edge_prob=edge_prob).graph
+    perm = list(range(graph.vertex_count))
+    shuffle.shuffle(perm)
+    graph = graph.relabeled(perm)
+    truth = factor_multiset(oracle_pfd(graph).factors)
+    report = recognize(graph)
+    assert report.in_upsilon
+    assert factor_multiset(report.extracted_factors) == truth
+    assert factor_multiset(pfd_fast(graph).factors) == truth
 
 
 @st.composite

@@ -6,7 +6,10 @@ building the induced subgraph, collapsing its classes into a quotient graph
 and listing the quotient's Cartesian edges through ``cartesian_index``.
 That path is copied here so later refactors of the package cannot move the
 reference; each neighborhood must give the same classes, quotient graph,
-factorization and lifted edges both ways.
+factorization and lifted edges both ways.  Neighborhood factorizations are
+no longer put in canonical factor order, so the local factors may differ
+from the frozen order by one permutation, applied alike to the factors, the
+coordinate columns and the lifted indices.
 """
 
 from __future__ import annotations
@@ -108,14 +111,39 @@ def legacy_lifted(members, classes, edges):
 # -- comparisons ------------------------------------------------------------------
 
 
+def column_permutation(fact: LocalFactorization, legacy: LocalFactorization) -> list[int]:
+    """pi with column j of ``fact``'s coordinates equal to column pi[j] of
+    ``legacy``'s.  The columns of a bijection onto a product of two or more
+    nontrivial factors are distinct, so pi is unique when it exists."""
+    columns = list(zip(*fact.coords.coords))
+    legacy_columns = list(zip(*legacy.coords.coords))
+    assert len(columns) == len(legacy_columns)
+    pi = [legacy_columns.index(column) for column in columns]
+    assert sorted(pi) == list(range(len(pi)))
+    return pi
+
+
 def assert_same_neighborhood(nf, graph: Graph, label) -> None:
+    """Everything equals the frozen path exactly, except that the local
+    factors may come in another order: one permutation of the local factor
+    indices must map the factors, the coordinate columns and the lifted
+    indices onto the frozen (vertex count, canonical form) order."""
     qgraph, class_map, classes, fact, edges = legacy_neighborhood(graph, nf.vertices)
     assert nf.quotient.class_map == class_map, label
     assert nf.quotient.class_members == classes, label
     assert nf.quotient.quotient == qgraph, label
-    assert nf.factorization == fact, label
+    pi = column_permutation(nf.factorization, fact)
+    permuted = LocalFactorization(
+        tuple(fact.factors[i] for i in pi),
+        Coordinatization(
+            tuple(fact.coords.factor_sizes[i] for i in pi),
+            tuple(tuple(row[i] for i in pi) for row in fact.coords.coords),
+        ),
+    )
+    assert nf.factorization == permuted, label
+    local = {i: j for j, i in enumerate(pi)}
     expected = legacy_lifted(nf.vertices, classes, edges)
-    assert list(nf.lifted.items()) == list(expected.items()), label
+    assert list(nf.lifted.items()) == [(e, local[i]) for e, i in expected.items()], label
 
 
 def test_neighborhoods_match_the_subgraph_path():

@@ -97,21 +97,23 @@ def test_reports_match_without_the_memo(monkeypatch):
         assert (recognize(graph).to_dict(), fast_factors(graph)) == expected, label
 
 
-def count_factor_exact(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+def count_factorizations(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Count runs of the verified split search, which ``factor_exact`` and
+    every memo miss of ``factor_quotient`` go through."""
     calls = [0]
-    factor_exact = factorize.factor_exact
+    factor_verified = factorize._factor_verified
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return factor_exact(*args, **kwargs)
+        return factor_verified(*args, **kwargs)
 
-    monkeypatch.setattr(factorize, "factor_exact", counted)
+    monkeypatch.setattr(factorize, "_factor_verified", counted)
     return calls
 
 
 def test_king_strip_is_factored_once(monkeypatch):
     graph, _ = strong_product([path_graph(30), path_graph(3)])
-    calls = count_factor_exact(monkeypatch)
+    calls = count_factorizations(monkeypatch)
     assert recognize(graph).in_upsilon
     assert calls[0] == 1
     calls[0] = 0
@@ -121,7 +123,7 @@ def test_king_strip_is_factored_once(monkeypatch):
 
 def test_n2_sweep_reuses_the_memo(monkeypatch):
     graph, _ = strong_product([path_graph(8), house_graph()])
-    calls = count_factor_exact(monkeypatch)
+    calls = count_factorizations(monkeypatch)
     report = recognize(graph)
     assert report.in_upsilon and report.coloring.n2_ran
     memoized = calls[0]
