@@ -44,13 +44,13 @@ from .coloring import (
     CoveringSequence,
     NeighborhoodCache,
     PartialProductColoring,
+    UnionFind,
     backbone_bfs,
     color_fibers_from,
 )
 from .skeleton import (
     ColoredSkeleton,
     SkeletonError,
-    UnionFind,
     build_skeleton,
     find_square,
     merge_parallel_colors,

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import io as gio
 from .graph import Graph, GraphError, path_graph
-from .coloring import ColoringError
 from .factorize import factor_exact
 from .oracle import GenerationError, random_product_instance
 from .products import strong_product
@@ -80,16 +79,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 def cmd_skeleton(args: argparse.Namespace) -> int:
     graph = _load(args)
     skeleton = build_skeleton(graph, size_cap=args.size_cap)
-    data = {
-        "cartesian_edges": [
-            [u, v, skeleton.edge_color[(u, v)]] for u, v in skeleton.cartesian_edges
-        ],
-        "n_colors": skeleton.n_colors,
-        "stages": skeleton.stage_counts(),
-        "n2_ran": skeleton.n2_ran,
-        "diagnostics": skeleton.diagnostics,
-    }
-    _emit_json(data, args.output)
+    _emit_json({**skeleton.to_dict(), "diagnostics": skeleton.diagnostics}, args.output)
     if args.dot:
         Path(args.dot).write_text(gio.write_dot(graph, skeleton.edge_color))
     return 0
@@ -241,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ColoringError, SkeletonError) as exc:
+    except SkeletonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (GraphError, GenerationError, OSError, json.JSONDecodeError, RecursionError) as exc:

@@ -1,12 +1,17 @@
-"""Fiber coloring from a backbone anchor: covering BFS, color continuation,
-and the completion sweep.
+"""Edge-coloring state, color continuation and the completion sweep, shared
+by the anchored fiber coloring of ``pfd_fast`` and the skeleton assembly.
 
-Starting from an anchor on the backbone, each local factor of the anchor's
-neighborhood opens one color.  A restricted BFS walks backbone vertices
-along same-colored product edges; every visited neighborhood is factored
-and its lifted edges join the color through the edge back to the BFS
-parent.  A final sweep colors fiber edges that no neighborhood could
-identify directly but that are pinched between two same-colored edges.
+``PartialProductColoring`` is the one coloring state of both: each colored
+edge's raw color and the stage that found it, where raw colors are ids of
+one union-find.  A color enters a backbone neighbor's neighborhood through
+the edge from its parent; ``color_continuation`` is the one check that the
+neighbor has as many local factors as the anchor and lifts that edge.  From
+an anchor on the backbone, each local factor of the anchor's neighborhood
+opens one color, and a restricted BFS walks backbone vertices along
+same-colored product edges, coloring each visited neighborhood's lifted
+edges of the continued factor.  A final sweep colors fiber edges that no
+neighborhood could identify directly but that are pinched between two
+same-colored edges.
 """
 
 from __future__ import annotations
@@ -23,7 +28,11 @@ STAGE_COMPLETION = "completion"
 STAGE_N2 = "N2-sweep"
 
 
-class ColoringError(RuntimeError):
+class SkeletonError(RuntimeError):
+    """Skeleton construction failed; carries the originating diagnostic."""
+
+
+class ColoringError(SkeletonError):
     """Color continuation or local factor structure broke down.
 
     This signals that the input is not locally unrefined; callers in the
@@ -60,23 +69,51 @@ class NeighborhoodCache:
         return nf
 
 
-@dataclass(frozen=True)
-class ColorInfo:
-    anchor: int
-    local_index: int
+class UnionFind:
+    """Disjoint sets over dense integer ids, path compression + union by size."""
+
+    def __init__(self) -> None:
+        self.parent: list[int] = []
+        self.size: list[int] = []
+
+    def add(self) -> int:
+        self.parent.append(len(self.parent))
+        self.size.append(1)
+        return len(self.parent) - 1
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
 
 
 @dataclass
 class PartialProductColoring:
-    """Edge colors discovered so far, with per-color provenance and stages."""
+    """Edge colors discovered so far, with the stage that found each edge.
+
+    Raw colors are ids of ``uf``, opened by ``new_color``; a union makes two
+    raw colors one, so an edge's color is the root of its raw color.
+    """
 
     colors: dict[Edge, int] = field(default_factory=dict)
-    palette: list[ColorInfo] = field(default_factory=list)
     stages: dict[Edge, str] = field(default_factory=dict)
+    uf: UnionFind = field(default_factory=UnionFind)
 
-    def new_color(self, anchor: int, local_index: int) -> int:
-        self.palette.append(ColorInfo(anchor, local_index))
-        return len(self.palette) - 1
+    def new_color(self) -> int:
+        return self.uf.add()
 
     def assign(self, edge: Edge, color: int, stage: str) -> None:
         existing = self.colors.get(edge)
@@ -100,53 +137,62 @@ class CoveringSequence:
     parents: dict[int, int]
 
 
+def color_continuation(
+    cache: NeighborhoodCache, origin: NeighborhoodFactorization, parent: int, v: int
+) -> tuple[NeighborhoodFactorization, int]:
+    """The neighborhood of v and its local factor that the edge (parent, v)
+    lifts to, through which the colors of the anchor ``origin.center``
+    continue into it.
+
+    Raises ColoringError when v's neighborhood has another local factor count
+    than the anchor's or does not lift the edge.
+    """
+    nf = cache.get(v)
+    if nf.prime_count != origin.prime_count:
+        raise ColoringError(
+            f"neighborhood of {v} has {nf.prime_count} local factors, "
+            f"anchor {origin.center} has {origin.prime_count}"
+        )
+    edge = edge_key(parent, v)
+    idx = nf.lifted.get(edge)
+    if idx is None:
+        raise ColoringError(
+            f"no color continuation into the neighborhood of {v} through edge {edge}"
+        )
+    return nf, idx
+
+
 def _bfs_one_color(
-    graph: Graph,
     anchor: int,
     local_color: int,
     raw_color: int,
     cache: NeighborhoodCache,
-    backbone_set: frozenset[int],
     coloring: PartialProductColoring,
-    expected_count: int,
 ) -> CoveringSequence:
     """Run the color-restricted backbone BFS for one local color of the anchor.
 
-    Seeds the anchor's lifted edges of that color, then walks backbone
-    neighbors along edges already carrying the color, aligning each visited
-    neighborhood's local factor through the parent edge.
+    Colors the anchor's lifted edges of that color, then walks backbone
+    neighbors along edges already carrying the color, continuing the color
+    into each visited neighborhood through the edge from its BFS parent.
     """
+    graph = cache.graph
+    backbone_set = frozenset(backbone(graph))
+    colors = coloring.colors
     nf_anchor = cache.get(anchor)
-    for edge, idx in nf_anchor.lifted.items():
-        if idx == local_color:
-            coloring.assign(edge, raw_color, STAGE_LIFT)
-
     parents: dict[int, int] = {}
-    visited = {anchor}
-    sequence = [anchor]
-    queue: deque[int] = deque()
-    for w in graph.neighbors(anchor):
-        if w in backbone_set and coloring.colors.get(edge_key(anchor, w)) == raw_color:
-            parents.setdefault(w, anchor)
-            queue.append(w)
+    visited: set[int] = set()
+    sequence = []
+    queue = deque([anchor])
     while queue:
         v = queue.popleft()
         if v in visited:
             continue
         visited.add(v)
         sequence.append(v)
-        nf = cache.get(v)
-        if nf.prime_count != expected_count:
-            raise ColoringError(
-                f"neighborhood of {v} has {nf.prime_count} local factors, "
-                f"anchor {anchor} has {expected_count}"
-            )
-        continuation = nf.lifted.get(edge_key(parents[v], v))
-        if continuation is None:
-            raise ColoringError(
-                f"no color continuation into the neighborhood of {v} "
-                f"through edge {edge_key(parents[v], v)}"
-            )
+        if v == anchor:
+            nf, continuation = nf_anchor, local_color
+        else:
+            nf, continuation = color_continuation(cache, nf_anchor, parents[v], v)
         for edge, idx in nf.lifted.items():
             if idx == continuation:
                 coloring.assign(edge, raw_color, STAGE_LIFT)
@@ -154,7 +200,7 @@ def _bfs_one_color(
             if (
                 w in backbone_set
                 and w not in visited
-                and coloring.colors.get(edge_key(v, w)) == raw_color
+                and colors.get(edge_key(v, w)) == raw_color
             ):
                 parents.setdefault(w, v)
                 queue.append(w)
@@ -207,7 +253,6 @@ def completion_sweep(
 def color_fibers_from(
     graph: Graph,
     anchor: int,
-    backbone_vertices: VertexSet | None = None,
     cache: NeighborhoodCache | None = None,
     size_cap: int | None = None,
 ) -> PartialProductColoring:
@@ -220,28 +265,21 @@ def color_fibers_from(
     graph is not locally unrefined.
     """
     require_thin_connected(graph, "fiber coloring")
-    if backbone_vertices is None:
-        backbone_vertices = backbone(graph)
-    backbone_set = frozenset(backbone_vertices)
-    if anchor not in backbone_set:
+    if anchor not in backbone(graph):
         raise GraphError(f"anchor {anchor} is not a backbone vertex")
     if cache is None:
         cache = NeighborhoodCache(graph, size_cap)
 
     coloring = PartialProductColoring()
-    count = cache.get(anchor).prime_count
-    for local_color in range(count):
-        raw = coloring.new_color(anchor, local_color)
-        _bfs_one_color(
-            graph, anchor, local_color, raw, cache, backbone_set, coloring, count
-        )
+    for local_color in range(cache.get(anchor).prime_count):
+        raw = coloring.new_color()
+        _bfs_one_color(anchor, local_color, raw, cache, coloring)
         completion_sweep(graph, coloring, colors={raw})
     return coloring
 
 
 def backbone_bfs(
     graph: Graph,
-    backbone_vertices: VertexSet,
     anchor: int,
     local_color: int,
     cache: NeighborhoodCache | None = None,
@@ -253,8 +291,7 @@ def backbone_bfs(
     """
     if cache is None:
         cache = NeighborhoodCache(graph)
-    backbone_set = frozenset(backbone_vertices)
-    if anchor not in backbone_set:
+    if anchor not in backbone(graph):
         raise GraphError(f"anchor {anchor} is not a backbone vertex")
     nf = cache.get(anchor)
     if not (0 <= local_color < nf.prime_count):
@@ -263,7 +300,4 @@ def backbone_bfs(
             f"({nf.prime_count} local factors)"
         )
     coloring = PartialProductColoring()
-    raw = coloring.new_color(anchor, local_color)
-    return _bfs_one_color(
-        graph, anchor, local_color, raw, cache, backbone_set, coloring, nf.prime_count
-    )
+    return _bfs_one_color(anchor, local_color, coloring.new_color(), cache, coloring)

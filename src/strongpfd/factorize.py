@@ -249,7 +249,6 @@ def _box(members, coords, center, inside: frozenset[int]):
 
 def _grow_fiber_candidates(
     graph: Graph,
-    anchor: int,
     seed: frozenset[int],
     cross_box_size: int,
     backbone_set: frozenset[int],
@@ -328,12 +327,8 @@ def _split_grown(graph: Graph):
         side = frozenset(i for i in range(m) if pick >> i & 1)
         seed_a = _box(members, coords, anchor, side)
         seed_b = _box(members, coords, anchor, all_dirs - side)
-        cands_a = _grow_fiber_candidates(
-            graph, anchor, seed_a, len(seed_b), backbone_set, local_data
-        )
-        cands_b = _grow_fiber_candidates(
-            graph, anchor, seed_b, len(seed_a), backbone_set, local_data
-        )
+        cands_a = _grow_fiber_candidates(graph, seed_a, len(seed_b), backbone_set, local_data)
+        cands_b = _grow_fiber_candidates(graph, seed_b, len(seed_a), backbone_set, local_data)
         for fa in cands_a:
             if n % len(fa):
                 continue

@@ -46,15 +46,7 @@ class RecognitionReport:
             "diagnostics": list(self.diagnostics),
         }
         if self.coloring is not None:
-            data["skeleton"] = {
-                "cartesian_edges": [
-                    [u, v, self.coloring.edge_color[(u, v)]]
-                    for u, v in self.coloring.cartesian_edges
-                ],
-                "n_colors": self.coloring.n_colors,
-                "stages": self.coloring.stage_counts(),
-                "n2_ran": self.coloring.n2_ran,
-            }
+            data["skeleton"] = self.coloring.to_dict()
         return data
 
 
@@ -161,15 +153,12 @@ def pfd_fast(
     coordinates, only the factor graphs.
     """
     require_thin_connected(graph, "recognition")
-    anchors = backbone(graph)
-    x = anchors[0] if anchor is None else anchor
+    x = backbone(graph)[0] if anchor is None else anchor
     try:
-        partial = color_fibers_from(
-            graph, x, backbone_vertices=anchors, size_cap=size_cap
-        )
+        partial = color_fibers_from(graph, x, size_cap=size_cap)
     except ColoringError as exc:
         raise ColoringError(f"not locally unrefined: {exc}") from exc
-    comp_of, comps_of, _ = fiber_components(graph, partial.colors, len(partial.palette))
+    comp_of, comps_of, _ = fiber_components(graph, partial.colors, len(partial.uf.parent))
     factors = [
         graph.induced_subgraph(comps[comp[x]])[0] for comp, comps in zip(comp_of, comps_of)
     ]

@@ -171,12 +171,7 @@ def backbone(graph: Graph) -> VertexSet:
     return graph.maximal_vertices
 
 
-def s1_witness(
-    graph: Graph,
-    u: int,
-    v: int,
-    backbone_vertices: VertexSet | None = None,
-) -> int | None:
+def s1_witness(graph: Graph, u: int, v: int) -> int | None:
     """Witness z with u, v in N[z] and a singleton class at u or v, if any.
 
     Backbone vertices are searched first in ascending order, then the rest,
@@ -186,9 +181,7 @@ def s1_witness(
         raise GraphError(f"({u}, {v}) is not an edge")
     if not is_thin(graph):
         raise NotThinError("the singleton-class condition is defined on thin graphs")
-    if backbone_vertices is None:
-        backbone_vertices = backbone(graph)
-    bset = set(backbone_vertices)
+    bset = set(backbone(graph))
     masks = graph.closed_masks
     common = masks[u] & masks[v]
     candidates = []

@@ -4,14 +4,17 @@ square merging of parallel fiber colors, the 2-neighborhood sweep for
 product edges that no 1-neighborhood can certify, and the per-color fiber
 components whose coordinates must rebuild the graph.
 
-Every backbone neighborhood is factored once.  Each (center, local factor)
-pair opens one raw color in a union-find; a lifted edge joins the raw colors
-of all centers that lift it, and a diagonal-free square joins the colors of
-its opposite edges.  The expensive 2-neighborhood sweep runs only when the
-colored structure does not already verify as a product; on locally
-unrefined inputs whose fibers are all witnessed it is skipped.
-``fiber_components`` is the one routine that splits a coloring into its
-fibers; ``product_coordinates`` reads the factors and coordinates off them.
+Every backbone neighborhood is factored once.  All stages work on one
+``PartialProductColoring``: each (center, local factor) pair opens one raw
+color in its union-find, a lifted edge joins the raw colors of all centers
+that lift it, and a diagonal-free square joins the colors of its opposite
+edges.  Lifted edges between backbone vertices pass the same continuation
+check as the anchored coloring of ``pfd_fast``.  The expensive
+2-neighborhood sweep runs only when the colored structure does not already
+verify as a product; on locally unrefined inputs whose fibers are all
+witnessed it is skipped.  ``fiber_components`` is the one routine that
+splits a coloring into its fibers; ``product_coordinates`` reads the
+factors and coordinates off them.
 """
 
 from __future__ import annotations
@@ -28,50 +31,12 @@ from .coloring import (
     STAGE_N2,
     NeighborhoodCache,
     PartialProductColoring,
+    SkeletonError,
+    color_continuation,
     completion_sweep,
 )
-from .factorize import (
-    FactoredQuotient,
-    FactorSizeError,
-    factor_quotient,
-    rebuilds_strong_product,
-)
+from .factorize import factor_quotient, rebuilds_strong_product
 from .sclasses import backbone, relative_quotient, require_thin_connected
-
-
-class SkeletonError(RuntimeError):
-    """Skeleton construction failed; carries the originating diagnostic."""
-
-
-class UnionFind:
-    """Disjoint sets over dense integer ids, path compression + union by size."""
-
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.size: list[int] = []
-
-    def add(self) -> int:
-        self.parent.append(len(self.parent))
-        self.size.append(1)
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 @dataclass
@@ -98,6 +63,16 @@ class ColoredSkeleton:
         for stage in self.stage_of.values():
             counts[stage] += 1
         return counts
+
+    def to_dict(self) -> dict:
+        """The skeleton's JSON form: colored edges, color count, edges per
+        stage and whether the N2 sweep ran."""
+        return {
+            "cartesian_edges": [[u, v, self.edge_color[(u, v)]] for u, v in self.cartesian_edges],
+            "n_colors": self.n_colors,
+            "stages": self.stage_counts(),
+            "n2_ran": self.n2_ran,
+        }
 
 
 def find_square(graph: Graph, e: Edge, f: Edge) -> tuple[int, int, int, int] | None:
@@ -130,16 +105,16 @@ def _far_corner(
     return candidates[0] if len(candidates) == 1 else None
 
 
-def merge_parallel_colors(
-    graph: Graph, edge_color: dict[Edge, int], uf: UnionFind
-) -> int:
+def merge_parallel_colors(graph: Graph, coloring: PartialProductColoring) -> int:
     """Union colors of opposite edges over every diagonal-free skeleton square.
 
     Iterates incident differently-colored edge pairs (ordered by shared
     vertex, then neighbor ids) until no merge fires.  Returns the number of
     unions performed; with one root left there is nothing to merge.
     """
-    if len({uf.find(c) for c in set(edge_color.values())}) < 2:
+    edge_color = coloring.colors
+    find, union = coloring.uf.find, coloring.uf.union
+    if len({find(c) for c in set(edge_color.values())}) < 2:
         return 0
     skeleton = Graph(graph.vertex_count, edge_color.keys())
     adj = [skeleton.adjacency_set(v) for v in skeleton.vertices()]
@@ -151,14 +126,14 @@ def merge_parallel_colors(
             for i, p in enumerate(nbrs):
                 for q in nbrs[i + 1 :]:
                     ep, eq = edge_key(u, p), edge_key(u, q)
-                    if uf.find(edge_color[ep]) == uf.find(edge_color[eq]):
+                    if find(edge_color[ep]) == find(edge_color[eq]):
                         continue
                     d = _far_corner(u, q, adj[u], adj[p], adj[q])
                     if d is None:
                         continue
-                    if uf.union(edge_color[ep], edge_color[edge_key(q, d)]):
+                    if union(edge_color[ep], edge_color[edge_key(q, d)]):
                         merged += 1
-                    if uf.union(edge_color[eq], edge_color[edge_key(p, d)]):
+                    if union(edge_color[eq], edge_color[edge_key(p, d)]):
                         merged += 1
         merged_total += merged
         if not merged:
@@ -167,22 +142,21 @@ def merge_parallel_colors(
 
 def n2_sweep(
     graph: Graph,
-    edge_color: dict[Edge, int],
-    uf: UnionFind,
-    stage_of: dict[Edge, str],
-    size_cap: int | None = None,
+    coloring: PartialProductColoring,
+    cache: NeighborhoodCache,
     targets: list[int] | None = None,
-    memo: dict[tuple[int, ...], FactoredQuotient] | None = None,
 ) -> dict[int, int]:
     """Identify product edges inside 2-neighborhoods of under-colored vertices.
 
     For each target vertex (default: every vertex with an uncolored incident
     edge), the 2-neighborhood is factored through its quotient, read off the
-    host's bitmasks by ``relative_quotient``; the center's class is a
-    singleton in a thin graph, so every product edge at the center is
-    identified and gets a fresh raw color.  ``memo`` is passed to
-    ``factor_quotient``.  Returns the per-vertex prime counts observed.
+    host's bitmasks by ``relative_quotient``, under the cache's size cap and
+    quotient memo; the center's class is a singleton in a thin graph, so
+    every product edge at the center is identified and gets a fresh raw
+    color.  Returns the per-vertex prime counts observed.
     """
+    edge_color, stage_of = coloring.colors, coloring.stages
+    size_cap = cache.size_cap
     if targets is None:
         targets = _undercolored_vertices(graph, edge_color)
     targets = sorted(targets)
@@ -197,10 +171,7 @@ def n2_sweep(
                 f"2-neighborhood of {x} has {len(masks)} vertices, "
                 f"cap is {size_cap}"
             )
-        try:
-            entry = factor_quotient(masks, size_cap, memo)
-        except FactorSizeError as exc:
-            raise SkeletonError(f"N2 sweep infeasible at this degree: {exc}") from exc
+        entry = factor_quotient(masks, size_cap, cache.quotients)
         counts[x] = entry.factorization.prime_count
         qx = class_map[members.index(x)]
         if len(classes[qx]) != 1:
@@ -218,18 +189,19 @@ def n2_sweep(
                 key = (x, idx)
                 color = fresh.get(key)
                 if color is None:
-                    color = uf.add()
-                    fresh[key] = color
+                    color = fresh[key] = coloring.new_color()
                 edge_color[edge] = color
                 stage_of[edge] = STAGE_N2
     return counts
 
 
-def _renumber(edge_color: dict[Edge, int], uf: UnionFind) -> tuple[dict[Edge, int], int]:
+def _renumber(coloring: PartialProductColoring) -> tuple[dict[Edge, int], int]:
+    """Dense final colors: the roots numbered in order of their least edge."""
+    edge_color, find = coloring.colors, coloring.uf.find
     final: dict[Edge, int] = {}
     relabel: dict[int, int] = {}
     for edge in sorted(edge_color):
-        root = uf.find(edge_color[edge])
+        root = find(edge_color[edge])
         if root not in relabel:
             relabel[root] = len(relabel)
         final[edge] = relabel[root]
@@ -237,53 +209,39 @@ def _renumber(edge_color: dict[Edge, int], uf: UnionFind) -> tuple[dict[Edge, in
 
 
 def _stitch_lifted_edges(
-    graph: Graph,
-    cache: NeighborhoodCache,
-    uf: UnionFind,
-    edge_color: dict[Edge, int],
-    stage_of: dict[Edge, str],
+    graph: Graph, cache: NeighborhoodCache, coloring: PartialProductColoring
 ) -> dict[int, int]:
     """Color the lifted edges of every backbone neighborhood in one pass and
     return the local prime counts.
 
-    Local factor i of center v opens raw color ``first + i``; an edge takes
-    the raw color of the first center that lifts it and is unioned with
-    those of the later ones.  A lifted edge between two backbone vertices
-    must also be lifted by the far neighborhood, which must have as many
-    local factors, and no two local factors of one center may share a class.
+    Each local factor of center v opens one raw color; an edge takes the raw
+    color of the first center that lifts it and is unioned with those of the
+    later ones.  A lifted edge between two backbone vertices must pass the
+    continuation check into the far neighborhood, and no two local factors
+    of one center may share a class.
     """
     anchors = backbone(graph)
     backbone_set = frozenset(anchors)
+    edge_color, stage_of = coloring.colors, coloring.stages
+    find, union, new_color = coloring.uf.find, coloring.uf.union, coloring.new_color
     counts: dict[int, int] = {}
-    first: dict[int, int] = {}
+    opened: dict[int, list[int]] = {}
     for v in anchors:
         nf = cache.get(v)
         count = counts[v] = nf.prime_count
-        steps = [w for w in graph.neighbors(v) if w in backbone_set]
-        steps = [w for w in steps if edge_key(v, w) in nf.lifted]
-        for w in sorted(steps, key=lambda w: nf.lifted[edge_key(v, w)]):
-            nw = cache.get(w)
-            if nw.prime_count != count:
-                raise SkeletonError(
-                    f"neighborhood of {w} has {nw.prime_count} local factors, "
-                    f"anchor {v} has {count}"
-                )
-            if edge_key(v, w) not in nw.lifted:
-                raise SkeletonError(
-                    f"no color continuation into the neighborhood of {w} "
-                    f"through edge {edge_key(v, w)}"
-                )
-        first[v] = len(uf.parent)
-        for _ in range(count):
-            uf.add()
-        for edge, idx in nf.lifted.items():
-            color = first[v] + idx
+        lifted = nf.lifted
+        steps = [w for w in graph.neighbors(v) if w in backbone_set and edge_key(v, w) in lifted]
+        for w in sorted(steps, key=lambda w: lifted[edge_key(v, w)]):
+            color_continuation(cache, nf, v, w)
+        raw = opened[v] = [new_color() for _ in range(count)]
+        for edge, idx in lifted.items():
+            color = raw[idx]
             if edge_color.setdefault(edge, color) == color:
                 stage_of[edge] = STAGE_LIFT
             else:
-                uf.union(edge_color[edge], color)
-    for v, base in first.items():
-        if len({uf.find(base + i) for i in range(counts[v])}) != counts[v]:
+                union(edge_color[edge], color)
+    for v, raw in opened.items():
+        if len({find(c) for c in raw}) != len(raw):
             raise SkeletonError(
                 f"two local factors of the neighborhood of {v} share one color; "
                 "local factorizations are inconsistent"
@@ -302,22 +260,18 @@ def build_skeleton(
     in one pass, colors the edges pinched between two same-colored edges,
     merges colors across diagonal-free squares, and falls back to the
     2-neighborhood sweep when the result does not already verify as a
-    product coloring.
+    product coloring.  A given ``cache`` brings its own size cap.
     """
     require_thin_connected(graph, "skeleton construction")
     if cache is None:
         cache = NeighborhoodCache(graph, size_cap)
-    uf = UnionFind()
-    edge_color: dict[Edge, int] = {}
-    stage_of: dict[Edge, str] = {}
-    counts = _stitch_lifted_edges(graph, cache, uf, edge_color, stage_of)
-    coloring = PartialProductColoring(
-        colors={edge: uf.find(c) for edge, c in edge_color.items()}, stages=stage_of
-    )
+    coloring = PartialProductColoring()
+    counts = _stitch_lifted_edges(graph, cache, coloring)
+    find = coloring.uf.find
+    coloring.colors = {edge: find(c) for edge, c in coloring.colors.items()}
     completion_sweep(graph, coloring)
-    edge_color = coloring.colors
-    merge_parallel_colors(graph, edge_color, uf)
-    final, n_colors = _renumber(edge_color, uf)
+    merge_parallel_colors(graph, coloring)
+    final, n_colors = _renumber(coloring)
     verification = product_coordinates(graph, final, n_colors)
     n2_ran = not verification[0]
 
@@ -331,24 +285,14 @@ def build_skeleton(
         if attempt == 0:
             targets = _undersized_fiber_vertices(graph, final, n_colors)
         else:
-            targets = _undercolored_vertices(graph, edge_color)
+            targets = _undercolored_vertices(graph, coloring.colors)
         targets = [v for v in targets if v not in swept]
         swept.update(targets)
         if targets:
-            n2_counts.update(
-                n2_sweep(
-                    graph,
-                    edge_color,
-                    uf,
-                    stage_of,
-                    size_cap=size_cap,
-                    targets=targets,
-                    memo=cache.quotients,
-                )
-            )
+            n2_counts.update(n2_sweep(graph, coloring, cache, targets=targets))
             completion_sweep(graph, coloring, stage=STAGE_N2)
-            merge_parallel_colors(graph, edge_color, uf)
-            final, n_colors = _renumber(edge_color, uf)
+            merge_parallel_colors(graph, coloring)
+            final, n_colors = _renumber(coloring)
         verification = product_coordinates(graph, final, n_colors)
         if verification[0]:
             break
@@ -357,7 +301,7 @@ def build_skeleton(
         graph=graph,
         edge_color=final,
         n_colors=n_colors,
-        stage_of=dict(stage_of),
+        stage_of=dict(coloring.stages),
         local_prime_counts=counts,
         n2_prime_counts=n2_counts,
         n2_ran=n2_ran,

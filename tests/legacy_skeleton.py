@@ -24,7 +24,6 @@ from strongpfd import (
     PartialProductColoring,
     RecognitionReport,
     SkeletonError,
-    UnionFind,
     backbone,
     color_fibers_from,
     edge_key,
@@ -107,18 +106,15 @@ def legacy_build_skeleton(
     anchors = backbone(graph)
     if cache is None:
         cache = NeighborhoodCache(graph, size_cap)
-    uf = UnionFind()
-    edge_color = {}
-    stage_of = {}
+    coloring = PartialProductColoring()
+    uf, edge_color, stage_of = coloring.uf, coloring.colors, coloring.stages
 
     for anchor in anchors:
         try:
-            partial = color_fibers_from(
-                graph, anchor, backbone_vertices=anchors, cache=cache, size_cap=size_cap
-            )
+            partial = color_fibers_from(graph, anchor, cache=cache, size_cap=size_cap)
         except ColoringError as exc:
             raise SkeletonError(str(exc)) from exc
-        raw_to_global = [uf.add() for _ in partial.palette]
+        raw_to_global = [coloring.new_color() for _ in partial.uf.parent]
         for edge, raw in partial.colors.items():
             color = raw_to_global[raw]
             existing = edge_color.get(edge)
@@ -131,7 +127,7 @@ def legacy_build_skeleton(
             if old is None or _STAGE_RANK[stage] < _STAGE_RANK[old]:
                 stage_of[edge] = stage
 
-    merge_parallel_colors(graph, edge_color, uf)
+    merge_parallel_colors(graph, coloring)
     counts = {v: cache.entries[v].prime_count for v in cache.entries}
     final, n_colors = _renumber(edge_color, uf)
     ok, _, _, diag = product_coordinates(graph, final, n_colors)
@@ -149,13 +145,10 @@ def legacy_build_skeleton(
         swept.update(targets)
         if targets:
             n2_counts.update(
-                n2_sweep(graph, edge_color, uf, stage_of, size_cap=size_cap, targets=targets)
+                n2_sweep(graph, coloring, cache, targets=targets)
             )
-            coloring = PartialProductColoring()
-            coloring.colors = edge_color
-            coloring.stages = stage_of
             completion_sweep(graph, coloring, stage=STAGE_N2)
-            merge_parallel_colors(graph, edge_color, uf)
+            merge_parallel_colors(graph, coloring)
             final, n_colors = _renumber(edge_color, uf)
         ok, _, _, diag = product_coordinates(graph, final, n_colors)
         if ok:

@@ -35,7 +35,7 @@ def test_covering_sequence_on_prime_graphs_covers_backbone():
             continue
         found += 1
         members = backbone(g)
-        seq = backbone_bfs(g, members, members[0], 0)
+        seq = backbone_bfs(g, members[0], 0)
         assert set(seq.vertices) == set(members)
         covered = set()
         for w in seq.vertices:
@@ -47,26 +47,26 @@ def test_covering_sequence_on_prime_graphs_covers_backbone():
 def test_covering_sequence_single_vertex_backbones(p3xp3):
     graph, coords = p3xp3
     center = coords.vertex_at((1, 1))
-    seq = backbone_bfs(graph, backbone(graph), center, 0)
+    seq = backbone_bfs(graph, center, 0)
     assert seq.vertices == (center,)
     w5 = wheel_graph(5)
-    seq = backbone_bfs(w5, backbone(w5), 5, 0)
+    seq = backbone_bfs(w5, 5, 0)
     assert seq.vertices == (5,)
 
 
 def test_backbone_bfs_validates_anchor_and_color(p3xp3):
     graph, _ = p3xp3
     with pytest.raises(GraphError):
-        backbone_bfs(graph, backbone(graph), 0, 0)  # corner is not backbone
+        backbone_bfs(graph, 0, 0)  # corner is not backbone
     with pytest.raises(GraphError):
-        backbone_bfs(graph, backbone(graph), 4, 5)
+        backbone_bfs(graph, 4, 5)
 
 
 def test_color_fibers_p3_product(p3xp3):
     graph, coords = p3xp3
     center = coords.vertex_at((1, 1))
     coloring = color_fibers_from(graph, center)
-    assert len(coloring.palette) == 2
+    assert len(coloring.uf.parent) == 2
     # every colored edge is a ground-truth product edge with consistent label
     label_dir = {}
     for (u, v), raw in coloring.colors.items():
@@ -90,9 +90,9 @@ def test_color_fibers_recovers_both_factors():
     graph, coords = strong_product([path_graph(4), cycle_graph(5)])
     anchor = min(backbone(graph))
     coloring = color_fibers_from(graph, anchor)
-    comp, comps, _ = fiber_components(graph, coloring.colors, len(coloring.palette))
+    comp, comps, _ = fiber_components(graph, coloring.colors, len(coloring.uf.parent))
     shapes = []
-    for raw in range(len(coloring.palette)):
+    for raw in range(len(coloring.uf.parent)):
         sub, _ = graph.induced_subgraph(comps[raw][comp[raw][anchor]])
         shapes.append(sub)
     assert sorted(s.vertex_count for s in shapes) == [4, 5]
@@ -104,7 +104,7 @@ def test_color_fibers_on_prime_cycle_covers_all_edges():
     g = cycle_graph(7)
     anchor = min(backbone(g))
     coloring = color_fibers_from(g, anchor)
-    assert len(coloring.palette) == 1
+    assert len(coloring.uf.parent) == 1
     assert set(coloring.colors) == set(g.edges())
 
 
@@ -125,14 +125,18 @@ def test_blind_fiber_stays_uncolored():
 def test_mismatched_local_counts_abort(p3xp3):
     # a pendant hung off a product corner promotes the corner into the
     # backbone with a prime neighborhood, while the center still factors
-    # into two parts; the anchored run must refuse to continue
-    from strongpfd import ColoringError, Graph, backbone as bb
+    # into two parts; the anchored run must refuse to continue, and the
+    # skeleton stitching aborts through the same check with the same error
+    from strongpfd import ColoringError, Graph, backbone as bb, build_skeleton
 
     base, _ = p3xp3
     graph = Graph(10, list(base.edges()) + [(0, 9)])
     assert bb(graph) == (0, 4)
-    with pytest.raises(ColoringError, match="local factors"):
+    with pytest.raises(ColoringError, match="local factors") as anchored:
         color_fibers_from(graph, 0)
+    with pytest.raises(ColoringError) as stitched:
+        build_skeleton(graph)
+    assert str(stitched.value) == str(anchored.value)
 
 
 def test_extend_is_idempotent_after_run(p3xp3):
@@ -151,9 +155,7 @@ def test_coloring_is_deterministic():
     b = color_fibers_from(graph, anchor)
     assert a.colors == b.colors
     assert a.stages == b.stages
-    assert [(c.anchor, c.local_index) for c in a.palette] == [
-        (c.anchor, c.local_index) for c in b.palette
-    ]
+    assert a.uf.parent == b.uf.parent
 
 
 def test_anchor_choice_gives_same_partition_where_both_color():

@@ -1,5 +1,6 @@
-"""Package imports stay at module level, and only the public exact
-factorizer orders its factors.
+"""Package imports stay at module level, only the public exact factorizer
+orders its factors, and the edge coloring has one state and one
+continuation check.
 
 An import inside a function body is how a module reaches back into one that
 imports it; keeping every relative import at the top of its module keeps
@@ -68,3 +69,92 @@ def test_the_check_sees_a_nested_reference():
         "order = canonical_form\n"
     )
     assert functions_referencing(source, "canonical_form") == ["f", "C", "Assign"]
+
+
+def functions_with_constant(source: str, text: str) -> list[str]:
+    """Innermost functions whose string constants (f-string parts included)
+    contain ``text``."""
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value:
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_one_continuation_check():
+    # pfd_fast's walker and build_skeleton's stitching must agree on when a
+    # color continues into a neighborhood, so the check and its messages live
+    # in one function
+    for message in ("local factors, anchor", "no color continuation into"):
+        owners = {
+            (name, owner)
+            for name, source in package_sources().items()
+            for owner in functions_with_constant(source, message)
+        }
+        assert owners == {("coloring.py", "color_continuation")}, message
+
+
+def test_the_check_sees_a_message_in_an_f_string():
+    source = (
+        "def f(v):\n    raise E(f'no color continuation into {v}')\n"
+        "def g(v):\n    def h():\n        return 'x has 2 local factors, ' f'anchor {v}'\n"
+    )
+    assert functions_with_constant(source, "no color continuation into") == ["f"]
+    assert functions_with_constant(source, "local factors, anchor") == ["h"]
+
+
+def test_only_the_coloring_state_holds_a_union_find():
+    # raw colors are opened and merged through PartialProductColoring alone
+    offenders = {
+        name: owners
+        for name, source in package_sources().items()
+        if (owners := functions_referencing(source, "UnionFind"))
+        and owners != ["PartialProductColoring"]
+    }
+    assert offenders == {}
+    assert functions_referencing(package_sources()["coloring.py"], "UnionFind") == [
+        "PartialProductColoring"
+    ]
+
+
+def parameters_named(source: str, name: str) -> list[str]:
+    """Functions with a parameter called ``name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            if any(arg is not None and arg.arg == name for arg in every):
+                found.append(getattr(node, "name", "lambda"))
+    return found
+
+
+def test_no_backbone_vertices_parameter():
+    # the backbone is memoized on the Graph, so no caller passes it in
+    offenders = {
+        name: owners
+        for name, source in package_sources().items()
+        if (owners := parameters_named(source, "backbone_vertices"))
+    }
+    assert offenders == {}
+
+
+def test_the_check_sees_every_kind_of_parameter():
+    source = (
+        "def f(g, backbone_vertices=None):\n    pass\n"
+        "class C:\n    def m(self, *, backbone_vertices):\n        pass\n"
+        "h = lambda backbone_vertices: 0\n"
+        "def k(g, backbone=None):\n    pass\n"
+    )
+    assert parameters_named(source, "backbone_vertices") == ["f", "m", "lambda"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -25,6 +26,33 @@ from strongpfd.oracle import random_product_instance
 
 def canon_multiset(factors):
     return sorted(canonical_form(f) for f in factors)
+
+
+# (factor sizes, seed, edge probability) of seeded thin 3-factor products; a
+# thin graph on 4 or 5 vertices is prime, so the factors are the truth
+THREE_FACTOR_STRATUM = [
+    ([5, 5, 5], 0, 0.45),
+    ([5, 5, 5], 3, 0.3),
+    ([4, 5, 5], 1, 0.45),
+    ([5, 4, 5], 2, 0.6),
+    ([4, 4, 5], 1, 0.35),
+    ([5, 5, 4], 2, 0.7),
+]
+
+
+@pytest.mark.parametrize("sizes, seed, prob", THREE_FACTOR_STRATUM)
+def test_three_factor_products_are_recognized_in_time(sizes, seed, prob):
+    inst = random_product_instance(sizes, seed=seed, edge_prob=prob)
+    truth = canon_multiset(inst.ground_truth_factors)
+    start = time.perf_counter()
+    report = recognize(inst.graph)
+    assert time.perf_counter() - start < 5.0
+    assert report.in_upsilon
+    assert canon_multiset(report.extracted_factors) == truth
+    start = time.perf_counter()
+    fast = pfd_fast(inst.graph)
+    assert time.perf_counter() - start < 5.0
+    assert canon_multiset(fast.factors) == truth
 
 
 def test_recognize_product(p3xp3):

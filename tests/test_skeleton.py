@@ -7,7 +7,9 @@ import pytest
 from strongpfd import (
     Graph,
     GraphError,
+    NeighborhoodCache,
     NotThinError,
+    PartialProductColoring,
     UnionFind,
     build_skeleton,
     cartesian_edge_set,
@@ -65,17 +67,17 @@ def test_find_square_requires_incident_edges():
 def test_merge_parallel_colors_on_grid_coloring(p3xp3):
     graph, coords = p3xp3
     # raw coloring: one color per (direction, fiber copy), 4 + 6 raw classes
-    uf = UnionFind()
+    coloring = PartialProductColoring()
+    uf, edge_color = coloring.uf, coloring.colors
     raw = {}
-    edge_color = {}
     for u, v in sorted(cartesian_edge_set(graph, coords)):
         direction = 0 if coords.coords[u][0] != coords.coords[v][0] else 1
         anchor = coords.coords[u][1 - direction]
         key = (direction, anchor)
         if key not in raw:
-            raw[key] = uf.add()
+            raw[key] = coloring.new_color()
         edge_color[(u, v)] = raw[key]
-    merge_parallel_colors(graph, edge_color, uf)
+    merge_parallel_colors(graph, coloring)
     roots = {uf.find(c) for c in edge_color.values()}
     assert len(roots) == 2
     # merged classes match ground-truth directions exactly
@@ -89,24 +91,25 @@ def test_merge_parallel_colors_on_grid_coloring(p3xp3):
 
 def test_merge_is_idempotent(p3xp3):
     graph, coords = p3xp3
-    uf = UnionFind()
-    color = uf.add()
-    edge_color = {e: color for e in cartesian_edge_set(graph, coords)}
-    assert merge_parallel_colors(graph, edge_color, uf) == 0
+    coloring = PartialProductColoring()
+    color = coloring.new_color()
+    coloring.colors = {e: color for e in cartesian_edge_set(graph, coords)}
+    assert merge_parallel_colors(graph, coloring) == 0
 
 
 def test_merge_skips_a_single_root_coloring(p3xp3, monkeypatch):
     graph, coords = p3xp3
-    uf = UnionFind()
-    ids = [uf.add() for _ in range(3)]
+    coloring = PartialProductColoring()
+    uf = coloring.uf
+    ids = [coloring.new_color() for _ in range(3)]
     uf.union(ids[0], ids[1])
     uf.union(ids[0], ids[2])
     edges = sorted(cartesian_edge_set(graph, coords))
-    edge_color = {e: ids[i % 3] for i, e in enumerate(edges)}
+    coloring.colors = {e: ids[i % 3] for i, e in enumerate(edges)}
     parent = list(uf.parent)
     # three raw colors, one root: nothing can merge, so no skeleton is built
     monkeypatch.setattr(skeleton_module, "Graph", None)
-    assert merge_parallel_colors(graph, edge_color, uf) == 0
+    assert merge_parallel_colors(graph, coloring) == 0
     assert uf.parent == parent
 
 
@@ -195,6 +198,5 @@ def test_n2_sweep_respects_size_cap():
     from strongpfd import SkeletonError, n2_sweep
 
     graph, _ = neighborhood_blind_product()
-    uf = UnionFind()
     with pytest.raises(SkeletonError, match="N2 sweep infeasible"):
-        n2_sweep(graph, {}, uf, {}, size_cap=6)
+        n2_sweep(graph, PartialProductColoring(), NeighborhoodCache(graph, 6))
