@@ -34,6 +34,7 @@ from .factorize import (
     DEFAULT_SIZE_CAP,
     FactorSizeError,
     LocalFactorization,
+    NeighborhoodCache,
     NeighborhoodFactorization,
     factor_exact,
     factor_neighborhood,
@@ -42,7 +43,6 @@ from .factorize import (
 from .coloring import (
     ColoringError,
     CoveringSequence,
-    NeighborhoodCache,
     PartialProductColoring,
     UnionFind,
     backbone_bfs,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (for ``recognize``: the graph is locally unrefined),
 1 negative pipeline verdict, 2 input or resource errors (malformed file,
-empty, disconnected, non-thin where thinness is required, generation
-parameters that admit no instance, a search deeper than the recursion limit).
+empty, disconnected, non-thin where thinness is required, a quotient above
+``--size-cap``, generation parameters that admit no instance, a search
+deeper than the recursion limit).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import io as gio
 from .graph import Graph, GraphError, path_graph
-from .factorize import factor_exact
+from .factorize import NeighborhoodCache, factor_exact
 from .oracle import GenerationError, random_product_instance
 from .products import strong_product
 from .recognize import pfd_fast, recognize
@@ -78,7 +79,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 def cmd_skeleton(args: argparse.Namespace) -> int:
     graph = _load(args)
-    skeleton = build_skeleton(graph, size_cap=args.size_cap)
+    skeleton = build_skeleton(NeighborhoodCache(graph, args.size_cap))
     _emit_json({**skeleton.to_dict(), "diagnostics": skeleton.diagnostics}, args.output)
     if args.dot:
         Path(args.dot).write_text(gio.write_dot(graph, skeleton.edge_color))
@@ -170,6 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--format", choices=("edgelist", "json"), help="input format override"
             )
         p.add_argument("--output", help="write results here instead of stdout")
+
+    def add_size_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--size-cap",
             type=int,
@@ -179,20 +182,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="decide local unrefinedness and extract factors")
     common(p)
+    add_size_cap(p)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("skeleton", help="colored Cartesian skeleton")
     common(p)
+    add_size_cap(p)
     p.add_argument("--dot", help="also write a DOT rendering here")
     p.set_defaults(func=cmd_skeleton)
 
     p = sub.add_parser("factor", help="prime factors via the single-anchor fast path")
     common(p)
+    add_size_cap(p)
     p.add_argument("--anchor", type=int, default=None, help="backbone anchor override")
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("factor-exact", help="exhaustive factorization of a small graph")
     common(p)
+    add_size_cap(p)
     p.set_defaults(func=cmd_factor_exact)
 
     p = sub.add_parser("backbone", help="backbone of a thin connected graph")

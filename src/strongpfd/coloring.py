@@ -12,6 +12,10 @@ same-colored product edges, coloring each visited neighborhood's lifted
 edges of the continued factor.  A final sweep colors fiber edges that no
 neighborhood could identify directly but that are pinched between two
 same-colored edges.
+
+Every stage takes the graph's ``NeighborhoodCache``, which brings the graph,
+the size cap and the quotient memo; it is defined in ``factorize``, whose
+split search uses it too, and is public from here.
 """
 
 from __future__ import annotations
@@ -20,8 +24,13 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, GraphError, VertexSet, edge_key
-from .factorize import FactoredQuotient, NeighborhoodFactorization, factor_neighborhood
+from .factorize import NeighborhoodCache, NeighborhoodFactorization
 from .sclasses import backbone, require_thin_connected
+
+# ``factorize`` defines the cache because its split search uses it too; it
+# keeps its qualified name ``strongpfd.coloring.NeighborhoodCache``, where the
+# stages that take it live.
+NeighborhoodCache.__module__ = __name__
 
 STAGE_LIFT = "S1-local"
 STAGE_COMPLETION = "completion"
@@ -38,35 +47,6 @@ class ColoringError(SkeletonError):
     This signals that the input is not locally unrefined; callers in the
     recognition pipeline turn it into a negative verdict.
     """
-
-
-@dataclass
-class NeighborhoodCache:
-    """Memoized neighborhood factorizations of one graph, shared across
-    anchors and colors.
-
-    ``entries`` holds the factorization of each center's neighborhood.
-    ``quotients`` is the memo of ``factor_quotient``: it maps a quotient's
-    ``closed_masks``, which fix the labelled graph, to the quotient graph,
-    its factorization and its Cartesian edges.  On bounded-degree products
-    most neighborhoods have labelled-equal quotients, so each distinct one
-    is built and factored once, and a hit builds no graph at all; every
-    neighborhood still lifts through its own classes and host ids.  The N2
-    sweep of ``build_skeleton`` shares the memo.  It lives as long as the
-    cache, which serves one graph.
-    """
-
-    graph: Graph
-    size_cap: int | None = None
-    entries: dict[int, NeighborhoodFactorization] = field(default_factory=dict)
-    quotients: dict[tuple[int, ...], FactoredQuotient] = field(default_factory=dict)
-
-    def get(self, v: int) -> NeighborhoodFactorization:
-        nf = self.entries.get(v)
-        if nf is None:
-            nf = factor_neighborhood(self.graph, v, size_cap=self.size_cap, memo=self.quotients)
-            self.entries[v] = nf
-        return nf
 
 
 class UnionFind:
@@ -250,13 +230,9 @@ def completion_sweep(
     return added
 
 
-def color_fibers_from(
-    graph: Graph,
-    anchor: int,
-    cache: NeighborhoodCache | None = None,
-    size_cap: int | None = None,
-) -> PartialProductColoring:
-    """Color every fiber through a backbone anchor, one color per local factor.
+def color_fibers_from(cache: NeighborhoodCache, anchor: int) -> PartialProductColoring:
+    """Color every fiber of ``cache.graph`` through a backbone anchor, one
+    color per local factor.
 
     Follows the anchored coloring procedure: factor the anchor neighborhood,
     open one color per local factor, run the color-restricted backbone BFS,
@@ -264,11 +240,10 @@ def color_fibers_from(
     continuation or the local factor counts break down, which means the
     graph is not locally unrefined.
     """
+    graph = cache.graph
     require_thin_connected(graph, "fiber coloring")
     if anchor not in backbone(graph):
         raise GraphError(f"anchor {anchor} is not a backbone vertex")
-    if cache is None:
-        cache = NeighborhoodCache(graph, size_cap)
 
     coloring = PartialProductColoring()
     for local_color in range(cache.get(anchor).prime_count):
@@ -278,20 +253,14 @@ def color_fibers_from(
     return coloring
 
 
-def backbone_bfs(
-    graph: Graph,
-    anchor: int,
-    local_color: int,
-    cache: NeighborhoodCache | None = None,
-) -> CoveringSequence:
-    """The covering BFS for one local color, exposed on its own.
+def backbone_bfs(cache: NeighborhoodCache, anchor: int, local_color: int) -> CoveringSequence:
+    """The covering BFS of ``cache.graph`` for one local color, exposed on
+    its own.
 
     Runs against a throwaway coloring; the sequence lists the backbone
     vertices of the anchor's fiber in visiting order.
     """
-    if cache is None:
-        cache = NeighborhoodCache(graph)
-    if anchor not in backbone(graph):
+    if anchor not in backbone(cache.graph):
         raise GraphError(f"anchor {anchor} is not a backbone vertex")
     nf = cache.get(anchor)
     if not (0 <= local_color < nf.prime_count):

@@ -4,20 +4,27 @@ plus the neighborhood factorizer that feeds the coloring pipeline.
 The split search fixes candidate fiber pairs through an anchor vertex and
 tries to extend them to a full product bijection by constraint propagation
 with backtracking; a verified extension is a factorization by construction.
-Candidate generation has two routes:
+Candidate generation has three routes:
 
-* graphs that are thin and own a universal vertex (every closed neighborhood
-  and every quotient of one is of this kind): candidate fibers are read off
-  the neighborhood-containment order, giving a quadratic candidate set;
-* everything else: enumeration of connected, isometric vertex subsets
-  through a max-degree anchor, pruned by degree and edge-count laws.
+1. graphs that are thin and own a universal vertex (every closed
+   neighborhood and every quotient of one is of this kind): candidate
+   fibers are read off the neighborhood-containment order, giving a
+   quadratic candidate set;
+2. other thin graphs: the anchor's neighborhood is factored and its local
+   factor boxes are grown into fiber candidates along the backbone;
+3. everything else: enumeration of connected, isometric vertex subsets
+   through a max-degree anchor, pruned by degree and edge-count laws.
 
-Both routes are exact; the size cap only bounds running time.
+All routes are exact; the size cap only bounds running time.
 
-Neighborhood factorization never builds a subgraph of the host: the classes
-of N[v] and the key of its quotient come from ``sclasses.relative_quotient``
-on the host's bitmasks, and ``factor_quotient`` builds and factors the
-quotient graph only when its memo has no entry under that key.  A miss
+``NeighborhoodCache`` owns neighborhood factoring for one graph: its
+``factor_ball`` is the one path from a ball around a vertex to a factored
+quotient.  The classes of the ball and the key of its quotient come from
+``sclasses.relative_quotient`` on the host's bitmasks, the size cap is
+checked on the quotient, and the quotient graph is built and factored only
+when the cache's memo has no entry under that key; no subgraph of the host
+is built.  The 1-neighborhoods of the coloring stages, the 2-neighborhoods
+of the N2 sweep and the split search of route 2 all take this path.  A miss
 costs one split search and one verification: internal quotient
 factorizations are left in the order the split search found them, and only
 the public ``factor_exact`` orders its factors.  A one-factor result under
@@ -27,7 +34,8 @@ identity coordinates is verified by graph equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .graph import DisconnectedError, Edge, Graph, GraphError, VertexSet, edge_key
@@ -118,7 +126,10 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
     Raises FactorSizeError above ``size_cap`` and DisconnectedError on
     disconnected input.
     """
-    result = _factor_verified(graph, size_cap)
+    n = graph.vertex_count
+    if size_cap is not None and n > size_cap:
+        raise FactorSizeError(f"graph has {n} vertices, size cap is {size_cap}")
+    result = _factor_verified(graph)
     factors = result.factors
     if len(factors) < 2:
         return result
@@ -132,14 +143,12 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
     return LocalFactorization(tuple(factors[i] for i in order), coords)
 
 
-def _factor_verified(graph: Graph, size_cap: int | None) -> LocalFactorization:
-    """``factor_exact`` without the factor ordering: the factors in the order
-    the split search found them, verified against ``graph``."""
-    n = graph.vertex_count
-    if n == 0:
+def _factor_verified(graph: Graph) -> LocalFactorization:
+    """``factor_exact`` without the size cap and the factor ordering: the
+    factors in the order the split search found them, verified against
+    ``graph``."""
+    if graph.vertex_count == 0:
         raise GraphError("cannot factor an empty graph")
-    if size_cap is not None and n > size_cap:
-        raise FactorSizeError(f"graph has {n} vertices, size cap is {size_cap}")
     if not graph.is_connected():
         raise DisconnectedError("prime factorization requires a connected graph")
     factors, coords_rows = _pfd(graph)
@@ -223,26 +232,15 @@ def _split_via_containment(graph: Graph):
 # -- candidate route 2: thin graphs without a universal vertex ----------------
 
 
-def _local_box_data(graph: Graph, v: int, memo: dict[tuple[int, ...], FactoredQuotient]):
-    """Quotient-factorization coordinates for the members of <N[v]>.
-
-    Returns (member set, coords per member, local factor count).  Every
-    member of one quotient class shares its coordinate tuple.  Only called
-    for vertices whose own class is a singleton.
-    """
-    nf = factor_neighborhood(graph, v, memo=memo)
-    rows = nf.factorization.coords.coords
-    coords = {g: rows[nf.quotient.class_map[h]] for h, g in enumerate(nf.vertices)}
-    return frozenset(nf.vertices), coords, nf.prime_count
-
-
-def _box(members, coords, center, inside: frozenset[int]):
-    """Members whose local coordinates agree with the center outside ``inside``."""
+def _box(nf: NeighborhoodFactorization, center: int, inside: frozenset[int]):
+    """Members of N[center] whose local coordinates agree with the center's
+    outside ``inside``."""
+    coords = nf.coordinates
     cv = coords[center]
     span = range(len(cv))
     return frozenset(
         u
-        for u in members
+        for u in nf.vertices
         if all(coords[u][i] == cv[i] for i in span if i not in inside)
     )
 
@@ -252,7 +250,7 @@ def _grow_fiber_candidates(
     seed: frozenset[int],
     cross_box_size: int,
     backbone_set: frozenset[int],
-    local_data,
+    neighborhood,
 ) -> list[frozenset[int]]:
     """Grow fiber candidates from a seed box through the anchor.
 
@@ -276,19 +274,20 @@ def _grow_fiber_candidates(
             results.add(current)
             return
         v, rest = pending[0], pending[1:]
-        members, coords, m_v = local_data(v)
+        nf = neighborhood(v)
+        coords, m_v = nf.coordinates, nf.prime_count
         cv = coords[v]
         forced: set[int] = set()
-        for u in current & members:
+        for u in current.intersection(nf.vertices):
             forced.update(i for i in range(m_v) if coords[u][i] != cv[i])
         free = [i for i in range(m_v) if i not in forced]
         for pick in range(1 << len(free)):
             inside = frozenset(forced | {free[j] for j in range(len(free)) if pick >> j & 1})
             if not inside or len(inside) == m_v:
                 continue
-            if len(_box(members, coords, v, frozenset(range(m_v)) - inside)) != cross_box_size:
+            if len(_box(nf, v, frozenset(range(m_v)) - inside)) != cross_box_size:
                 continue
-            grown = current | _box(members, coords, v, inside)
+            grown = current | _box(nf, v, inside)
             if len(grown) * 2 > n:
                 continue
             fresh = sorted((grown & backbone_set) - current - set(rest) - {v})
@@ -308,27 +307,19 @@ def _split_grown(graph: Graph):
     n = graph.vertex_count
     degs = [graph.degree(v) for v in range(n)]
     anchor = max(range(n), key=lambda v: (degs[v], -v))
-    local_cache: dict[int, tuple] = {}
-    quotients: dict[tuple[int, ...], FactoredQuotient] = {}
-
-    def local_data(v: int):
-        data = local_cache.get(v)
-        if data is None:
-            data = _local_box_data(graph, v, quotients)
-            local_cache[v] = data
-        return data
-
-    members, coords, m = local_data(anchor)
+    neighborhood = NeighborhoodCache(graph).get
+    nf = neighborhood(anchor)
+    m = nf.prime_count
     if m < 2:
         return None
     backbone_set = frozenset(backbone(graph))
     all_dirs = frozenset(range(m))
     for pick in range(1, 1 << (m - 1)):
         side = frozenset(i for i in range(m) if pick >> i & 1)
-        seed_a = _box(members, coords, anchor, side)
-        seed_b = _box(members, coords, anchor, all_dirs - side)
-        cands_a = _grow_fiber_candidates(graph, seed_a, len(seed_b), backbone_set, local_data)
-        cands_b = _grow_fiber_candidates(graph, seed_b, len(seed_a), backbone_set, local_data)
+        seed_a = _box(nf, anchor, side)
+        seed_b = _box(nf, anchor, all_dirs - side)
+        cands_a = _grow_fiber_candidates(graph, seed_a, len(seed_b), backbone_set, neighborhood)
+        cands_b = _grow_fiber_candidates(graph, seed_b, len(seed_a), backbone_set, neighborhood)
         for fa in cands_a:
             if n % len(fa):
                 continue
@@ -596,63 +587,82 @@ class NeighborhoodFactorization:
     def prime_count(self) -> int:
         return self.factorization.prime_count
 
-
-def factor_quotient(
-    masks: tuple[int, ...],
-    size_cap: int | None = None,
-    memo: dict[tuple[int, ...], FactoredQuotient] | None = None,
-) -> FactoredQuotient:
-    """Verified factorization of the quotient whose ``closed_masks`` are
-    ``masks``, plus its Cartesian edges.
-
-    The factors come in the order the split search found them; nothing in
-    the pipeline needs ``factor_exact``'s canonical order.
-
-    ``masks`` fix the labelled quotient, as ``relative_quotient`` returns
-    them; the graph is built only when the memo misses.  With ``memo`` the
-    result is kept under ``masks``, so a labelled-equal quotient is neither
-    built nor factored again.  Above ``size_cap`` the memo is bypassed, so
-    the cap raises as it would without one.
-    """
-    capped = size_cap is not None and len(masks) > size_cap
-    if memo is not None and not capped:
-        entry = memo.get(masks)
-        if entry is not None:
-            return entry
-    qgraph = quotient_graph(masks)
-    fact = _factor_verified(qgraph, size_cap)
-    found = []
-    if len(fact.factors) > 1:
-        assert fact.coords is not None
-        rows = fact.coords.coords
-        for qa, qb in qgraph.edges():
-            changed = [i for i, (x, y) in enumerate(zip(rows[qa], rows[qb])) if x != y]
-            if len(changed) == 1:
-                found.append((qa, qb, changed[0]))
-    entry = FactoredQuotient(qgraph, fact, tuple(found))
-    if memo is not None:
-        memo[masks] = entry
-    return entry
+    @cached_property
+    def coordinates(self) -> dict[int, tuple[int, ...]]:
+        """Local coordinates by host id; the members of a class share theirs."""
+        assert self.factorization.coords is not None
+        rows = self.factorization.coords.coords
+        return {u: rows[c] for u, c in zip(self.vertices, self.quotient.class_map)}
 
 
-def factor_neighborhood(
-    graph: Graph,
-    v: int,
-    size_cap: int | None = None,
-    memo: dict[tuple[int, ...], FactoredQuotient] | None = None,
-) -> NeighborhoodFactorization:
-    """Factor the quotient of <N[v]> and lift its identifiable product edges.
+@dataclass
+class NeighborhoodCache:
+    """The one path from a ball in one graph to its factored quotient,
+    under one size cap and one quotient memo.
 
-    The classes and the quotient's key come from ``relative_quotient`` on
-    the host's bitmasks; no subgraph of the host is built.  ``memo`` is
-    passed to ``factor_quotient``; the lifting always goes through this
+    ``quotients`` maps a quotient's ``closed_masks``, which fix the labelled
+    graph, to the quotient graph, its factorization and its Cartesian
+    edges.  On bounded-degree products most neighborhoods have
+    labelled-equal quotients, so each distinct one is built and factored
+    once, and a hit builds no graph at all.  ``entries`` holds each
+    center's closed-neighborhood factorization, lifted through that
     neighborhood's own classes and host ids.
     """
-    if not is_thin(graph):
+
+    graph: Graph
+    size_cap: int | None = None
+    entries: dict[int, NeighborhoodFactorization] = field(default_factory=dict)
+    quotients: dict[tuple[int, ...], FactoredQuotient] = field(default_factory=dict)
+
+    def get(self, v: int) -> NeighborhoodFactorization:
+        nf = self.entries.get(v)
+        if nf is None:
+            nf = self.entries[v] = factor_neighborhood(self, v)
+        return nf
+
+    def factor_ball(
+        self, center: int, radius: int
+    ) -> tuple[VertexSet, tuple[VertexSet, ...], tuple[int, ...], FactoredQuotient]:
+        """The vertices within ``radius`` of ``center``, their classes (as
+        positions), each position's class, and the factored quotient.
+
+        Raises FactorSizeError, naming the center, the radius and the
+        quotient's size, when that size exceeds the cap; the factors come
+        in the order the split search found them.
+        """
+        members = self.graph.n_neighborhood(center, radius)
+        classes, class_map, masks = relative_quotient(self.graph, members)
+        if self.size_cap is not None and len(masks) > self.size_cap:
+            raise FactorSizeError(
+                f"quotient of the {radius}-neighborhood of {center} has "
+                f"{len(masks)} vertices, size cap is {self.size_cap}"
+            )
+        entry = self.quotients.get(masks)
+        if entry is None:
+            qgraph = quotient_graph(masks)
+            fact = _factor_verified(qgraph)
+            found = []
+            if len(fact.factors) > 1:
+                assert fact.coords is not None
+                rows = fact.coords.coords
+                for qa, qb in qgraph.edges():
+                    changed = [i for i, (x, y) in enumerate(zip(rows[qa], rows[qb])) if x != y]
+                    if len(changed) == 1:
+                        found.append((qa, qb, changed[0]))
+            entry = self.quotients[masks] = FactoredQuotient(qgraph, fact, tuple(found))
+        return members, classes, class_map, entry
+
+
+def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactorization:
+    """Factor the quotient of <N[v]> through ``cache`` and lift its
+    identifiable product edges.
+
+    The lifting always goes through this neighborhood's own classes and
+    host ids, also when the quotient came from the memo.
+    """
+    if not is_thin(cache.graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
-    members = graph.closed_neighborhood(v)
-    classes, class_map, masks = relative_quotient(graph, members)
-    entry = factor_quotient(masks, size_cap, memo)
+    members, classes, class_map, entry = cache.factor_ball(v, 1)
     lifted: dict[Edge, int] = {}
     for qa, qb, idx in entry.cartesian_edges:
         side_a = classes[qa]

@@ -142,16 +142,15 @@ class Graph:
         if radius < 0:
             raise GraphError(f"radius must be nonnegative, got {radius}")
         seen = {v}
-        frontier = [v]
+        frontier = (v,)
         for _ in range(radius):
-            nxt = []
+            nxt = set()
             for u in frontier:
-                for w in self._adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
+                nxt |= self._adj[u]
+            nxt -= seen
             if not nxt:
                 break
+            seen |= nxt
             frontier = nxt
         return tuple(sorted(seen))
 

@@ -3,8 +3,9 @@
 The oracle deliberately avoids the pruned split search of the main
 factorizer: it enumerates every vertex-subset pair through a fixed anchor,
 builds the product of the induced candidates outright, and tests graph
-isomorphism.  It shares only the graph primitives and the isomorphism
-checker with the pipeline, so cross-checks between the two are meaningful.
+isomorphism.  It shares only the graph primitives, the class and backbone
+readings of ``sclasses`` and the isomorphism checker with the pipeline, and
+none of its split search, so cross-checks between the two are meaningful.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .graph import DisconnectedError, Graph, GraphError
-from .factorize import LocalFactorization, factor_neighborhood
+from .factorize import LocalFactorization
 from .isomorphism import canonical_form, find_isomorphism
 from .products import Coordinatization, strong_product
-from .sclasses import backbone, is_thin
+from .sclasses import backbone, is_thin, quotient
 
 ORACLE_CAP = 16
 
@@ -240,18 +241,20 @@ def twisted_instance() -> Graph:
     """A prime graph whose backbone neighborhoods all factor into two parts.
 
     Searches a small family of ring-glued path products with a twisted seam
-    and freezes the first member that verifies: thin, connected, every
-    backbone neighborhood with exactly two local prime factors, and prime
-    according to the brute-force oracle.
+    and freezes the first member that verifies: thin, connected, prime, and
+    with exactly two prime factors in the quotient of every backbone
+    neighborhood, both counts by the brute-force oracle.
     """
     for candidate in _twisted_candidates():
         if candidate.vertex_count > ORACLE_CAP:
             continue
         if not candidate.is_connected() or not is_thin(candidate):
             continue
-        anchors = backbone(candidate)
-        counts = {factor_neighborhood(candidate, v).prime_count for v in anchors}
-        if counts != {2}:
+        local = [
+            quotient(candidate.induced_subgraph(candidate.closed_neighborhood(v))[0]).quotient
+            for v in backbone(candidate)
+        ]
+        if {oracle_pfd(q).prime_count for q in local} != {2}:
             continue
         if oracle_pfd(candidate).prime_count != 1:
             continue

@@ -91,7 +91,7 @@ def recognize(graph: Graph, size_cap: int | None = None) -> RecognitionReport:
     require_thin_connected(graph, "recognition")
     cache = NeighborhoodCache(graph, size_cap)
     try:
-        skeleton = build_skeleton(graph, size_cap=size_cap, cache=cache)
+        skeleton = build_skeleton(cache)
     except (SkeletonError, FactorSizeError) as exc:
         counts: dict[int, int] = {}
         diagnostics = [str(exc)]
@@ -155,7 +155,7 @@ def pfd_fast(
     require_thin_connected(graph, "recognition")
     x = backbone(graph)[0] if anchor is None else anchor
     try:
-        partial = color_fibers_from(graph, x, size_cap=size_cap)
+        partial = color_fibers_from(NeighborhoodCache(graph, size_cap), x)
     except ColoringError as exc:
         raise ColoringError(f"not locally unrefined: {exc}") from exc
     comp_of, comps_of, _ = fiber_components(graph, partial.colors, len(partial.uf.parent))

@@ -107,10 +107,17 @@ def quotient_graph(masks: tuple[int, ...]) -> Graph:
 
 
 def relative_s_partition(graph: Graph, host: Iterable[int]) -> SPartition:
-    """Group the vertices of ``host`` by their closed neighborhood within it."""
+    """Group the vertices of ``host`` by their closed neighborhood within it.
+
+    Raises GraphError on an empty host or one naming a vertex not in
+    ``graph``.
+    """
     members = tuple(sorted(set(host)))
     if not members:
         raise GraphError("relative partition of an empty host set")
+    # the sorted ends bound every other id
+    graph._check_vertex(members[0])
+    graph._check_vertex(members[-1])
     positions, _, _ = relative_quotient(graph, members)
     classes = tuple(tuple(members[p] for p in cls) for cls in positions)
     class_index = {v: i for i, cls in enumerate(classes) for v in cls}
@@ -119,6 +126,8 @@ def relative_s_partition(graph: Graph, host: Iterable[int]) -> SPartition:
 
 def s_class_size(graph: Graph, z: int, x: int) -> int:
     """Size of the class of x relative to the closed neighborhood of z."""
+    graph._check_vertex(z)
+    graph._check_vertex(x)
     masks = graph.closed_masks
     zmask = masks[z]
     if not (zmask >> x) & 1:

@@ -4,15 +4,18 @@ square merging of parallel fiber colors, the 2-neighborhood sweep for
 product edges that no 1-neighborhood can certify, and the per-color fiber
 components whose coordinates must rebuild the graph.
 
-Every backbone neighborhood is factored once.  All stages work on one
-``PartialProductColoring``: each (center, local factor) pair opens one raw
-color in its union-find, a lifted edge joins the raw colors of all centers
-that lift it, and a diagonal-free square joins the colors of its opposite
-edges.  Lifted edges between backbone vertices pass the same continuation
-check as the anchored coloring of ``pfd_fast``.  The expensive
-2-neighborhood sweep runs only when the colored structure does not already
-verify as a product; on locally unrefined inputs whose fibers are all
-witnessed it is skipped.  ``fiber_components`` is the one routine that
+All stages take the graph's ``NeighborhoodCache``: the backbone
+neighborhoods and the 2-neighborhoods of the sweep are factored through it,
+under its one size cap and quotient memo, so a cap overflow anywhere raises
+the same FactorSizeError.  Every backbone neighborhood is factored once.
+All stages work on one ``PartialProductColoring``: each (center, local
+factor) pair opens one raw color in its union-find, a lifted edge joins the
+raw colors of all centers that lift it, and a diagonal-free square joins the
+colors of its opposite edges.  Lifted edges between backbone vertices pass
+the same continuation check as the anchored coloring of ``pfd_fast``.  The
+expensive 2-neighborhood sweep runs only when the colored structure does
+not already verify as a product; on locally unrefined inputs whose fibers
+are all witnessed it is skipped.  ``fiber_components`` is the one routine that
 splits a coloring into its fibers; ``product_coordinates`` reads the
 factors and coordinates off them.
 """
@@ -35,8 +38,8 @@ from .coloring import (
     color_continuation,
     completion_sweep,
 )
-from .factorize import factor_quotient, rebuilds_strong_product
-from .sclasses import backbone, relative_quotient, require_thin_connected
+from .factorize import rebuilds_strong_product
+from .sclasses import backbone, require_thin_connected
 
 
 @dataclass
@@ -141,37 +144,26 @@ def merge_parallel_colors(graph: Graph, coloring: PartialProductColoring) -> int
 
 
 def n2_sweep(
-    graph: Graph,
     coloring: PartialProductColoring,
     cache: NeighborhoodCache,
     targets: list[int] | None = None,
 ) -> dict[int, int]:
     """Identify product edges inside 2-neighborhoods of under-colored vertices.
 
-    For each target vertex (default: every vertex with an uncolored incident
-    edge), the 2-neighborhood is factored through its quotient, read off the
-    host's bitmasks by ``relative_quotient``, under the cache's size cap and
-    quotient memo; the center's class is a singleton in a thin graph, so
-    every product edge at the center is identified and gets a fresh raw
-    color.  Returns the per-vertex prime counts observed.
+    For each target vertex (default: every vertex of ``cache.graph`` with an
+    uncolored incident edge), the 2-neighborhood is factored through the
+    cache, under its size cap and quotient memo; the center's class is a
+    singleton in a thin graph, so every product edge at the center is
+    identified and gets a fresh raw color.  Returns the per-vertex prime
+    counts observed.
     """
     edge_color, stage_of = coloring.colors, coloring.stages
-    size_cap = cache.size_cap
     if targets is None:
-        targets = _undercolored_vertices(graph, edge_color)
-    targets = sorted(targets)
+        targets = _undercolored_vertices(cache.graph, edge_color)
     counts: dict[int, int] = {}
     fresh: dict[tuple[int, int], int] = {}
-    for x in targets:
-        members = graph.n_neighborhood(x, 2)
-        classes, class_map, masks = relative_quotient(graph, members)
-        if size_cap is not None and len(masks) > size_cap:
-            raise SkeletonError(
-                f"N2 sweep infeasible at this degree: quotient of the "
-                f"2-neighborhood of {x} has {len(masks)} vertices, "
-                f"cap is {size_cap}"
-            )
-        entry = factor_quotient(masks, size_cap, cache.quotients)
+    for x in sorted(targets):
+        members, classes, class_map, entry = cache.factor_ball(x, 2)
         counts[x] = entry.factorization.prime_count
         qx = class_map[members.index(x)]
         if len(classes[qx]) != 1:
@@ -209,7 +201,7 @@ def _renumber(coloring: PartialProductColoring) -> tuple[dict[Edge, int], int]:
 
 
 def _stitch_lifted_edges(
-    graph: Graph, cache: NeighborhoodCache, coloring: PartialProductColoring
+    cache: NeighborhoodCache, coloring: PartialProductColoring
 ) -> dict[int, int]:
     """Color the lifted edges of every backbone neighborhood in one pass and
     return the local prime counts.
@@ -220,6 +212,7 @@ def _stitch_lifted_edges(
     continuation check into the far neighborhood, and no two local factors
     of one center may share a class.
     """
+    graph = cache.graph
     anchors = backbone(graph)
     backbone_set = frozenset(anchors)
     edge_color, stage_of = coloring.colors, coloring.stages
@@ -249,24 +242,20 @@ def _stitch_lifted_edges(
     return counts
 
 
-def build_skeleton(
-    graph: Graph,
-    size_cap: int | None = None,
-    cache: NeighborhoodCache | None = None,
-) -> ColoredSkeleton:
-    """Assemble the full colored skeleton of a thin connected graph.
+def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
+    """Assemble the full colored skeleton of the thin connected graph
+    ``cache.graph``, factoring every neighborhood through ``cache``.
 
     Factors every backbone neighborhood once and stitches their lifted edges
     in one pass, colors the edges pinched between two same-colored edges,
     merges colors across diagonal-free squares, and falls back to the
     2-neighborhood sweep when the result does not already verify as a
-    product coloring.  A given ``cache`` brings its own size cap.
+    product coloring.
     """
+    graph = cache.graph
     require_thin_connected(graph, "skeleton construction")
-    if cache is None:
-        cache = NeighborhoodCache(graph, size_cap)
     coloring = PartialProductColoring()
-    counts = _stitch_lifted_edges(graph, cache, coloring)
+    counts = _stitch_lifted_edges(cache, coloring)
     find = coloring.uf.find
     coloring.colors = {edge: find(c) for edge, c in coloring.colors.items()}
     completion_sweep(graph, coloring)
@@ -289,7 +278,7 @@ def build_skeleton(
         targets = [v for v in targets if v not in swept]
         swept.update(targets)
         if targets:
-            n2_counts.update(n2_sweep(graph, coloring, cache, targets=targets))
+            n2_counts.update(n2_sweep(coloring, cache, targets=targets))
             completion_sweep(graph, coloring, stage=STAGE_N2)
             merge_parallel_colors(graph, coloring)
             final, n_colors = _renumber(coloring)

@@ -111,7 +111,7 @@ def legacy_build_skeleton(
 
     for anchor in anchors:
         try:
-            partial = color_fibers_from(graph, anchor, cache=cache, size_cap=size_cap)
+            partial = color_fibers_from(cache, anchor)
         except ColoringError as exc:
             raise SkeletonError(str(exc)) from exc
         raw_to_global = [coloring.new_color() for _ in partial.uf.parent]
@@ -145,7 +145,7 @@ def legacy_build_skeleton(
         swept.update(targets)
         if targets:
             n2_counts.update(
-                n2_sweep(graph, coloring, cache, targets=targets)
+                n2_sweep(coloring, cache, targets=targets)
             )
             completion_sweep(graph, coloring, stage=STAGE_N2)
             merge_parallel_colors(graph, coloring)

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from strongpfd import (
+    NeighborhoodCache,
     backbone,
     canonical_form,
     cartesian_edge_set,
@@ -84,7 +85,7 @@ def test_criterion_01_factor_recovery(recovery_corpus):
             oracle_pfd(f).prime_count for f in inst.ground_truth_factors
         )
         local_counts = {
-            factor_neighborhood(inst.graph, v).prime_count
+            factor_neighborhood(NeighborhoodCache(inst.graph), v).prime_count
             for v in backbone(inst.graph)
         }
         expected = local_counts == {oracle_count}
@@ -227,7 +228,7 @@ def test_criterion_07_skeleton_exactness(recovery_corpus):
 def test_criterion_08_twisted_negative_control(tmp_path):
     graph = twisted_instance()
     assert oracle_pfd(graph).prime_count == 1
-    counts = {factor_neighborhood(graph, v).prime_count for v in backbone(graph)}
+    counts = {factor_neighborhood(NeighborhoodCache(graph), v).prime_count for v in backbone(graph)}
     assert counts == {2}
     rep = recognize(graph)
     assert not rep.in_upsilon

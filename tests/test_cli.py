@@ -3,9 +3,13 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
+import pytest
+
 from strongpfd import Graph, complete_graph, path_graph, strong_product, twisted_instance
 from strongpfd.cli import main
 from strongpfd.io import parse_dot_edge_colors, save_graph
+
+from conftest import house_graph
 
 
 def write_product(tmp_path, name="prod.json"):
@@ -104,6 +108,39 @@ def test_size_cap_floor(tmp_path, capsys):
     path = write_product(tmp_path)
     assert main(["recognize", "--input", str(path), "--size-cap", "2"]) == 2
     capsys.readouterr()
+
+
+def test_size_cap_only_on_the_commands_that_read_it(tmp_path, capsys):
+    path = str(write_product(tmp_path))
+    for command in ("recognize", "skeleton", "factor", "factor-exact"):
+        assert main([command, "--input", path, "--size-cap", "24"]) == 0, command
+        assert main([command, "--input", path, "--size-cap", "3"]) == 2, command
+    ignoring = [
+        ["backbone", "--input", path],
+        ["check-thin", "--input", path],
+        ["quotient", "--input", path],
+        ["generate", "--factors", "3,3", "--seed", "1"],
+        ["bench", "--sizes", "5"],
+    ]
+    for argv in ignoring:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--size-cap", "5"])
+        assert exit_info.value.code == 2, argv[0]
+        assert "unrecognized arguments: --size-cap" in capsys.readouterr().err
+        assert main(argv) == 0, argv[0]
+    capsys.readouterr()
+
+
+def test_n2_cap_overflow_exits_two_like_a_neighborhood_overflow(tmp_path, capsys):
+    graph, _ = strong_product([path_graph(4), house_graph()])
+    path = str(tmp_path / "p4xhouse.json")
+    save_graph(graph, path)
+    assert main(["skeleton", "--input", path, "--size-cap", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2-neighborhood of 0 has 15 vertices, size cap is 12" in captured.err
+    assert main(["skeleton", "--input", path, "--size-cap", "8"]) == 2
+    assert "1-neighborhood" in capsys.readouterr().err
 
 
 def test_generate_then_recognize_pipeline(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from strongpfd import (
     GraphError,
+    NeighborhoodCache,
     backbone,
     backbone_bfs,
     cartesian_index,
@@ -35,7 +36,7 @@ def test_covering_sequence_on_prime_graphs_covers_backbone():
             continue
         found += 1
         members = backbone(g)
-        seq = backbone_bfs(g, members[0], 0)
+        seq = backbone_bfs(NeighborhoodCache(g), members[0], 0)
         assert set(seq.vertices) == set(members)
         covered = set()
         for w in seq.vertices:
@@ -47,25 +48,25 @@ def test_covering_sequence_on_prime_graphs_covers_backbone():
 def test_covering_sequence_single_vertex_backbones(p3xp3):
     graph, coords = p3xp3
     center = coords.vertex_at((1, 1))
-    seq = backbone_bfs(graph, center, 0)
+    seq = backbone_bfs(NeighborhoodCache(graph), center, 0)
     assert seq.vertices == (center,)
     w5 = wheel_graph(5)
-    seq = backbone_bfs(w5, 5, 0)
+    seq = backbone_bfs(NeighborhoodCache(w5), 5, 0)
     assert seq.vertices == (5,)
 
 
 def test_backbone_bfs_validates_anchor_and_color(p3xp3):
     graph, _ = p3xp3
     with pytest.raises(GraphError):
-        backbone_bfs(graph, 0, 0)  # corner is not backbone
+        backbone_bfs(NeighborhoodCache(graph), 0, 0)  # corner is not backbone
     with pytest.raises(GraphError):
-        backbone_bfs(graph, 4, 5)
+        backbone_bfs(NeighborhoodCache(graph), 4, 5)
 
 
 def test_color_fibers_p3_product(p3xp3):
     graph, coords = p3xp3
     center = coords.vertex_at((1, 1))
-    coloring = color_fibers_from(graph, center)
+    coloring = color_fibers_from(NeighborhoodCache(graph), center)
     assert len(coloring.uf.parent) == 2
     # every colored edge is a ground-truth product edge with consistent label
     label_dir = {}
@@ -89,7 +90,7 @@ def test_color_fibers_p3_product(p3xp3):
 def test_color_fibers_recovers_both_factors():
     graph, coords = strong_product([path_graph(4), cycle_graph(5)])
     anchor = min(backbone(graph))
-    coloring = color_fibers_from(graph, anchor)
+    coloring = color_fibers_from(NeighborhoodCache(graph), anchor)
     comp, comps, _ = fiber_components(graph, coloring.colors, len(coloring.uf.parent))
     shapes = []
     for raw in range(len(coloring.uf.parent)):
@@ -103,7 +104,7 @@ def test_color_fibers_recovers_both_factors():
 def test_color_fibers_on_prime_cycle_covers_all_edges():
     g = cycle_graph(7)
     anchor = min(backbone(g))
-    coloring = color_fibers_from(g, anchor)
+    coloring = color_fibers_from(NeighborhoodCache(g), anchor)
     assert len(coloring.uf.parent) == 1
     assert set(coloring.colors) == set(g.edges())
 
@@ -111,7 +112,7 @@ def test_color_fibers_on_prime_cycle_covers_all_edges():
 def test_blind_fiber_stays_uncolored():
     graph, coords = neighborhood_blind_product()
     anchor = min(backbone(graph))
-    coloring = color_fibers_from(graph, anchor)
+    coloring = color_fibers_from(NeighborhoodCache(graph), anchor)
     fiber = [v for v in range(graph.vertex_count) if coords.coords[v][1] == 0]
     blind_edges = [
         edge_key(u, v) for u in fiber for v in fiber if u < v and graph.adjacent(u, v)
@@ -133,16 +134,16 @@ def test_mismatched_local_counts_abort(p3xp3):
     graph = Graph(10, list(base.edges()) + [(0, 9)])
     assert bb(graph) == (0, 4)
     with pytest.raises(ColoringError, match="local factors") as anchored:
-        color_fibers_from(graph, 0)
+        color_fibers_from(NeighborhoodCache(graph), 0)
     with pytest.raises(ColoringError) as stitched:
-        build_skeleton(graph)
+        build_skeleton(NeighborhoodCache(graph))
     assert str(stitched.value) == str(anchored.value)
 
 
 def test_extend_is_idempotent_after_run(p3xp3):
     graph, coords = p3xp3
     center = coords.vertex_at((1, 1))
-    coloring = color_fibers_from(graph, center)
+    coloring = color_fibers_from(NeighborhoodCache(graph), center)
     before = dict(coloring.colors)
     assert completion_sweep(graph, coloring) == 0
     assert coloring.colors == before
@@ -151,8 +152,8 @@ def test_extend_is_idempotent_after_run(p3xp3):
 def test_coloring_is_deterministic():
     graph, _ = strong_product([path_graph(4), cycle_graph(5)])
     anchor = min(backbone(graph))
-    a = color_fibers_from(graph, anchor)
-    b = color_fibers_from(graph, anchor)
+    a = color_fibers_from(NeighborhoodCache(graph), anchor)
+    b = color_fibers_from(NeighborhoodCache(graph), anchor)
     assert a.colors == b.colors
     assert a.stages == b.stages
     assert a.uf.parent == b.uf.parent
@@ -163,7 +164,7 @@ def test_anchor_choice_gives_same_partition_where_both_color():
     # class structure must agree up to renaming
     graph, _ = strong_product([path_graph(4), cycle_graph(5)])
     anchors = backbone(graph)
-    colorings = [color_fibers_from(graph, anchor) for anchor in anchors[:3]]
+    colorings = [color_fibers_from(NeighborhoodCache(graph), anchor) for anchor in anchors[:3]]
     for other in colorings[1:]:
         common = set(colorings[0].colors) & set(other.colors)
         assert common

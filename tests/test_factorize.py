@@ -9,6 +9,7 @@ from strongpfd import (
     DisconnectedError,
     FactorSizeError,
     Graph,
+    NeighborhoodCache,
     NotThinError,
     backbone,
     canonical_form,
@@ -104,7 +105,7 @@ def test_prime_count_is_additive_over_products():
 def test_factor_neighborhood_at_product_center(p3xp3):
     graph, coords = p3xp3
     center = coords.vertex_at((1, 1))
-    nf = factor_neighborhood(graph, center)
+    nf = factor_neighborhood(NeighborhoodCache(graph), center)
     assert nf.prime_count == 2
     assert len(nf.lifted) == 12
     assert sorted(set(nf.lifted.values())) == [0, 1]
@@ -120,19 +121,19 @@ def test_factor_neighborhood_at_product_center(p3xp3):
 
 def test_factor_neighborhood_of_simplicial_vertex_is_empty():
     p3 = path_graph(3)
-    nf = factor_neighborhood(p3, 0)
+    nf = factor_neighborhood(NeighborhoodCache(p3), 0)
     assert nf.prime_count == 0
     assert nf.lifted == {}
 
 
 def test_factor_neighborhood_requires_thin_host():
     with pytest.raises(NotThinError):
-        factor_neighborhood(complete_graph(4), 0)
+        factor_neighborhood(NeighborhoodCache(complete_graph(4)), 0)
 
 
 def test_factor_neighborhood_quotient_classes():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)])
-    nf = factor_neighborhood(g, 0)
+    nf = factor_neighborhood(NeighborhoodCache(g), 0)
     assert set(len(cls) for cls in nf.quotient.class_members) == {1, 2}
     # the collapsed pair is the twin pair inside the apex neighborhood
     assert (1, 2) in nf.quotient.class_members
@@ -147,7 +148,7 @@ def test_lifted_edges_are_ground_truth_cartesian():
         f2 = random_thin_graph(rng.randint(3, 5), 0.5, seed=9000 + trial)
         graph, coords = strong_product([f1, f2])
         for v in backbone(graph):
-            nf = factor_neighborhood(graph, v)
+            nf = factor_neighborhood(NeighborhoodCache(graph), v)
             label_dir = {}
             for (a, b), label in nf.lifted.items():
                 true_dir = cartesian_index(graph, coords, a, b)
@@ -234,7 +235,7 @@ def test_neighborhood_factoring_never_orders_factors(monkeypatch):
         relabelled = graph.relabeled(perm)
         assert recognize(relabelled).in_upsilon
         assert pfd_fast(relabelled).prime_count == len(sizes)
-    internal = {"factor_quotient", "factor_neighborhood"}
+    internal = {"factor_ball", "factor_neighborhood"}
     assert not [names for names in stacks if names & internal]
     # the recorder does see the public ordering, also below a quotient split
     factor_exact(strong_product([path_graph(3), cycle_graph(4)])[0])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from strongpfd import build_skeleton, random_connected_graph
+from strongpfd import NeighborhoodCache, build_skeleton, random_connected_graph
 from strongpfd.skeleton import fiber_components, product_coordinates
 
 from conftest import recovery_corpus
@@ -56,7 +56,7 @@ def assert_matches_reference(graph, edge_color, n_colors):
 
 def test_fibers_of_recovery_corpus_skeletons():
     for graph in recovery_corpus():
-        skeleton = build_skeleton(graph)
+        skeleton = build_skeleton(NeighborhoodCache(graph))
         assert_matches_reference(graph, skeleton.edge_color, skeleton.n_colors)
 
 
@@ -87,7 +87,7 @@ def test_product_check_ignores_the_order_of_the_coloring():
     rng = random.Random(1)
     outcomes = set()
     for graph in recovery_corpus()[:60]:
-        skeleton = build_skeleton(graph)
+        skeleton = build_skeleton(NeighborhoodCache(graph))
         for _ in range(4):
             edge_color = dict(skeleton.edge_color)
             for edge in rng.sample(sorted(edge_color), rng.randint(1, 4)):

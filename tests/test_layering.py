@@ -1,6 +1,7 @@
 """Package imports stay at module level, only the public exact factorizer
-orders its factors, and the edge coloring has one state and one
-continuation check.
+orders its factors, the edge coloring has one state and one continuation
+check, and neighborhood quotients are factored only through
+``NeighborhoodCache``, which alone holds the size cap and the quotient memo.
 
 An import inside a function body is how a module reaches back into one that
 imports it; keeping every relative import at the top of its module keeps
@@ -128,14 +129,14 @@ def test_only_the_coloring_state_holds_a_union_find():
     ]
 
 
-def parameters_named(source: str, name: str) -> list[str]:
-    """Functions with a parameter called ``name``."""
+def parameters_named(source: str, *names: str) -> list[str]:
+    """Functions with a parameter called each of ``names``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
-            if any(arg is not None and arg.arg == name for arg in every):
+            if {arg.arg for arg in every if arg is not None}.issuperset(names):
                 found.append(getattr(node, "name", "lambda"))
     return found
 
@@ -158,3 +159,87 @@ def test_the_check_sees_every_kind_of_parameter():
         "def k(g, backbone=None):\n    pass\n"
     )
     assert parameters_named(source, "backbone_vertices") == ["f", "m", "lambda"]
+
+
+def test_no_function_takes_a_size_cap_and_a_cache():
+    # the cache brings its own size cap, so a second one could disagree
+    offenders = {
+        name: owners
+        for name, source in package_sources().items()
+        if (owners := parameters_named(source, "size_cap", "cache"))
+    }
+    assert offenders == {}
+
+
+def test_the_check_sees_a_size_cap_beside_a_cache():
+    source = (
+        "def f(g, size_cap=None, cache=None):\n    pass\n"
+        "def g(cache, *, size_cap):\n    pass\n"
+        "def h(cache, anchor):\n    pass\n"
+        "def k(g, size_cap=None):\n    pass\n"
+    )
+    assert parameters_named(source, "size_cap", "cache") == ["f", "g"]
+
+
+def test_no_memo_parameter():
+    # the quotient memo belongs to NeighborhoodCache and is never handed around
+    offenders = {
+        name: owners
+        for name, source in package_sources().items()
+        if (owners := parameters_named(source, "memo"))
+    }
+    assert offenders == {}
+
+
+def test_the_check_sees_a_memo_parameter():
+    source = "class C:\n    def m(self, masks, memo=None):\n        pass\n"
+    assert parameters_named(source, "memo") == ["m"]
+
+
+def top_level_callers(source: str, name: str) -> list[str]:
+    """Top-level functions and classes that call ``name``, as a bare name or
+    as an attribute."""
+    found = []
+    for node in ast.parse(source).body:
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Call) and name in (
+                getattr(inner.func, "id", None),
+                getattr(inner.func, "attr", None),
+            ):
+                found.append(getattr(node, "name", type(node).__name__))
+                break
+    return found
+
+
+def test_only_the_neighborhood_cache_builds_quotients():
+    # every region's quotient is read, capped, memoized and factored in one
+    # place; the whole-graph quotient and the public relative partition are
+    # the only other readers of the relative classes
+    cache = ("factorize.py", "NeighborhoodCache")
+    expected = {
+        "relative_quotient": {
+            cache,
+            ("sclasses.py", "quotient"),
+            ("sclasses.py", "relative_s_partition"),
+        },
+        "quotient_graph": {cache, ("sclasses.py", "quotient")},
+    }
+    for target, owners in expected.items():
+        found = {
+            (name, owner)
+            for name, source in package_sources().items()
+            for owner in top_level_callers(source, target)
+        }
+        assert found == owners, target
+
+
+def test_the_check_sees_calls_in_methods_and_through_modules():
+    source = (
+        "from . import sclasses\n"
+        "from .sclasses import quotient_graph\n"
+        "class C:\n    def m(self, masks):\n        return quotient_graph(masks)\n"
+        "def f(g, members):\n    def inner():\n        return sclasses.quotient_graph(members)\n"
+        "def h(build=quotient_graph):\n    return build\n"
+        "table = {1: quotient_graph((1,))}\n"
+    )
+    assert top_level_callers(source, "quotient_graph") == ["C", "f", "Assign"]

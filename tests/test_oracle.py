@@ -5,7 +5,9 @@ import random
 import pytest
 
 from strongpfd import (
+    Graph,
     GraphError,
+    NeighborhoodCache,
     backbone,
     canonical_form,
     complete_graph,
@@ -106,12 +108,23 @@ def test_three_factor_instance_prime_count():
     assert len(report.extracted_factors) == 3
 
 
+def test_twisted_fixture_is_the_twelve_vertex_strip():
+    # the fixture is also an input of the benchmark, so its choice is frozen
+    edges = [
+        (0, 1), (0, 3), (0, 4), (0, 10), (0, 11), (1, 2), (1, 3), (1, 4), (1, 5),
+        (1, 9), (1, 10), (1, 11), (2, 4), (2, 5), (2, 9), (2, 10), (3, 4), (3, 6),
+        (3, 7), (4, 5), (4, 6), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 9),
+        (6, 10), (7, 8), (7, 9), (7, 10), (7, 11), (8, 10), (8, 11), (9, 10), (10, 11),
+    ]
+    assert twisted_instance() == Graph(12, edges)
+
+
 def test_twisted_fixture_properties():
     graph = twisted_instance()
     assert graph.vertex_count <= 16
     assert is_thin(graph) and graph.is_connected()
     assert oracle_pfd(graph).prime_count == 1
-    counts = {factor_neighborhood(graph, v).prime_count for v in backbone(graph)}
+    counts = {factor_neighborhood(NeighborhoodCache(graph), v).prime_count for v in backbone(graph)}
     assert counts == {2}
     report = recognize(graph)
     assert not report.in_upsilon

@@ -37,8 +37,6 @@ from strongpfd import (
     strong_product,
 )
 from strongpfd import skeleton
-from strongpfd.factorize import factor_quotient
-from strongpfd.sclasses import relative_quotient
 
 from conftest import house_graph
 from test_quotient_memo import full_corpus
@@ -151,7 +149,7 @@ def test_neighborhoods_match_the_subgraph_path():
         cache = NeighborhoodCache(graph)
         for v in graph.vertices():
             assert_same_neighborhood(cache.get(v), graph, (label, v, "memo"))
-            plain = factor_neighborhood(graph, v)
+            plain = factor_neighborhood(NeighborhoodCache(graph), v)
             assert_same_neighborhood(plain, graph, (label, v, "plain"))
 
 
@@ -174,13 +172,13 @@ def test_n2_quotients_match_the_subgraph_path(k, monkeypatch):
     graph, _ = strong_product([path_graph(k), house_graph()])
     targets = n2_targets(graph, monkeypatch)
     assert targets
-    memo: dict = {}
+    shared = NeighborhoodCache(graph)
     for x in targets:
         members = graph.n_neighborhood(x, 2)
-        classes, class_map, masks = relative_quotient(graph, members)
         qgraph, old_map, old_classes, fact, edges = legacy_neighborhood(graph, members)
-        assert (class_map, classes) == (old_map, old_classes), (k, x)
-        for entry in (factor_quotient(masks), factor_quotient(masks, memo=memo)):
+        for cache in (NeighborhoodCache(graph), shared):
+            found, classes, class_map, entry = cache.factor_ball(x, 2)
+            assert (found, class_map, classes) == (members, old_map, old_classes), (k, x)
             assert entry.graph == qgraph, (k, x)
             assert entry.factorization == fact, (k, x)
             assert entry.cartesian_edges == edges, (k, x)

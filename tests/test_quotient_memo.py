@@ -25,7 +25,7 @@ from strongpfd import (
     strong_product,
     twisted_instance,
 )
-from strongpfd import factorize, products, skeleton
+from strongpfd import factorize, products
 
 from conftest import house_graph, recovery_corpus
 
@@ -51,14 +51,14 @@ def full_corpus() -> list[tuple[str, Graph]]:
 
 
 def unmemoized(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Make every quotient factorization ignore the memo it is handed."""
-    factor_quotient = factorize.factor_quotient
+    """Make every quotient factorization find the cache's memo empty."""
+    factor_ball = NeighborhoodCache.factor_ball
 
-    def without_memo(masks, size_cap=None, memo=None):
-        return factor_quotient(masks, size_cap)
+    def without_memo(self, center, radius):
+        self.quotients.clear()
+        return factor_ball(self, center, radius)
 
-    monkeypatch.setattr(factorize, "factor_quotient", without_memo)
-    monkeypatch.setattr(skeleton, "factor_quotient", without_memo)
+    monkeypatch.setattr(NeighborhoodCache, "factor_ball", without_memo)
 
 
 def fast_factors(graph: Graph):
@@ -73,7 +73,7 @@ def test_memo_hits_give_the_unmemoized_neighborhoods():
         cache = NeighborhoodCache(graph)
         for v in graph.vertices():
             memoized = cache.get(v)
-            plain = factor_neighborhood(graph, v)
+            plain = factor_neighborhood(NeighborhoodCache(graph), v)
             assert memoized.prime_count == plain.prime_count, (label, v)
             assert memoized.factorization == plain.factorization, (label, v)
             assert list(memoized.lifted.items()) == list(plain.lifted.items()), (label, v)
@@ -99,7 +99,7 @@ def test_reports_match_without_the_memo(monkeypatch):
 
 def count_factorizations(monkeypatch: pytest.MonkeyPatch) -> list[int]:
     """Count runs of the verified split search, which ``factor_exact`` and
-    every memo miss of ``factor_quotient`` go through."""
+    every memo miss of ``NeighborhoodCache.factor_ball`` go through."""
     calls = [0]
     factor_verified = factorize._factor_verified
 
@@ -134,7 +134,7 @@ def test_n2_sweep_reuses_the_memo(monkeypatch):
 
 
 #: Functions that factor one neighborhood or 2-neighborhood quotient.
-NEIGHBORHOOD_LAYER = {"factor_neighborhood", "factor_quotient", "relative_quotient", "n2_sweep"}
+NEIGHBORHOOD_LAYER = {"factor_neighborhood", "factor_ball", "relative_quotient", "n2_sweep"}
 
 
 def record_callers(monkeypatch: pytest.MonkeyPatch, owner, name: str) -> list[str]:

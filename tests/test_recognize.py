@@ -23,6 +23,8 @@ from strongpfd import (
 )
 from strongpfd.oracle import random_product_instance
 
+from conftest import house_graph
+
 
 def canon_multiset(factors):
     return sorted(canonical_form(f) for f in factors)
@@ -187,6 +189,18 @@ def test_recognize_with_tight_size_cap_reports_failure(p3xp3):
     assert not report.in_upsilon
     assert not report.reconstruction_ok
     assert any("size cap" in d or "cap" in d for d in report.diagnostics)
+
+
+def test_recognize_reports_an_n2_cap_overflow_as_a_negative_verdict():
+    # every 1-neighborhood of P_4 x house fits under the cap; the first
+    # 2-neighborhood the N2 sweep factors does not
+    graph, _ = strong_product([path_graph(4), house_graph()])
+    report = recognize(graph, size_cap=12)
+    assert not report.in_upsilon
+    assert report.coloring is None
+    assert report.diagnostics == [
+        "quotient of the 2-neighborhood of 0 has 15 vertices, size cap is 12"
+    ]
 
 
 def test_recognize_survives_coloring_abort(p3xp3):

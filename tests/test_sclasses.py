@@ -56,6 +56,27 @@ def test_relative_partition_empty_host_rejected():
         relative_s_partition(path_graph(3), [])
 
 
+def test_relative_partition_rejects_a_vertex_past_the_end(p3xp3):
+    graph, _ = p3xp3
+    with pytest.raises(GraphError, match="invalid vertex id 9 for n=9"):
+        relative_s_partition(graph, [9])
+
+
+def test_relative_partition_rejects_a_negative_vertex(p3xp3):
+    graph, _ = p3xp3
+    with pytest.raises(GraphError, match="invalid vertex id -1 for n=9"):
+        relative_s_partition(graph, [-1, 0])
+
+
+def test_s_class_size_rejects_a_negative_vertex(p3xp3):
+    # a negative id used to read vertex 8 through Python's negative indexing
+    graph, _ = p3xp3
+    with pytest.raises(GraphError, match="invalid vertex id -1 for n=9"):
+        s_class_size(graph, -1, 8)
+    with pytest.raises(GraphError, match="invalid vertex id -1 for n=9"):
+        s_class_size(graph, 8, -1)
+
+
 def test_is_thin_examples(p3xp3):
     assert is_thin(path_graph(3))
     assert not is_thin(complete_graph(4))

@@ -19,6 +19,7 @@ from strongpfd import (
     find_square,
     merge_parallel_colors,
     path_graph,
+    strong_product,
 )
 from strongpfd import skeleton as skeleton_module
 from strongpfd.coloring import STAGE_LIFT, STAGE_N2
@@ -115,7 +116,7 @@ def test_merge_skips_a_single_root_coloring(p3xp3, monkeypatch):
 
 def test_skeleton_on_product_matches_ground_truth(p3xp3):
     graph, coords = p3xp3
-    skeleton = build_skeleton(graph)
+    skeleton = build_skeleton(NeighborhoodCache(graph))
     assert skeleton.n_colors == 2
     assert set(skeleton.cartesian_edges) == cartesian_edge_set(graph, coords)
     assert not skeleton.n2_ran
@@ -134,21 +135,21 @@ def test_skeleton_on_product_matches_ground_truth(p3xp3):
 
 def test_skeleton_of_prime_graph_single_color():
     g = cycle_graph(7)
-    skeleton = build_skeleton(g)
+    skeleton = build_skeleton(NeighborhoodCache(g))
     assert skeleton.n_colors == 1
     assert set(skeleton.cartesian_edges) == set(g.edges())
 
 
 def test_skeleton_requires_thin_connected():
     with pytest.raises(NotThinError):
-        build_skeleton(complete_graph(4))
+        build_skeleton(NeighborhoodCache(complete_graph(4)))
     with pytest.raises(GraphError):
-        build_skeleton(Graph(4, [(0, 1), (2, 3)]))
+        build_skeleton(NeighborhoodCache(Graph(4, [(0, 1), (2, 3)])))
 
 
 def test_blind_fibers_found_only_in_second_stage():
     graph, coords = neighborhood_blind_product()
-    skeleton = build_skeleton(graph)
+    skeleton = build_skeleton(NeighborhoodCache(graph))
     assert skeleton.n2_ran
     truth = cartesian_edge_set(graph, coords)
     assert set(skeleton.cartesian_edges) == truth
@@ -174,7 +175,7 @@ def test_skeleton_exact_on_random_instances():
         inst = random_product_instance(
             [rng.randint(3, 5), rng.randint(3, 5)], seed=12000 + trial
         )
-        skeleton = build_skeleton(inst.graph)
+        skeleton = build_skeleton(NeighborhoodCache(inst.graph))
         truth = cartesian_edge_set(inst.graph, inst.ground_truth_coords)
         assert set(skeleton.cartesian_edges) == truth
         # soundness: no color class mixes ground-truth directions
@@ -190,13 +191,28 @@ def test_skeleton_exact_on_random_instances():
 
 def test_skeleton_local_counts_recorded(p3xp3):
     graph, _ = p3xp3
-    skeleton = build_skeleton(graph)
+    skeleton = build_skeleton(NeighborhoodCache(graph))
     assert skeleton.local_prime_counts == {4: 2}
 
 
+def test_the_cache_brings_the_size_cap_to_every_entry_point():
+    from strongpfd import FactorSizeError, pfd_fast, recognize
+
+    graph, _ = strong_product([path_graph(4), path_graph(3)])
+    message = "quotient of the 1-neighborhood of 4 has 9 vertices, size cap is 4"
+    with pytest.raises(FactorSizeError, match=f"^{message}$"):
+        build_skeleton(NeighborhoodCache(graph, 4))
+    with pytest.raises(FactorSizeError, match=f"^{message}$"):
+        pfd_fast(graph, size_cap=4)
+    report = recognize(graph, size_cap=4)
+    assert not report.in_upsilon
+    assert report.coloring is None
+    assert report.diagnostics[0] == message
+
+
 def test_n2_sweep_respects_size_cap():
-    from strongpfd import SkeletonError, n2_sweep
+    from strongpfd import FactorSizeError, n2_sweep
 
     graph, _ = neighborhood_blind_product()
-    with pytest.raises(SkeletonError, match="N2 sweep infeasible"):
-        n2_sweep(graph, PartialProductColoring(), NeighborhoodCache(graph, 6))
+    with pytest.raises(FactorSizeError, match="^quotient of the 2-neighborhood of 0 has"):
+        n2_sweep(PartialProductColoring(), NeighborhoodCache(graph, 6))

@@ -15,6 +15,7 @@ import pytest
 
 from strongpfd import (
     Graph,
+    NeighborhoodCache,
     SkeletonError,
     backbone,
     build_skeleton,
@@ -26,7 +27,7 @@ from strongpfd import (
     strong_product,
     twisted_instance,
 )
-from strongpfd import coloring, skeleton
+from strongpfd import coloring, factorize, skeleton
 
 from conftest import house_graph, recovery_corpus
 from legacy_skeleton import legacy_recognize
@@ -131,7 +132,7 @@ def test_mismatched_local_counts_still_rejected(p3xp3):
     base, _ = p3xp3
     graph = Graph(10, list(base.edges()) + [(0, 9)])
     with pytest.raises(SkeletonError, match="local factors"):
-        build_skeleton(graph)
+        build_skeleton(NeighborhoodCache(graph))
     report = recognize(graph)
     assert not report.in_upsilon
     assert report.coloring is None
@@ -142,12 +143,12 @@ def test_mismatched_local_counts_still_rejected(p3xp3):
 def test_assembly_cost_is_one_factorization_per_backbone_vertex(monkeypatch):
     graph, _ = strong_product([path_graph(30), path_graph(3)])
     calls = {"factor_neighborhood": [], "completion_sweep": 0, "color_fibers_from": 0}
-    factor_neighborhood = coloring.factor_neighborhood
+    factor_neighborhood = factorize.factor_neighborhood
     completion_sweep = skeleton.completion_sweep
 
-    def counted_factor(g, v, *args, **kwargs):
+    def counted_factor(cache, v):
         calls["factor_neighborhood"].append(v)
-        return factor_neighborhood(g, v, *args, **kwargs)
+        return factor_neighborhood(cache, v)
 
     def counted_sweep(*args, **kwargs):
         calls["completion_sweep"] += 1
@@ -157,11 +158,11 @@ def test_assembly_cost_is_one_factorization_per_backbone_vertex(monkeypatch):
         calls["color_fibers_from"] += 1
         raise AssertionError("per-anchor coloring must not run")
 
-    monkeypatch.setattr(coloring, "factor_neighborhood", counted_factor)
+    monkeypatch.setattr(factorize, "factor_neighborhood", counted_factor)
     monkeypatch.setattr(skeleton, "completion_sweep", counted_sweep)
     monkeypatch.setattr(coloring, "color_fibers_from", no_anchor_coloring)
     monkeypatch.setattr(skeleton, "color_fibers_from", no_anchor_coloring, raising=False)
-    sk = build_skeleton(graph)
+    sk = build_skeleton(NeighborhoodCache(graph))
     assert not sk.n2_ran
     assert sk.n_colors == 2
     assert sorted(calls["factor_neighborhood"]) == list(backbone(graph))

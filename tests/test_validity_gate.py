@@ -15,6 +15,7 @@ from strongpfd import (
     DisconnectedError,
     Graph,
     GraphError,
+    NeighborhoodCache,
     NotThinError,
     backbone,
     build_skeleton,
@@ -32,8 +33,8 @@ from strongpfd.sclasses import require_thin_connected
 ENTRY_POINTS = {
     "recognize": recognize,
     "pfd_fast": pfd_fast,
-    "build_skeleton": build_skeleton,
-    "color_fibers_from": lambda g: color_fibers_from(g, 0),
+    "build_skeleton": lambda g: build_skeleton(NeighborhoodCache(g)),
+    "color_fibers_from": lambda g: color_fibers_from(NeighborhoodCache(g), 0),
     "backbone": backbone,
 }
 
