@@ -197,8 +197,10 @@ def completion_sweep(
 
     An edge (v, w) joins color c when some z carries colored edges (z, v)
     and (z, w) of color c.  Runs to a fixpoint; returns how many edges were
-    added.
+    added, at once 0 when every edge of the graph is colored already.
     """
+    if len(coloring.colors) == graph.edge_count:
+        return 0
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices()}
     worklist: deque[Edge] = deque()
     for edge in sorted(coloring.colors):

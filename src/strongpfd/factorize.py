@@ -12,8 +12,9 @@ Candidate generation has three routes:
    quadratic candidate set;
 2. other thin graphs: the anchor's neighborhood is factored and its local
    factor boxes are grown into fiber candidates along the backbone;
-3. everything else: enumeration of connected, isometric vertex subsets
-   through a max-degree anchor, pruned by degree and edge-count laws.
+3. everything else: connected vertex subsets through a max-degree anchor,
+   grown depth first under the inner-degree caps of the degree law, then
+   held to the exact degree and edge-count laws and, last, to isometry.
 
 All routes are exact; the size cap only bounds running time.
 
@@ -332,110 +333,145 @@ def _split_grown(graph: Graph):
     return None
 
 
-# -- candidate route 3: blind anchored subset search (non-thin inputs) --------
+# -- candidate route 3: anchored subset search (non-thin inputs) --------------
 
 
 def _split_blind(graph: Graph):
+    """Split search for graphs that are not thin.
+
+    Fiber pairs through a max-degree anchor v0 are connected vertex subsets.
+    A fiber A of a split A ⊠ B obeys the degree law
+    deg(a) + 1 = (deg_A(a) + 1)(deg_B(v0) + 1), and likewise B.  Each law
+    caps the inner degrees of a candidate, which only grow with the subset,
+    so the enumeration cuts a branch as soon as one vertex passes its cap.
+    A full candidate must then meet the exact degree and edge-count laws;
+    the isometry test, the costliest filter, runs last.
+    """
     n = graph.vertex_count
     degs = [graph.degree(v) for v in range(n)]
-    top = max(degs)
-    anchor = next(v for v in range(n) if degs[v] == top)
-    dist = [graph.distances_from(v) for v in range(n)]
+    anchor = degs.index(max(degs))
+    open_masks = [m ^ 1 << v for v, m in enumerate(graph.closed_masks)]
+    everyone = (1 << n) - 1
+    host_layers: dict[int, list[int]] = {}
+
+    def isometric(members: int) -> bool:
+        # the connected subset keeps every host distance when each BFS layer
+        # inside it is its part of the host's layer at that depth; zip may
+        # stop at the host's last layer, but the equal layers reach every member
+        for v in _bits(members):
+            if v not in host_layers:
+                host_layers[v] = _bfs_layers(open_masks, v, everyone)
+            inner = _bfs_layers(open_masks, v, members)
+            if any(x != y & members for x, y in zip(inner, host_layers[v])):
+                return False
+        return True
+
+    # B is connected, so deg_B(v0) + 1 >= 2 and deg_A(a) + 1 <= (deg(a) + 1) / 2
+    caps_a = [(deg + 1) // 2 - 1 for deg in degs]
     for d in range(2, math.isqrt(n) + 1):
         if n % d:
             continue
         size_b = n // d
-        for fa in _connected_isometric_subsets(graph, anchor, d, frozenset(range(n)), dist):
-            adj_a = {a: graph.adjacency_set(a) & fa for a in fa}
-            quotient_deg = None
-            ok = True
-            for a in fa:
-                inner = len(adj_a[a]) + 1
-                if (degs[a] + 1) % inner:
-                    ok = False
-                    break
-                q = (degs[a] + 1) // inner
-                if quotient_deg is None:
-                    quotient_deg = q
-                elif quotient_deg != q:
-                    ok = False
-                    break
-            if not ok:
+        for fa, _ in _connected_subsets(open_masks, anchor, d, everyone, caps_a):
+            members_a = _bits(fa)
+            spans = [(degs[a] + 1, (open_masks[a] & fa).bit_count() + 1) for a in members_a]
+            if any(total % inner for total, inner in spans):
                 continue
-            dwa = len(adj_a[anchor]) + 1
-            pool = frozenset(
-                v for v in range(n) if (degs[v] + 1) % dwa == 0 and (v == anchor or v not in fa)
-            )
-            if anchor not in pool or len(pool) < size_b:
+            if len({total // inner for total, inner in spans}) != 1 or not isometric(fa):
                 continue
-            ma = sum(len(s) for s in adj_a.values()) // 2
-            for fb in _connected_isometric_subsets(graph, anchor, size_b, pool, dist):
-                adj_b = {b: graph.adjacency_set(b) & fb for b in fb}
-                if any((degs[b] + 1) != (len(adj_b[b]) + 1) * dwa for b in fb):
+            # the edge law 2m + n = (2m_A + |A|)(2m_B + |B|) fixes 2m_B + |B|
+            span_b, rest = divmod(2 * graph.edge_count + n, sum(inner for _, inner in spans))
+            if rest:
+                continue
+            dwa = (open_masks[anchor] & fa).bit_count() + 1
+            pool = 1 << anchor
+            for v in range(n):
+                if (degs[v] + 1) % dwa == 0 and not fa >> v & 1:
+                    pool |= 1 << v
+            if pool.bit_count() < size_b:
+                continue
+            caps_b = [(deg + 1) // dwa - 1 for deg in degs]
+            for fb, saturated in _connected_subsets(open_masks, anchor, size_b, pool, caps_b):
+                if saturated != fb:
                     continue
-                if quotient_deg != len(adj_b[anchor]) + 1:
+                members_b = _bits(fb)
+                if sum(caps_b[b] + 1 for b in members_b) != span_b or not isometric(fb):
                     continue
-                mb = sum(len(s) for s in adj_b.values()) // 2
-                if ((2 * ma + d) * (2 * mb + size_b) - d * size_b) // 2 != graph.edge_count:
-                    continue
-                phi = _try_extension(graph, sorted(fa), sorted(fb), anchor)
+                phi = _try_extension(graph, members_a, members_b, anchor)
                 if phi is not None:
-                    return sorted(fa), sorted(fb), phi
+                    return members_a, members_b, phi
     return None
 
 
-def _connected_isometric_subsets(
-    graph: Graph,
-    root: int,
-    size: int,
-    allowed: frozenset[int],
-    dist: list[list[int]],
-) -> Iterator[frozenset[int]]:
-    """Connected induced subsets through ``root`` whose internal distances
-    match the host distances (a property every fiber has)."""
-    if root not in allowed:
-        return
-    if size == 1:
-        yield frozenset((root,))
-        return
-    seen: set[frozenset[int]] = set()
-
-    def grow(current: frozenset[int]) -> Iterator[frozenset[int]]:
-        if len(current) == size:
-            if _is_isometric(graph, current, dist):
-                yield current
-            return
-        frontier: set[int] = set()
-        for v in current:
-            frontier.update(graph.adjacency_set(v))
-        for v in sorted(frontier & allowed - current):
-            nxt = current | {v}
-            if nxt not in seen:
-                seen.add(nxt)
-                yield from grow(nxt)
-
-    yield from grow(frozenset((root,)))
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
 
-def _is_isometric(graph: Graph, subset: frozenset[int], dist: list[list[int]]) -> bool:
-    order = sorted(subset)
-    index = {v: i for i, v in enumerate(order)}
-    # BFS inside the induced subgraph, per source
-    for src in order:
-        local = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in graph.adjacency_set(u):
-                    if w in index and w not in local:
-                        local[w] = local[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        for v in order:
-            if local.get(v, -1) != dist[src][v]:
-                return False
-    return True
+def _bfs_layers(open_masks: list[int], source: int, within: int) -> list[int]:
+    """Masks of the vertices at distance 0, 1, ... from ``source`` in the
+    subgraph induced by the mask ``within``."""
+    layers = []
+    layer = seen = 1 << source
+    while layer:
+        layers.append(layer)
+        reach = 0
+        for u in _bits(layer):
+            reach |= open_masks[u]
+        layer = reach & within & ~seen
+        seen |= layer
+    return layers
+
+
+def _connected_subsets(
+    open_masks: list[int], root: int, size: int, allowed: int, caps: list[int]
+) -> Iterator[tuple[int, int]]:
+    """Connected subsets of ``size`` >= 2 vertices through ``root`` inside
+    the mask ``allowed`` in which no vertex v has more than caps[v]
+    neighbors, as (members, saturated) masks; ``saturated`` holds the
+    members with exactly caps[v] neighbors inside.
+
+    Depth first from ``root``: a subset grows by each of its frontier
+    vertices in ascending order, and each subset is grown once.  A vertex
+    joins only if neither it nor a member next to it passes its cap; inner
+    degrees only grow, so no subset beyond that branch could keep the caps.
+    """
+    start = 1 << root
+    frontier = open_masks[root] & allowed
+    stack = [[start, start if caps[root] == 0 else 0, frontier, frontier]]
+    seen: set[int] = set()
+    while stack:
+        top = stack[-1]
+        members, saturated, frontier, todo = top
+        if not todo:
+            stack.pop()
+            continue
+        low = todo & -todo
+        top[3] = todo ^ low
+        v = low.bit_length() - 1
+        near = open_masks[v] & members
+        inner = near.bit_count()
+        if inner > caps[v] or near & saturated:
+            continue
+        grown = members | low
+        if grown in seen:
+            continue
+        seen.add(grown)
+        if inner == caps[v]:
+            saturated |= low
+        for u in _bits(near):
+            if (open_masks[u] & grown).bit_count() == caps[u]:
+                saturated |= 1 << u
+        if len(stack) + 1 == size:
+            yield grown, saturated
+        else:
+            ahead = (frontier | open_masks[v] & allowed) & ~grown
+            stack.append([grown, saturated, ahead, ahead])
 
 
 # -- bijection extension ------------------------------------------------------
@@ -507,15 +543,18 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
         qa, qb = q
         return (pa == qa or qa in adj_a[pa]) and (pb == qb or qb in adj_b[pb])
 
-    def backtrack(idx: int) -> bool:
-        if idx == len(pairs):
-            return True
-        pair = pairs[idx]
+    # depth-first over the pairs in order; left[i] holds the candidates
+    # pairs[i] has not tried yet
+    left = [0] * len(pairs)
+    depth = 0
+    while depth < len(pairs):
+        pair = pairs[depth]
         a, b = pair
-        u1 = phi[(parent_a[a], b)]
-        u2 = phi[(a, parent_b[b])]
-        cand_mask = masks[u1] & masks[u2]
-        m = cand_mask
+        if pair in phi:
+            used.discard(phi.pop(pair))
+        else:
+            left[depth] = masks[phi[(parent_a[a], b)]] & masks[phi[(a, parent_b[b])]]
+        m = left[depth]
         while m:
             low = m & -m
             u = low.bit_length() - 1
@@ -523,23 +562,18 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
             if u in used:
                 continue
             row = graph.adjacency_set(u)
-            ok = True
-            for q, placed in phi.items():
-                if pair_adjacent(pair, q) != (placed in row):
-                    ok = False
-                    break
-            if ok:
+            if all(pair_adjacent(pair, q) == (placed in row) for q, placed in phi.items()):
                 phi[pair] = u
                 used.add(u)
-                if backtrack(idx + 1):
-                    return True
-                del phi[pair]
-                used.discard(u)
-        return False
-
-    if backtrack(0):
-        return dict(phi)
-    return None
+                break
+        left[depth] = m
+        if pair in phi:
+            depth += 1
+        elif depth == 0:
+            return None
+        else:
+            depth -= 1
+    return phi
 
 
 # -- neighborhood factorization ----------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from strongpfd import Graph, complete_graph, path_graph, strong_product, twisted_instance
 from strongpfd.cli import main
-from strongpfd.io import parse_dot_edge_colors, save_graph
+from strongpfd.io import graph_to_dict, parse_dot_edge_colors, save_graph
 
 from conftest import house_graph
 
@@ -207,17 +207,16 @@ def test_generate_without_instance_exits_two(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_factor_exact_too_deep_exits_two(tmp_path, capsys):
-    # the extension search recurses once per placed pair; P_600 x P_3 has
-    # far more pairs than the default recursion limit allows
+def test_factor_exact_factors_a_long_strip(tmp_path, capsys):
+    # P_600 x P_3 places far more pairs than the recursion limit has frames,
+    # so the extension search keeps its own stack
     graph, _ = strong_product([path_graph(600), path_graph(3)])
     path = tmp_path / "strip.json"
     save_graph(graph, path)
-    assert main(["factor-exact", "--input", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: maximum recursion depth exceeded")
-    assert "Traceback" not in captured.err
+    assert main(["factor-exact", "--input", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["prime_count"] == 2
+    assert data["factors"] == [graph_to_dict(path_graph(3)), graph_to_dict(path_graph(600))]
 
 
 def test_factor_computes_the_backbone_once(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from strongpfd import (
+    Graph,
     GraphError,
     NeighborhoodCache,
     backbone,
@@ -17,7 +18,7 @@ from strongpfd import (
     path_graph,
     strong_product,
 )
-from strongpfd.coloring import completion_sweep
+from strongpfd.coloring import STAGE_LIFT, PartialProductColoring, completion_sweep
 from strongpfd.graph import edge_key
 from strongpfd.oracle import random_thin_graph
 from strongpfd.skeleton import fiber_components
@@ -147,6 +148,24 @@ def test_extend_is_idempotent_after_run(p3xp3):
     before = dict(coloring.colors)
     assert completion_sweep(graph, coloring) == 0
     assert coloring.colors == before
+
+
+def test_sweep_of_a_fully_colored_graph_adds_nothing(p3xp3, monkeypatch):
+    # with no uncolored edge left, the sweep returns before it reads the graph
+    graph, _ = p3xp3
+    coloring = PartialProductColoring()
+    color = coloring.new_color()
+    for edge in graph.edges():
+        coloring.assign(edge, color, STAGE_LIFT)
+    colors, stages = dict(coloring.colors), dict(coloring.stages)
+
+    def unread(self, v):
+        raise AssertionError(f"adjacency set of {v} read")
+
+    monkeypatch.setattr(Graph, "adjacency_set", unread)
+    assert completion_sweep(graph, coloring) == 0
+    assert coloring.colors == colors
+    assert coloring.stages == stages
 
 
 def test_coloring_is_deterministic():

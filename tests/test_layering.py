@@ -1,7 +1,8 @@
 """Package imports stay at module level, only the public exact factorizer
 orders its factors, the edge coloring has one state and one continuation
-check, and neighborhood quotients are factored only through
-``NeighborhoodCache``, which alone holds the size cap and the quotient memo.
+check, neighborhood quotients are factored only through
+``NeighborhoodCache``, which alone holds the size cap and the quotient memo,
+and the exact factorizer recurses only where its depth stays small.
 
 An import inside a function body is how a module reaches back into one that
 imports it; keeping every relative import at the top of its module keeps
@@ -243,3 +244,45 @@ def test_the_check_sees_calls_in_methods_and_through_modules():
         "table = {1: quotient_graph((1,))}\n"
     )
     assert top_level_callers(source, "quotient_graph") == ["C", "f", "Assign"]
+
+
+def self_calling_functions(source: str) -> list[str]:
+    """Functions, by dotted name inside their enclosing functions and
+    classes, whose body calls their own bare name."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == child.name
+                    for inner in ast.walk(child)
+                ):
+                    found.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_factorize_recurses_only_where_depth_stays_small():
+    # _pfd recurses once per split, so its depth is the number of prime
+    # factors; every search whose depth grows with the graph keeps an
+    # explicit stack, except the fiber growth of route 2, which is still to
+    # be rewritten
+    source = (PACKAGE / "factorize.py").read_text()
+    assert self_calling_functions(source) == ["_grow_fiber_candidates.rec", "_pfd"]
+
+
+def test_the_check_sees_nested_recursion():
+    source = (
+        "def f(n):\n    return f(n - 1)\n"
+        "def g(xs):\n    def walk(x):\n        yield from walk(x)\n    return list(walk(xs))\n"
+        "class C:\n    def get(self, v):\n        return self.entries.get(v)\n"
+        "    def m(self):\n        def inner():\n            return inner()\n"
+        "def h():\n    return f(1)\n"
+    )
+    assert self_calling_functions(source) == ["C.m.inner", "f", "g.walk"]
