@@ -21,15 +21,15 @@ All routes are exact; the size cap only bounds running time.
 ``NeighborhoodCache`` owns neighborhood factoring for one graph: its
 ``factor_ball`` is the one path from a ball around a vertex to a factored
 quotient.  The classes of the ball and the key of its quotient come from
-``sclasses.relative_quotient`` on the host's bitmasks, the size cap is
-checked on the quotient, and the quotient graph is built and factored only
-when the cache's memo has no entry under that key; no subgraph of the host
-is built.  The 1-neighborhoods of the coloring stages, the 2-neighborhoods
-of the N2 sweep and the split search of route 2 all take this path.  A miss
-costs one split search and one verification: internal quotient
-factorizations are left in the order the split search found them, and only
-the public ``factor_exact`` orders its factors.  A one-factor result under
-identity coordinates is verified by graph equality.
+``sclasses.relative_quotient`` in the ball's own positions, the size cap is
+checked on the quotient, and the quotient graph is built from its masks and
+factored only when the cache's memo has no entry under that key; no
+subgraph of the host is built.  The 1-neighborhoods of the coloring stages,
+the 2-neighborhoods of the N2 sweep and the split search of route 2 all
+take this path.  A miss costs one split search and one verification:
+internal quotient factorizations are left in the order the split search
+found them, and only the public ``factor_exact`` orders its factors.  A
+one-factor result under identity coordinates is verified by graph equality.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 from .graph import DisconnectedError, Edge, Graph, GraphError, VertexSet, edge_key
 from .isomorphism import canonical_form
@@ -265,15 +266,18 @@ def _grow_fiber_candidates(
     results: set[frozenset[int]] = set()
     seen_states: set[tuple[frozenset[int], tuple[int, ...]]] = set()
     n = graph.vertex_count
-
-    def rec(current: frozenset[int], pending: tuple[int, ...]) -> None:
-        state = (current, pending)
+    # depth first over (current, pending) states, children in pick order;
+    # one expansion per backbone vertex of a fiber, so no call stack
+    stack = [(seed, tuple(sorted(seed & backbone_set)))]
+    while stack:
+        state = stack.pop()
         if state in seen_states:
-            return
+            continue
         seen_states.add(state)
+        current, pending = state
         if not pending:
             results.add(current)
-            return
+            continue
         v, rest = pending[0], pending[1:]
         nf = neighborhood(v)
         coords, m_v = nf.coordinates, nf.prime_count
@@ -282,6 +286,7 @@ def _grow_fiber_candidates(
         for u in current.intersection(nf.vertices):
             forced.update(i for i in range(m_v) if coords[u][i] != cv[i])
         free = [i for i in range(m_v) if i not in forced]
+        children = []
         for pick in range(1 << len(free)):
             inside = frozenset(forced | {free[j] for j in range(len(free)) if pick >> j & 1})
             if not inside or len(inside) == m_v:
@@ -292,9 +297,8 @@ def _grow_fiber_candidates(
             if len(grown) * 2 > n:
                 continue
             fresh = sorted((grown & backbone_set) - current - set(rest) - {v})
-            rec(grown, rest + tuple(fresh))
-
-    rec(seed, tuple(sorted(seed & backbone_set)))
+            children.append((grown, rest + tuple(fresh)))
+        stack.extend(reversed(children))
     return sorted(results, key=lambda s: (len(s), sorted(s)))
 
 
@@ -582,7 +586,7 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
 @dataclass(frozen=True)
 class FactoredQuotient:
     """A quotient graph, its factorization and its Cartesian edges, listed
-    as (qa, qb, factor index) in the order of ``graph.edges()``.
+    as ((qa, qb), factor index) in the order of ``graph.edges()``.
 
     Only a quotient with two or more factors stores its Cartesian edges; a
     prime quotient reads them off its graph, since its one coordinate
@@ -591,12 +595,12 @@ class FactoredQuotient:
 
     graph: Graph
     factorization: LocalFactorization
-    composite_edges: tuple[tuple[int, int, int], ...]
+    composite_edges: tuple[tuple[Edge, int], ...]
 
     @property
-    def cartesian_edges(self) -> tuple[tuple[int, int, int], ...]:
+    def cartesian_edges(self) -> Iterable[tuple[Edge, int]]:
         if self.factorization.prime_count == 1:
-            return tuple((qa, qb, 0) for qa, qb in self.graph.edges())
+            return zip(self.graph.edges(), repeat(0))
         return self.composite_edges
 
 
@@ -682,7 +686,7 @@ class NeighborhoodCache:
                 for qa, qb in qgraph.edges():
                     changed = [i for i, (x, y) in enumerate(zip(rows[qa], rows[qb])) if x != y]
                     if len(changed) == 1:
-                        found.append((qa, qb, changed[0]))
+                        found.append(((qa, qb), changed[0]))
             entry = self.quotients[masks] = FactoredQuotient(qgraph, fact, tuple(found))
         return members, classes, class_map, entry
 
@@ -692,19 +696,22 @@ def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactori
     identifiable product edges.
 
     The lifting always goes through this neighborhood's own classes and
-    host ids, also when the quotient came from the memo.
+    host ids, also when the quotient came from the memo.  Classes ascend
+    with their least member, so an edge between two singleton classes is
+    keyed as it comes.
     """
     if not is_thin(cache.graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
     members, classes, class_map, entry = cache.factor_ball(v, 1)
+    single = [members[cls[0]] if len(cls) == 1 else None for cls in classes]
     lifted: dict[Edge, int] = {}
-    for qa, qb, idx in entry.cartesian_edges:
-        side_a = classes[qa]
-        side_b = classes[qb]
-        if len(side_a) != 1 and len(side_b) != 1:
-            continue
-        for ha in side_a:
-            for hb in side_b:
-                lifted[edge_key(members[ha], members[hb])] = idx
+    for (qa, qb), idx in entry.cartesian_edges:
+        ha, hb = single[qa], single[qb]
+        if ha is not None and hb is not None:
+            lifted[ha, hb] = idx
+        elif ha is not None or hb is not None:
+            for pa in classes[qa]:
+                for pb in classes[qb]:
+                    lifted[edge_key(members[pa], members[pb])] = idx
     quot = QuotientResult(entry.graph, class_map, classes)
     return NeighborhoodFactorization(v, members, quot, entry.factorization, lifted)

@@ -1,22 +1,28 @@
 """Immutable simple-graph type with the neighborhood and traversal primitives.
 
 Vertices are dense integers ``0..n-1``.  Adjacency is stored both as frozen
-sets (membership tests) and sorted tuples (deterministic iteration).  Facts
-derived from the immutable graph are computed at most once per instance: the
-bitmask per closed neighborhood, connectivity, thinness and the vertices
-whose closed neighborhood is maximal.
+sets (membership tests) and sorted tuples (deterministic iteration).  A graph
+is built from an edge list or, with ``Graph.from_closed_masks``, straight
+from its closed-neighborhood bitmasks.  Facts derived from the immutable
+graph are computed at most once per instance: the bitmask per closed
+neighborhood, connectivity, thinness and the vertices whose closed
+neighborhood is maximal.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator
 
 #: Ordered collection of vertex ids, always sorted ascending.
 VertexSet = tuple[int, ...]
 
 Edge = tuple[int, int]
+
+# the digits of ``bin`` reversed, as 0/1 bytes that select vertex ids
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class GraphError(ValueError):
@@ -52,6 +58,26 @@ class Graph:
         self._n = n
         self._adj = tuple(frozenset(s) for s in adj)
         self._sorted = tuple(tuple(sorted(s)) for s in adj)
+
+    @classmethod
+    def from_closed_masks(cls, masks: tuple[int, ...]) -> "Graph":
+        """The graph whose closed neighborhoods are the bitmasks ``masks``.
+
+        Each row is read straight off its mask, with no edge list, and
+        ``masks`` becomes the graph's ``closed_masks``.  The masks must be
+        symmetric and hold each vertex's own bit; they are not checked.
+        """
+        span = range(len(masks))
+        rows = tuple(
+            tuple(compress(span, bin(m ^ 1 << v)[:1:-1].encode().translate(_BIT_BYTES)))
+            for v, m in enumerate(masks)
+        )
+        graph = cls.__new__(cls)
+        graph._n = len(masks)
+        graph._adj = tuple(map(frozenset, rows))
+        graph._sorted = rows
+        graph.__dict__["closed_masks"] = masks
+        return graph
 
     # -- basic accessors -------------------------------------------------
 

@@ -8,10 +8,12 @@ vertices whose closed neighborhood is strictly maximal; on thin connected
 graphs it induces a connected dominating set.
 
 ``relative_quotient`` is the one quotient routine: it splits a vertex set
-into its relative classes by the host's closed-neighborhood bitmasks and
-returns the quotient's own closed masks, which fix the quotient as a
-labelled graph, without building any graph.  ``quotient`` is that routine
-over all vertices, and ``quotient_graph`` builds the graph from the masks.
+into its relative classes by keys in the set's own positions, read once off
+each member's adjacency set, and returns the quotient's own closed masks,
+which fix the quotient as a labelled graph, without building any graph.  No
+key is wider than the set, whatever the host's size.  ``quotient`` is that
+routine over all vertices, and ``quotient_graph`` builds the graph's rows
+straight from the masks, which it keeps as the graph's ``closed_masks``.
 
 ``require_thin_connected`` is the one validity gate of the pipeline, whose
 backbone is defined only on nonempty, connected, thin graphs; both facts are
@@ -22,6 +24,7 @@ The backbone itself is memoized there too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable
 
 from .graph import DisconnectedError, Graph, GraphError, VertexSet
@@ -54,7 +57,10 @@ def relative_quotient(
     graph: Graph, members: VertexSet
 ) -> tuple[tuple[VertexSet, ...], tuple[int, ...], tuple[int, ...]]:
     """Classes of the sorted vertex set ``members`` relative to itself, read
-    straight off the host's closed-neighborhood bitmasks.
+    in position space: each member is keyed by the bitmask of the positions
+    in ``members`` of its closed neighborhood, taken from its adjacency set
+    once, so a key has at most ``len(members)`` bits whatever the host's
+    size.
 
     Two members share a class when N[u] intersected with ``members``
     coincides.  Returns (classes, class_map, masks): the classes as
@@ -62,48 +68,43 @@ def relative_quotient(
     each position's class; and the quotient's ``closed_masks``, which fix
     the quotient as a labelled graph.  No graph is built.
     """
-    host_mask = 0
-    for v in members:
-        host_mask |= 1 << v
-    masks = graph.closed_masks
+    bits = {v: 1 << pos for pos, v in enumerate(members)}
+    bit_of, zeros, adjacency = bits.get, repeat(0), graph.adjacency_set
+    keys = [sum(map(bit_of, adjacency(v), zeros), bit) for v, bit in bits.items()]
     index: dict[int, int] = {}
     groups: list[list[int]] = []
-    reps: list[int] = []
     class_map = []
-    for pos, v in enumerate(members):
-        key = masks[v] & host_mask
+    for pos, key in enumerate(keys):
         c = index.get(key)
         if c is None:
             c = index[key] = len(groups)
             groups.append([pos])
-            reps.append(v)
         else:
             groups[c].append(pos)
         class_map.append(c)
-    # members of two classes are all adjacent or all apart, so the
-    # representatives' adjacency decides the quotient's edges
-    class_at = {r: c for c, r in enumerate(reps)}
-    qmasks = []
-    for c, r in enumerate(reps):
-        qmask = 1 << c
-        for w in graph.adjacency_set(r):
-            d = class_at.get(w)
-            if d is not None:
-                qmask |= 1 << d
-        qmasks.append(qmask)
-    return tuple(tuple(g) for g in groups), tuple(class_map), tuple(qmasks)
+    if len(groups) == len(keys):
+        # every class is a singleton, numbered by its position
+        return tuple(map(tuple, groups)), tuple(class_map), tuple(keys)
+    # members of two classes are all adjacent or all apart, so a class's
+    # quotient mask is read off the least members in its least member's key
+    least = sum(1 << group[0] for group in groups)
+    masks = []
+    for group in groups:
+        key = keys[group[0]] & least
+        mask = 0
+        while key:
+            low = key & -key
+            mask |= 1 << class_map[low.bit_length() - 1]
+            key ^= low
+        masks.append(mask)
+    return tuple(map(tuple, groups)), tuple(class_map), tuple(masks)
 
 
 def quotient_graph(masks: tuple[int, ...]) -> Graph:
-    """The graph whose closed neighborhoods are ``masks``."""
-    edges = []
-    for u, m in enumerate(masks):
-        m >>= u + 1
-        while m:
-            low = m & -m
-            edges.append((u, u + low.bit_length()))
-            m ^= low
-    return Graph(len(masks), edges)
+    """The graph whose closed neighborhoods are ``masks``, which must be
+    symmetric and hold each vertex's own bit, as ``relative_quotient``
+    returns them; ``masks`` becomes the graph's ``closed_masks``."""
+    return Graph.from_closed_masks(masks)
 
 
 def relative_s_partition(graph: Graph, host: Iterable[int]) -> SPartition:

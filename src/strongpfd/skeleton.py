@@ -171,7 +171,7 @@ def n2_sweep(
                 f"2-neighborhood class of {x} is not a singleton; host graph is not thin"
             )
         # edges come sorted, so the far ends of those at qx ascend
-        for qa, qb, idx in entry.cartesian_edges:
+        for (qa, qb), idx in entry.cartesian_edges:
             if qx not in (qa, qb):
                 continue
             for hy in classes[qb if qa == qx else qa]:
@@ -207,8 +207,9 @@ def _stitch_lifted_edges(
     return the local prime counts.
 
     Each local factor of center v opens one raw color; an edge takes the raw
-    color of the first center that lifts it and is unioned with those of the
-    later ones.  A lifted edge between two backbone vertices must pass the
+    color of the first center that lifts it, and each later center unions
+    every distinct (earlier raw color, own raw color) pair of its lifted
+    edges once.  A lifted edge between two backbone vertices must pass the
     continuation check into the far neighborhood, and no two local factors
     of one center may share a class.
     """
@@ -227,12 +228,18 @@ def _stitch_lifted_edges(
         for w in sorted(steps, key=lambda w: lifted[edge_key(v, w)]):
             color_continuation(cache, nf, v, w)
         raw = opened[v] = [new_color() for _ in range(count)]
+        # many lifted edges join the same two raw colors; each distinct pair
+        # is unioned once, in the order it first appears
+        joins: dict[tuple[int, int], None] = {}
         for edge, idx in lifted.items():
             color = raw[idx]
-            if edge_color.setdefault(edge, color) == color:
+            first = edge_color.setdefault(edge, color)
+            if first == color:
                 stage_of[edge] = STAGE_LIFT
             else:
-                union(edge_color[edge], color)
+                joins[first, color] = None
+        for first, color in joins:
+            union(first, color)
     for v, raw in opened.items():
         if len({find(c) for c in raw}) != len(raw):
             raise SkeletonError(

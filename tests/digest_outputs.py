@@ -1,0 +1,97 @@
+"""Output digests of the public entry points, to check that a refactor keeps
+every result byte-identical.
+
+Usage, from the root of a checkout:
+
+    python3 tests/digest_outputs.py [--seed 1]
+
+Each input of the three benchmark workloads (``perfbench/workloads.py``,
+read as it is) runs through its own entry point, and every graph of the
+200-graph recovery corpus (``conftest.recovery_corpus``) runs through all
+three.  An outcome is ``recognize(...).to_dict()``, the factors and
+coordinates of ``pfd_fast`` or ``factor_exact``, or the exception's type
+and message.  The script prints one line per entry point, the digest of
+its outcomes in order and how many there are, then how many quotients the
+neighborhood memo factored (its misses) per workload and entry point.  Run
+it at two commits and compare the lines; pytest does not collect this
+file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+import strongpfd  # noqa: E402
+import workloads  # noqa: E402
+from conftest import recovery_corpus  # noqa: E402
+from strongpfd import factorize  # noqa: E402
+from strongpfd.io import loads_edgelist  # noqa: E402
+
+ENTRY_POINTS = ("recognize", "pfd_fast", "factor_exact")
+
+
+def outcome(kind: str, graph) -> str:
+    try:
+        result = getattr(strongpfd, kind)(graph)
+    except Exception as exc:  # every exception is an outcome to compare
+        return f"{type(exc).__name__}: {exc}"
+    if kind == "recognize":
+        return json.dumps(result.to_dict(), sort_keys=True)
+    coords = None if result.coords is None else result.coords.coords
+    return repr(([(f.vertex_count, tuple(f.edges())) for f in result.factors], coords))
+
+
+def count_misses() -> dict[str, int]:
+    """Count the quotients the memo of every ``NeighborhoodCache`` factors,
+    under the key ``"now"``."""
+    counter = {"now": 0}
+    factor_ball = factorize.NeighborhoodCache.factor_ball
+
+    def counted(self, center, radius):
+        before = len(self.quotients)
+        found = factor_ball(self, center, radius)
+        counter["now"] += len(self.quotients) - before
+        return found
+
+    factorize.NeighborhoodCache.factor_ball = counted
+    return counter
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    rows: dict[str, list[str]] = {kind: [] for kind in ENTRY_POINTS}
+    misses: dict[tuple[str, str], int] = {}
+    counter = count_misses()
+
+    def run(source: str, kind: str, graph) -> None:
+        start = counter["now"]
+        rows[kind].append(outcome(kind, graph))
+        misses[source, kind] = misses.get((source, kind), 0) + counter["now"] - start
+
+    for name in workloads.WORKLOADS:
+        pool = workloads.build(name, args.seed)
+        for kind in ENTRY_POINTS:
+            for case in pool.cases.get(kind, []):
+                run(name, kind, loads_edgelist(case.text))
+    for graph in recovery_corpus():
+        for kind in ENTRY_POINTS:
+            run("recovery", kind, graph)
+    for kind in ENTRY_POINTS:
+        digest = hashlib.blake2b("\n".join(rows[kind]).encode(), digest_size=16).hexdigest()
+        print(f"{kind} {digest} outcomes={len(rows[kind])}")
+    for (source, kind), count in misses.items():
+        print(f"misses {source} {kind} {count}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -69,6 +69,15 @@ def test_size_cap_and_disconnected_errors():
         factor_exact(Graph(4, [(0, 1), (2, 3)]))
 
 
+def test_factor_exact_grows_the_fibers_of_a_long_strip():
+    # route 2 expands one backbone vertex of a growing fiber at a time, more
+    # of them than the recursion limit has frames, so it keeps its own stack
+    graph, _ = strong_product([path_graph(1000), path_graph(3)])
+    result = factor_exact(graph, size_cap=None)
+    assert result.factors == (path_graph(3), path_graph(1000))
+    assert reconstructs(graph, result)
+
+
 def test_three_factor_product():
     graph, _ = strong_product([path_graph(2), path_graph(2), path_graph(3)])
     result = factor_exact(graph)

@@ -16,6 +16,7 @@ from strongpfd import (
     path_graph,
     strong_product,
 )
+from strongpfd.sclasses import quotient_graph
 
 
 def test_rejects_self_loops_and_bad_ids():
@@ -155,3 +156,35 @@ def test_distance_on_product_is_max_of_factor_distances():
         cu, cv = coords.coords[u], coords.coords[v]
         expected = max(p4.distance(cu[0], cv[0]), c5.distance(cu[1], cv[1]))
         assert graph.distance(u, v) == expected
+
+
+@st.composite
+def closed_masks(draw):
+    """Closed-neighborhood bitmasks of an arbitrary simple graph on 1..12
+    vertices: symmetric, each holding its own bit."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    masks = [1 << v for v in range(n)]
+    for (u, v), edge in zip(pairs, chosen):
+        if edge:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return tuple(masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_masks())
+def test_graph_from_masks_equals_the_edge_built_graph(masks):
+    n = len(masks)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1]
+    built = Graph(n, edges)
+    graph = quotient_graph(masks)
+    assert graph == built
+    assert list(graph.edges()) == edges
+    assert graph.closed_masks is masks
+    assert built.closed_masks == masks
+    assert graph.thin == built.thin
+    assert graph.is_connected() == built.is_connected()
+    assert graph.maximal_vertices == built.maximal_vertices
+    assert all(graph.neighbors(v) == built.neighbors(v) for v in range(n))

@@ -271,10 +271,9 @@ def self_calling_functions(source: str) -> list[str]:
 def test_factorize_recurses_only_where_depth_stays_small():
     # _pfd recurses once per split, so its depth is the number of prime
     # factors; every search whose depth grows with the graph keeps an
-    # explicit stack, except the fiber growth of route 2, which is still to
-    # be rewritten
+    # explicit stack
     source = (PACKAGE / "factorize.py").read_text()
-    assert self_calling_functions(source) == ["_grow_fiber_candidates.rec", "_pfd"]
+    assert self_calling_functions(source) == ["_pfd"]
 
 
 def test_the_check_sees_nested_recursion():

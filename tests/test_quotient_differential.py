@@ -37,6 +37,8 @@ from strongpfd import (
     strong_product,
 )
 from strongpfd import skeleton
+from strongpfd.oracle import random_thin_graph
+from strongpfd.sclasses import quotient_graph, relative_quotient
 
 from conftest import house_graph
 from test_quotient_memo import full_corpus
@@ -153,6 +155,53 @@ def test_neighborhoods_match_the_subgraph_path():
             assert_same_neighborhood(plain, graph, (label, v, "plain"))
 
 
+def dense_graphs() -> list[tuple[str, Graph]]:
+    """Random thin graphs of the prime orders and densities of the dense
+    benchmark, where almost no neighborhood quotient repeats."""
+    rng = random.Random(4161)
+    return [
+        (f"G({n},{p})", random_thin_graph(n, p, rng.randrange(2**32)))
+        for n, p in ((41, 0.4), (47, 0.6), (53, 0.5), (61, 0.45))
+    ]
+
+
+def test_dense_neighborhoods_match_the_subgraph_path():
+    for label, graph in dense_graphs():
+        cache = NeighborhoodCache(graph)
+        for v in graph.vertices():
+            assert_same_neighborhood(cache.get(v), graph, (label, v))
+
+
+def assert_same_ball(graph: Graph, members, label) -> None:
+    classes, class_map, masks = relative_quotient(graph, members)
+    sub, _ = graph.induced_subgraph(members)
+    qgraph, old_map, old_classes = legacy_quotient(sub)
+    assert (classes, class_map) == (old_classes, old_map), label
+    assert masks == qgraph.closed_masks, label
+    assert quotient_graph(masks) == qgraph, label
+
+
+def test_balls_of_radius_two_match_the_subgraph_path():
+    for label, graph in dense_graphs()[:2] + full_corpus()[::5]:
+        for v in graph.vertices():
+            assert_same_ball(graph, graph.n_neighborhood(v, 2), (label, v))
+
+
+def test_classes_are_read_without_the_host_bitmasks(monkeypatch):
+    # keys live in the positions of the ball, so no n-bit host mask is read
+    graph, _ = strong_product([path_graph(200), path_graph(3)])
+    balls = [graph.n_neighborhood(v, radius) for v in graph.vertices() for radius in (1, 2)]
+    expected = [relative_quotient(graph, members) for members in balls]
+    for members in balls:
+        assert_same_ball(graph, members, members)
+
+    def no_host_masks(self):
+        raise AssertionError("relative_quotient read the host's closed_masks")
+
+    monkeypatch.setattr(Graph, "closed_masks", property(no_host_masks))
+    assert [relative_quotient(graph, members) for members in balls] == expected
+
+
 def n2_targets(graph: Graph, monkeypatch: pytest.MonkeyPatch) -> list[int]:
     seen: list[int] = []
     sweep = skeleton.n2_sweep
@@ -181,7 +230,7 @@ def test_n2_quotients_match_the_subgraph_path(k, monkeypatch):
             assert (found, class_map, classes) == (members, old_map, old_classes), (k, x)
             assert entry.graph == qgraph, (k, x)
             assert entry.factorization == fact, (k, x)
-            assert entry.cartesian_edges == edges, (k, x)
+            assert list(entry.cartesian_edges) == [((qa, qb), i) for qa, qb, i in edges], (k, x)
 
 
 def non_thin_graphs() -> list[Graph]:

@@ -16,7 +16,9 @@ import pytest
 from strongpfd import (
     Graph,
     NeighborhoodCache,
+    PartialProductColoring,
     SkeletonError,
+    UnionFind,
     backbone,
     build_skeleton,
     is_thin,
@@ -31,6 +33,7 @@ from strongpfd import coloring, factorize, skeleton
 
 from conftest import house_graph, recovery_corpus
 from legacy_skeleton import legacy_recognize
+from test_quotient_differential import dense_graphs
 
 
 def mobius_king_strip(k: int) -> Graph:
@@ -59,7 +62,7 @@ def fixture_corpus() -> list[tuple[str, Graph]]:
     for n in (13, 17, 19, 23):
         for p in (0.4, 0.5, 0.6):
             cases.append((f"G({n},{p})", random_thin_graph(n, p, rng.randrange(2**32))))
-    return cases
+    return cases + dense_graphs()
 
 
 def outcome(recognizer, graph: Graph):
@@ -168,3 +171,39 @@ def test_assembly_cost_is_one_factorization_per_backbone_vertex(monkeypatch):
     assert sorted(calls["factor_neighborhood"]) == list(backbone(graph))
     assert calls["completion_sweep"] == 1
     assert calls["color_fibers_from"] == 0
+
+
+def test_stitch_unions_each_color_pair_once_per_center():
+    _, graph = dense_graphs()[1]
+    cache = NeighborhoodCache(graph)
+    state = PartialProductColoring()
+    calls = []
+    union = state.uf.union
+
+    def counted(a, b):
+        calls.append((a, b))
+        return union(a, b)
+
+    state.uf.union = counted
+    skeleton._stitch_lifted_edges(cache, state)
+    # replay the stitch edge by edge: raw colors open in backbone order, an
+    # edge keeps the first raw color that reaches it, and every later lift
+    # of it joins that color with the new one
+    first: dict = {}
+    pairs, per_edge = set(), UnionFind()
+    for v in backbone(graph):
+        nf = cache.get(v)
+        raw = [per_edge.add() for _ in range(nf.prime_count)]
+        for edge, idx in nf.lifted.items():
+            color = first.setdefault(edge, raw[idx])
+            if color != raw[idx]:
+                pairs.add((color, raw[idx]))
+                per_edge.union(color, raw[idx])
+    assert len(calls) == len(set(calls)) == len(pairs)
+    assert set(calls) == pairs
+    assert len(calls) < 0.2 * sum(len(cache.get(v).lifted) for v in backbone(graph))
+    assert state.colors == first
+    # one partition of the raw colors: its blocks pair the roots one to one
+    assert len(state.uf.parent) == len(per_edge.parent)
+    blocks = {(state.uf.find(c), per_edge.find(c)) for c in range(len(per_edge.parent))}
+    assert len(blocks) == len({a for a, _ in blocks}) == len({b for _, b in blocks})
