@@ -190,44 +190,48 @@ def _bfs_one_color(
 def completion_sweep(
     graph: Graph,
     coloring: PartialProductColoring,
-    colors: set[int] | None = None,
+    color: int | None = None,
     stage: str = STAGE_COMPLETION,
 ) -> int:
     """Color uncolored edges pinched between two same-colored edges.
 
     An edge (v, w) joins color c when some z carries colored edges (z, v)
     and (z, w) of color c.  Runs to a fixpoint; returns how many edges were
-    added, at once 0 when every edge of the graph is colored already.
+    added, at once 0 when every edge of the graph is colored already.  With
+    ``color`` given, only that color spreads.  One color reaches the same
+    fixpoint in any order, so its edges are taken as they come; all colors
+    go in sorted edge order, which decides the color of an edge pinched in
+    two.
     """
-    if len(coloring.colors) == graph.edge_count:
+    colors = coloring.colors
+    if len(colors) == graph.edge_count:
         return 0
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices()}
-    worklist: deque[Edge] = deque()
-    for edge in sorted(coloring.colors):
-        c = coloring.colors[edge]
-        if colors is not None and c not in colors:
-            continue
-        u, v = edge
+    if color is None:
+        seeds = sorted(colors.items())
+    else:
+        seeds = [(edge, c) for edge, c in colors.items() if c == color]
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+    for (u, v), c in seeds:
         incident[u].append((v, c))
         incident[v].append((u, c))
-        worklist.append(edge)
+    rows = graph.adjacency_sets
+    worklist = deque(seeds)
     added = 0
     while worklist:
-        u, v = worklist.popleft()
-        c = coloring.colors[(u, v)]
+        (u, v), c = worklist.popleft()
         for z, other in ((u, v), (v, u)):
-            near = graph.adjacency_set(other)
+            near = rows[other]
             # appends below go to other's and w's lists, never to z's
             for w, cw in incident[z]:
                 if cw != c or w == other:
                     continue
                 edge = edge_key(other, w)
-                if edge in coloring.colors or w not in near:
+                if edge in colors or w not in near:
                     continue
                 coloring.assign(edge, c, stage)
                 incident[other].append((w, c))
                 incident[w].append((other, c))
-                worklist.append(edge)
+                worklist.append((edge, c))
                 added += 1
     return added
 
@@ -251,7 +255,7 @@ def color_fibers_from(cache: NeighborhoodCache, anchor: int) -> PartialProductCo
     for local_color in range(cache.get(anchor).prime_count):
         raw = coloring.new_color()
         _bfs_one_color(anchor, local_color, raw, cache, coloring)
-        completion_sweep(graph, coloring, colors={raw})
+        completion_sweep(graph, coloring, color=raw)
     return coloring
 
 

@@ -184,7 +184,8 @@ def _find_split(graph: Graph):
     n = graph.vertex_count
     if not any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
         return None
-    if is_thin(graph):
+    # every route reads the closed masks, so thinness is read off them too
+    if len(set(graph.closed_masks)) == n:
         if any(graph.degree(v) == n - 1 for v in graph.vertices()):
             return _split_via_containment(graph)
         return _split_grown(graph)
@@ -206,8 +207,9 @@ def _split_via_containment(graph: Graph):
     masks = graph.closed_masks
     down: list[frozenset[int]] = []
     for u in range(n):
+        # only a member of N[u] can have its closed neighborhood inside N[u]
         mu = masks[u]
-        down.append(frozenset(v for v in range(n) if masks[v] | mu == mu))
+        down.append(frozenset([u, *(v for v in graph.neighbors(u) if masks[v] | mu == mu)]))
     tried: set[frozenset[frozenset[int]]] = set()
     for u1 in range(n):
         p1 = down[u1]
@@ -703,8 +705,13 @@ def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactori
     if not is_thin(cache.graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
     members, classes, class_map, entry = cache.factor_ball(v, 1)
+    quot = QuotientResult(entry.graph, class_map, classes)
+    if len(classes) == len(members):
+        # all classes are singletons, numbered by position
+        lifted = {(members[qa], members[qb]): idx for (qa, qb), idx in entry.cartesian_edges}
+        return NeighborhoodFactorization(v, members, quot, entry.factorization, lifted)
     single = [members[cls[0]] if len(cls) == 1 else None for cls in classes]
-    lifted: dict[Edge, int] = {}
+    lifted = {}
     for (qa, qb), idx in entry.cartesian_edges:
         ha, hb = single[qa], single[qb]
         if ha is not None and hb is not None:
@@ -713,5 +720,4 @@ def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactori
             for pa in classes[qa]:
                 for pb in classes[qb]:
                     lifted[edge_key(members[pa], members[pb])] = idx
-    quot = QuotientResult(entry.graph, class_map, classes)
     return NeighborhoodFactorization(v, members, quot, entry.factorization, lifted)

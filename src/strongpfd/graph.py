@@ -4,9 +4,12 @@ Vertices are dense integers ``0..n-1``.  Adjacency is stored both as frozen
 sets (membership tests) and sorted tuples (deterministic iteration).  A graph
 is built from an edge list or, with ``Graph.from_closed_masks``, straight
 from its closed-neighborhood bitmasks.  Facts derived from the immutable
-graph are computed at most once per instance: the bitmask per closed
-neighborhood, connectivity, thinness and the vertices whose closed
-neighborhood is maximal.
+graph are computed at most once per instance: connectivity, thinness, the
+vertices whose closed neighborhood is maximal and, on demand only, the
+bitmask per closed neighborhood.  Thinness and the maximal vertices come
+from one pass over the adjacency sets, which tests each vertex against its
+neighbors alone, so an edge-built graph never pays for n-bit masks unless a
+caller reads ``closed_masks``.
 """
 
 from __future__ import annotations
@@ -96,6 +99,11 @@ class Graph:
         self._check_vertex(v)
         return self._adj[v]
 
+    @property
+    def adjacency_sets(self) -> tuple[frozenset[int], ...]:
+        """Every vertex's adjacency set, indexed by vertex id."""
+        return self._adj
+
     def adjacent(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -139,23 +147,45 @@ class Graph:
 
     @cached_property
     def thin(self) -> bool:
-        """True iff no two vertices share a closed neighborhood."""
-        return len(set(self.closed_masks)) == self._n
+        """True iff no two vertices share a closed neighborhood.
+
+        Read off ``closed_masks`` when the graph holds them already, else off
+        the closed sets of the backbone pass.
+        """
+        masks = self.__dict__.get("closed_masks")
+        if masks is not None:
+            return len(set(masks)) == self._n
+        return self._containment[0]
 
     @cached_property
     def maximal_vertices(self) -> VertexSet:
         """Vertices whose closed neighborhood lies inside no other vertex's.
 
-        Only a neighbor's closed neighborhood can contain N[v], since only
-        it contains v.  ``sclasses.backbone`` is this set on the graphs
-        where the backbone is defined.
+        ``sclasses.backbone`` is this set on the graphs where the backbone
+        is defined.
         """
-        masks = self.closed_masks
-        return tuple(
-            v
-            for v in range(self._n)
-            if all(masks[v] | masks[u] != masks[u] for u in self._sorted[v])
-        )
+        return self._containment[1]
+
+    @cached_property
+    def _containment(self) -> tuple[bool, VertexSet]:
+        """Thinness and the maximal vertices, from one pass over the closed
+        neighborhoods as sets, with no n-bit mask.
+
+        Only a neighbor's closed neighborhood can contain N[v], since only
+        it contains v, so each vertex is tested against its neighbors alone,
+        by the early-exit subset test, and leaves at the first that covers
+        it.  Twins are equal closed sets.
+        """
+        closed = [row | {v} for v, row in enumerate(self._adj)]
+        maximal = []
+        for v, row in enumerate(self._adj):
+            own = closed[v]
+            for u in row:
+                if own <= closed[u]:
+                    break
+            else:
+                maximal.append(v)
+        return len(set(closed)) == self._n, tuple(maximal)
 
     def closed_neighborhood(self, v: int) -> VertexSet:
         """N[v] = N(v) together with v itself, ascending."""

@@ -5,7 +5,10 @@ gate of the backbone pipeline.
 Two vertices are equivalent relative to a vertex subset H when their closed
 neighborhoods intersected with H coincide.  The backbone is the set of
 vertices whose closed neighborhood is strictly maximal; on thin connected
-graphs it induces a connected dominating set.
+graphs it induces a connected dominating set.  Thinness and the backbone
+are read off the ``Graph``, which finds both in one pass over its
+adjacency sets, so neither builds the host's n-bit closed masks; only the
+witness helpers ``s_class_size`` and ``s1_witness`` read them.
 
 ``relative_quotient`` is the one quotient routine: it splits a vertex set
 into its relative classes by keys in the set's own positions, read once off
@@ -66,11 +69,12 @@ def relative_quotient(
     coincides.  Returns (classes, class_map, masks): the classes as
     ascending positions in ``members``, numbered by their least position;
     each position's class; and the quotient's ``closed_masks``, which fix
-    the quotient as a labelled graph.  No graph is built.
+    the quotient as a labelled graph.  No graph is built, and the members,
+    which must be vertex ids of ``graph``, are not checked.
     """
     bits = {v: 1 << pos for pos, v in enumerate(members)}
-    bit_of, zeros, adjacency = bits.get, repeat(0), graph.adjacency_set
-    keys = [sum(map(bit_of, adjacency(v), zeros), bit) for v, bit in bits.items()]
+    bit_of, zeros, rows = bits.get, repeat(0), graph.adjacency_sets
+    keys = [sum(map(bit_of, rows[v], zeros), bit) for v, bit in bits.items()]
     index: dict[int, int] = {}
     groups: list[list[int]] = []
     class_map = []

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from strongpfd import (
+    ColoringError,
     Graph,
     GraphError,
     NeighborhoodCache,
@@ -141,6 +143,24 @@ def test_mismatched_local_counts_abort(p3xp3):
     assert str(stitched.value) == str(anchored.value)
 
 
+def test_unlifted_parent_edge_aborts_the_continuation():
+    # a neighborhood with the anchor's local factor count that does not lift
+    # the edge from its BFS parent leaves the color nowhere to go
+    graph, _ = strong_product([path_graph(4), path_graph(3)])
+    anchor, v = backbone(graph)
+    cache = NeighborhoodCache(graph)
+    nf = cache.get(v)
+    assert nf.prime_count == cache.get(anchor).prime_count == 2
+    edge = edge_key(anchor, v)
+    assert edge in nf.lifted
+    cache.entries[v] = replace(nf, lifted={e: i for e, i in nf.lifted.items() if e != edge})
+    with pytest.raises(ColoringError) as raised:
+        color_fibers_from(cache, anchor)
+    assert str(raised.value) == (
+        f"no color continuation into the neighborhood of {v} through edge {edge}"
+    )
+
+
 def test_extend_is_idempotent_after_run(p3xp3):
     graph, coords = p3xp3
     center = coords.vertex_at((1, 1))
@@ -162,7 +182,11 @@ def test_sweep_of_a_fully_colored_graph_adds_nothing(p3xp3, monkeypatch):
     def unread(self, v):
         raise AssertionError(f"adjacency set of {v} read")
 
+    def unread_all(self):
+        raise AssertionError("adjacency sets read")
+
     monkeypatch.setattr(Graph, "adjacency_set", unread)
+    monkeypatch.setattr(Graph, "adjacency_sets", property(unread_all))
     assert completion_sweep(graph, coloring) == 0
     assert coloring.colors == colors
     assert coloring.stages == stages

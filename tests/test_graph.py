@@ -159,6 +159,45 @@ def test_distance_on_product_is_max_of_factor_distances():
 
 
 @st.composite
+def edge_built_graphs(draw):
+    """Simple graphs on 0..14 vertices built from edges.  A few vertices are
+    then made twins of an earlier vertex, so many draws are not thin, and
+    sparse draws are often disconnected."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = [set() for _ in range(n)]
+    for (u, v), edge in zip(pairs, chosen):
+        if edge:
+            adj[u].add(v)
+            adj[v].add(u)
+    vertex = st.integers(min_value=0, max_value=13)
+    for s, t in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+        if s < t < n:
+            # t takes the closed neighborhood of s
+            for w in adj[t]:
+                adj[w].discard(t)
+            adj[t] = (adj[s] | {s}) - {t}
+            for w in adj[t]:
+                adj[w].add(t)
+    return Graph(n, [(u, v) for u, v in pairs if v in adj[u]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_built_graphs())
+def test_thinness_and_maximal_vertices_match_the_mask_definitions(graph):
+    n = graph.vertex_count
+    masks = [sum(1 << u for u in graph.neighbors(v)) | 1 << v for v in range(n)]
+    assert graph.thin == (len(set(masks)) == n)
+    assert graph.maximal_vertices == tuple(
+        v
+        for v in range(n)
+        if not any(u != v and masks[v] | masks[u] == masks[u] for u in range(n))
+    )
+    assert "closed_masks" not in vars(graph)
+
+
+@st.composite
 def closed_masks(draw):
     """Closed-neighborhood bitmasks of an arbitrary simple graph on 1..12
     vertices: symmetric, each holding its own bit."""

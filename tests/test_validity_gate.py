@@ -111,3 +111,23 @@ def test_one_op_validates_its_input_once(entry, monkeypatch):
     calls = count_evaluations(monkeypatch, graph)
     entry(graph)
     assert calls == {"bfs": 1, "thin": 1}
+
+
+@pytest.mark.parametrize("entry", [recognize, pfd_fast])
+def test_the_host_masks_are_never_built(entry, monkeypatch):
+    # thinness and the backbone come from adjacency sets and the classes
+    # from ball positions; factor and quotient graphs may build their masks
+    graph, _ = strong_product([path_graph(200), path_graph(3)])
+    masks = vars(Graph)["closed_masks"]
+
+    def guarded(self):
+        if self is graph:
+            raise AssertionError("the host's closed_masks were built")
+        return masks.func(self)
+
+    prop = cached_property(guarded)
+    prop.__set_name__(Graph, "closed_masks")
+    monkeypatch.setattr(Graph, "closed_masks", prop)
+    result = entry(graph)
+    assert (result.in_upsilon if entry is recognize else result.prime_count == 2)
+    assert "closed_masks" not in vars(graph)
