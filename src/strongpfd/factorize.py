@@ -184,8 +184,9 @@ def _find_split(graph: Graph):
     n = graph.vertex_count
     if not any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
         return None
-    # every route reads the closed masks, so thinness is read off them too
-    if len(set(graph.closed_masks)) == n:
+    # every route reads the closed masks; holding them, is_thin reads them too
+    graph.closed_masks
+    if is_thin(graph):
         if any(graph.degree(v) == n - 1 for v in graph.vertices()):
             return _split_via_containment(graph)
         return _split_grown(graph)
@@ -706,10 +707,6 @@ def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactori
         raise NotThinError("neighborhood factorization requires a thin host graph")
     members, classes, class_map, entry = cache.factor_ball(v, 1)
     quot = QuotientResult(entry.graph, class_map, classes)
-    if len(classes) == len(members):
-        # all classes are singletons, numbered by position
-        lifted = {(members[qa], members[qb]): idx for (qa, qb), idx in entry.cartesian_edges}
-        return NeighborhoodFactorization(v, members, quot, entry.factorization, lifted)
     single = [members[cls[0]] if len(cls) == 1 else None for cls in classes]
     lifted = {}
     for (qa, qb), idx in entry.cartesian_edges:

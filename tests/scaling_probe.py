@@ -1,13 +1,11 @@
 """Per-vertex cost of ``pfd_fast`` on long row-major strips, and its growth.
 
-Usage, from the root of a checkout:
+Run it from the root of a checkout with ``python3 tests/scaling_probe.py``.
 
-    python3 tests/scaling_probe.py [--k 400 1600 6400] [--repeats 3]
-
-For each k the strip P_k⊠P_3 is built once in row-major order (the last
-factor's coordinate varies fastest); each run times ``pfd_fast`` on a fresh
-``Graph`` of its edges, so every lazy per-graph fact is paid inside the
-timer.  The script prints the best of ``--repeats`` runs per k in ms per
+For each k in ``K`` the strip P_k⊠P_3 is built once in row-major order
+(the last factor's coordinate varies fastest); each run times ``pfd_fast``
+on a fresh ``Graph`` of its edges, so every lazy per-graph fact is paid
+inside the timer.  The script prints the best of ``REPEATS`` runs per k in ms per
 vertex, then the slope of the least-squares line through
 (log n, log time): 1 means linear, and a flat ms/vertex column reads as a
 slope near 1.  Wall-clock time of one process; compare runs taken on the
@@ -16,7 +14,6 @@ same machine.  Pytest does not collect this file.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 import time
@@ -26,10 +23,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from strongpfd import Graph, path_graph, pfd_fast, strong_product  # noqa: E402
 
+K = (400, 1600, 6400)
+REPEATS = 3
 
-def best_seconds(n: int, edges: list[tuple[int, int]], repeats: int) -> float:
+
+def best_seconds(n: int, edges: list[tuple[int, int]]) -> float:
     best = math.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         graph = Graph(n, edges)
         start = time.perf_counter()
         pfd_fast(graph)
@@ -44,19 +44,13 @@ def fitted_slope(points: list[tuple[int, float]]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--k", type=int, nargs="+", default=[400, 1600, 6400])
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
-    if len(args.k) < 2:
-        parser.error("the slope needs at least two values of --k")
+def main() -> int:
     points = []
     print("k n ms/vertex")
-    for k in args.k:
+    for k in K:
         strip, _ = strong_product([path_graph(k), path_graph(3)])
         n = strip.vertex_count
-        seconds = best_seconds(n, list(strip.edges()), args.repeats)
+        seconds = best_seconds(n, list(strip.edges()))
         points.append((n, seconds))
         print(f"{k} {n} {seconds * 1e3 / n:.4f}")
     print(f"slope {fitted_slope(points):.3f}")
@@ -64,4 +58,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
