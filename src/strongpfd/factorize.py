@@ -87,6 +87,10 @@ def rebuilds_strong_product(
     degree prod(deg_i + 1) - 1 leave no room for a missing or extra edge.
     With one factor and identity coordinates those two checks hold exactly
     when the factor equals the graph, so that case is a graph comparison.
+    The checks run column by column: each factor's coordinate column is
+    range-checked, walked once over a flat edge list against that factor's
+    closed masks and multiplied into the degree products, so no per-edge or
+    per-vertex loop runs a generator over all k coordinates.
     """
     n = graph.vertex_count
     sizes = [f.vertex_count for f in factors]
@@ -94,21 +98,22 @@ def rebuilds_strong_product(
         return False
     if len(factors) == 1 and all(c == (u,) for u, c in enumerate(coords)):
         return factors[0] == graph
-    if any(
-        len(c) != len(sizes) or not all(0 <= x < s for x, s in zip(c, sizes)) for c in coords
-    ):
+    if any(len(c) != len(sizes) for c in coords):
         return False
-    masks = [f.closed_masks for f in factors]
-    span = range(len(factors))
-    for u, v in graph.edges():
-        cu, cv = coords[u], coords[v]
-        if not all(masks[i][cu[i]] >> cv[i] & 1 for i in span):
+    columns = list(zip(*coords))
+    if any(min(col) < 0 or max(col) >= s for col, s in zip(columns, sizes)):
+        return False
+    edges = list(graph.edges())
+    for col, f in zip(columns, factors):
+        masks = f.closed_masks
+        rows = [masks[x] for x in col]
+        if not all(rows[u] >> col[v] & 1 for u, v in edges):
             return False
-    degrees = [[f.degree(x) + 1 for x in f.vertices()] for f in factors]
-    return all(
-        math.prod(degrees[i][c[i]] for i in span) - 1 == graph.degree(u)
-        for u, c in enumerate(coords)
-    )
+    products = [1] * n
+    for col, f in zip(columns, factors):
+        closed = [d + 1 for d in map(len, f.adjacency_sets)]
+        products = [p * closed[x] for p, x in zip(products, col)]
+    return all(p - 1 == len(near) for p, near in zip(products, graph.adjacency_sets))
 
 
 def reconstructs(graph: Graph, factorization: LocalFactorization) -> bool:

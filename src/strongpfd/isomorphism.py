@@ -97,48 +97,52 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
         return {}
 
     # candidate targets per source vertex, filtered by local profile
-    cands = [[u for u in range(n) if p2[u] == p1[v]] for v in range(n)]
+    targets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for u in range(n):
+        targets.setdefault(p2[u], []).append(u)
+    cands = [targets[p1[v]] for v in range(n)]
 
     # order the source vertices: rarest profile first, then expand by adjacency
     # so every later vertex has a mapped neighbor where possible
     remaining = set(range(n))
+    attached: set[int] = set()  # the remaining vertices next to a placed one
     order: list[int] = []
     while remaining:
-        attached = [v for v in remaining if any(u in order for u in g1.neighbors(v))]
-        pool = attached if order and attached else list(remaining)
-        v = min(pool, key=lambda x: (len(cands[x]), x))
+        v = min(attached or remaining, key=lambda x: (len(cands[x]), x))
         order.append(v)
         remaining.discard(v)
+        attached.discard(v)
+        attached.update(w for w in g1.neighbors(v) if w in remaining)
 
+    # depth-first search with an explicit stack: tried[i] counts the
+    # candidates of order[i] tried so far, and a candidate u of v fits when
+    # the placed neighbors of v map exactly onto the used neighbors of u
+    adj1, adj2 = g1.adjacency_sets, g2.adjacency_sets
     mapping: dict[int, int] = {}
     used = [False] * n
-
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        near_v = g1.adjacency_set(v)
-        for u in cands[v]:
+    tried = [0] * n
+    depth = 0
+    while depth < n:
+        v = order[depth]
+        image = {mapping[w] for w in adj1[v] if w in mapping}
+        cand = cands[v]
+        while tried[depth] < len(cand):
+            u = cand[tried[depth]]
+            tried[depth] += 1
             if used[u]:
                 continue
-            near_u = g2.adjacency_set(u)
-            ok = True
-            for w, t in mapping.items():
-                if (w in near_v) != (t in near_u):
-                    ok = False
-                    break
-            if ok:
+            if image == {t for t in adj2[u] if used[t]}:
                 mapping[v] = u
                 used[u] = True
-                if extend(idx + 1):
-                    return True
-                del mapping[v]
-                used[u] = False
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+                depth += 1
+                break
+        else:
+            if depth == 0:
+                return None
+            tried[depth] = 0
+            depth -= 1
+            used[mapping.pop(order[depth])] = False
+    return dict(mapping)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -1,6 +1,7 @@
 """Colored Cartesian skeleton assembly and product verification:
 single-pass stitching of the lifted edges of every backbone neighborhood,
-square merging of parallel fiber colors, the 2-neighborhood sweep for
+square merging of parallel fiber colors as the fallback for a stitched
+coloring that does not already verify, the 2-neighborhood sweep for
 product edges that no 1-neighborhood can certify, and the per-color fiber
 components whose coordinates must rebuild the graph.
 
@@ -13,9 +14,13 @@ factor) pair opens one raw color in its union-find, a lifted edge joins the
 raw colors of all centers that lift it, and a diagonal-free square joins the
 colors of its opposite edges.  Lifted edges between backbone vertices pass
 the same continuation check as the anchored coloring of ``pfd_fast``.  The
-expensive 2-neighborhood sweep runs only when the colored structure does
-not already verify as a product; on locally unrefined inputs whose fibers
-are all witnessed it is skipped.  ``fiber_components`` is the one routine that
+stitched coloring is verified before any square is merged: when it reads
+as a product coloring whose every edge changes exactly its own color's
+coordinate, the unique-square property of the Cartesian skeleton leaves
+the merge nothing to unite, and it is skipped.  The expensive
+2-neighborhood sweep runs only when the colored structure does not
+already verify as a product; on locally unrefined inputs whose fibers are
+all witnessed it is skipped.  ``fiber_components`` is the one routine that
 splits a coloring into its fibers; ``product_coordinates`` reads the
 factors and coordinates off them.
 """
@@ -254,10 +259,12 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
     ``cache.graph``, factoring every neighborhood through ``cache``.
 
     Factors every backbone neighborhood once and stitches their lifted edges
-    in one pass, colors the edges pinched between two same-colored edges,
-    merges colors across diagonal-free squares, and falls back to the
-    2-neighborhood sweep when the result does not already verify as a
-    product coloring.
+    in one pass, colors the edges pinched between two same-colored edges and
+    verifies the result; colors are merged across diagonal-free squares
+    only when that coloring does not already verify with every edge
+    changing its own color's coordinate (``_settle``).  When the result is
+    still not a product coloring, the 2-neighborhood sweep runs, and each of
+    its rounds ends in the same verify-then-merge step.
     """
     graph = cache.graph
     require_thin_connected(graph, "skeleton construction")
@@ -266,9 +273,7 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
     find = coloring.uf.find
     coloring.colors = {edge: find(c) for edge, c in coloring.colors.items()}
     completion_sweep(graph, coloring)
-    merge_parallel_colors(graph, coloring)
-    final, n_colors = _renumber(coloring)
-    verification = product_coordinates(graph, final, n_colors)
+    final, n_colors, verification = _settle(graph, coloring)
     n2_ran = not verification[0]
 
     # The colored structure is not yet a product coloring: hunt for product
@@ -287,9 +292,7 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
         if targets:
             n2_counts.update(n2_sweep(coloring, cache, targets=targets))
             completion_sweep(graph, coloring, stage=STAGE_N2)
-            merge_parallel_colors(graph, coloring)
-            final, n_colors = _renumber(coloring)
-        verification = product_coordinates(graph, final, n_colors)
+            final, n_colors, verification = _settle(graph, coloring)
         if verification[0]:
             break
     ok, _, _, diag = verification
@@ -304,6 +307,51 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
         diagnostics=[] if ok else list(diag),
         verification=verification,
     )
+
+
+def _settle(
+    graph: Graph, coloring: PartialProductColoring
+) -> tuple[dict[Edge, int], int, tuple]:
+    """Renumber and verify the coloring, merging square-parallel colors only
+    when the coloring does not already read as a product coloring.
+
+    Returns (final colors, color count, ``product_coordinates`` result),
+    the same as merging first.  The merge is skipped when the coloring
+    verifies and every colored edge of final color c changes exactly
+    coordinate c of the returned coordinates; then it could unite nothing.
+    Take incident skeleton edges up of color A and uq of color B != A, so p
+    is u with coordinate A changed and q is u with coordinate B changed.  A
+    far corner d != u is joined to p by an edge of one color X and to q by
+    one of color Y, so p and q, which differ in A and B, differ in at most X
+    and Y: X = A and Y = B would give d = u, hence X = B and Y = A, and d is
+    u with both coordinates changed.  So qd has color A, pd has color B,
+    and both unions of the square join a color with itself.  No proof is
+    written down that verification implies the coordinate check, so both
+    are required.  Otherwise the merge runs, and only a merge that united
+    something is renumbered and verified again, as an unchanged partition
+    keeps its verdict.
+    """
+    final, n_colors = _renumber(coloring)
+    verification = product_coordinates(graph, final, n_colors)
+    coords = verification[1]
+    if coords is not None and _edges_follow_coordinates(final, coords):
+        return final, n_colors, verification
+    if merge_parallel_colors(graph, coloring):
+        final, n_colors = _renumber(coloring)
+        verification = product_coordinates(graph, final, n_colors)
+    return final, n_colors, verification
+
+
+def _edges_follow_coordinates(
+    edge_color: dict[Edge, int], coords: list[tuple[int, ...]]
+) -> bool:
+    """Whether every edge of color c joins two vertices whose coordinates
+    differ in position c and nowhere else, in O(edges · colors)."""
+    for (u, v), c in edge_color.items():
+        cu, cv = coords[u], coords[v]
+        if cu[c] == cv[c] or cu[:c] != cv[:c] or cu[c + 1 :] != cv[c + 1 :]:
+            return False
+    return True
 
 
 def _undersized_fiber_vertices(

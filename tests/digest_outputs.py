@@ -11,10 +11,11 @@ read as it is) runs through its own entry point, and every graph of the
 three.  An outcome is ``recognize(...).to_dict()``, the factors and
 coordinates of ``pfd_fast`` or ``factor_exact``, or the exception's type
 and message.  The script prints one line per entry point, the digest of
-its outcomes in order and how many there are, then how many quotients the
-neighborhood memo factored (its misses) per workload and entry point.  Run
-it at two commits and compare the lines; pytest does not collect this
-file.
+its outcomes in order and how many there are, then, per workload and
+entry point, how many quotients the neighborhood memo factored (its
+misses), how often ``skeleton.merge_parallel_colors`` ran and how many
+unions those calls made.  Run it at two commits and compare the lines;
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 import strongpfd  # noqa: E402
 import workloads  # noqa: E402
 from conftest import recovery_corpus  # noqa: E402
-from strongpfd import factorize  # noqa: E402
+from strongpfd import factorize, skeleton  # noqa: E402
 from strongpfd.io import loads_edgelist  # noqa: E402
 
 ENTRY_POINTS = ("recognize", "pfd_fast", "factor_exact")
@@ -64,18 +65,40 @@ def count_misses() -> dict[str, int]:
     return counter
 
 
+def count_merges() -> dict[str, int]:
+    """Count the calls of ``skeleton.merge_parallel_colors``, under
+    ``"calls"``, and the unions they return, under ``"unions"``."""
+    counter = {"calls": 0, "unions": 0}
+    merge = skeleton.merge_parallel_colors
+
+    def counted(graph, coloring):
+        unions = merge(graph, coloring)
+        counter["calls"] += 1
+        counter["unions"] += unions
+        return unions
+
+    skeleton.merge_parallel_colors = counted
+    return counter
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     rows: dict[str, list[str]] = {kind: [] for kind in ENTRY_POINTS}
     misses: dict[tuple[str, str], int] = {}
+    merges: dict[tuple[str, str], list[int]] = {}
     counter = count_misses()
+    merge_counter = count_merges()
 
     def run(source: str, kind: str, graph) -> None:
         start = counter["now"]
+        calls, unions = merge_counter["calls"], merge_counter["unions"]
         rows[kind].append(outcome(kind, graph))
         misses[source, kind] = misses.get((source, kind), 0) + counter["now"] - start
+        seen = merges.setdefault((source, kind), [0, 0])
+        seen[0] += merge_counter["calls"] - calls
+        seen[1] += merge_counter["unions"] - unions
 
     for name in workloads.WORKLOADS:
         pool = workloads.build(name, args.seed)
@@ -90,6 +113,8 @@ def main(argv: list[str]) -> int:
         print(f"{kind} {digest} outcomes={len(rows[kind])}")
     for (source, kind), count in misses.items():
         print(f"misses {source} {kind} {count}")
+        calls, unions = merges[source, kind]
+        print(f"merges {source} {kind} calls={calls} unions={unions}")
     return 0
 
 

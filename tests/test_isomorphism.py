@@ -88,3 +88,79 @@ def test_agreement_between_both_routes_on_random_pairs():
         g = random_graph(n, rng.uniform(0.2, 0.8), seed=2000 + trial)
         h = random_graph(n, rng.uniform(0.2, 0.8), seed=3000 + trial)
         assert is_isomorphic(g, h) == (canonical_form(g) == canonical_form(h))
+
+
+def test_a_long_path_is_matched_without_recursion():
+    g = path_graph(1500)
+    perm = list(range(1500))
+    random.Random(7).shuffle(perm)
+    assert is_isomorphic(g, g.relabeled(perm))
+
+
+def recursive_witness(g1: Graph, g2: Graph) -> dict[int, int] | None:
+    """``find_isomorphism`` as it was when its search recursed once per
+    vertex, frozen to pin the mapping the explicit-stack search returns."""
+    n = g1.vertex_count
+    profiles = [
+        [(g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v)))) for v in g.vertices()]
+        for g in (g1, g2)
+    ]
+    p1, p2 = profiles
+    if n != g2.vertex_count or g1.edge_count != g2.edge_count or sorted(p1) != sorted(p2):
+        return None
+    cands = [[u for u in range(n) if p2[u] == p1[v]] for v in range(n)]
+    remaining = set(range(n))
+    order: list[int] = []
+    while remaining:
+        attached = [v for v in remaining if any(u in order for u in g1.neighbors(v))]
+        pool = attached if order and attached else list(remaining)
+        v = min(pool, key=lambda x: (len(cands[x]), x))
+        order.append(v)
+        remaining.discard(v)
+    mapping: dict[int, int] = {}
+    used = [False] * n
+
+    def extend(idx: int) -> bool:
+        if idx == n:
+            return True
+        v = order[idx]
+        for u in cands[v]:
+            if used[u]:
+                continue
+            if all(g1.adjacent(v, w) == g2.adjacent(u, t) for w, t in mapping.items()):
+                mapping[v] = u
+                used[u] = True
+                if extend(idx + 1):
+                    return True
+                del mapping[v]
+                used[u] = False
+        return False
+
+    return dict(mapping) if extend(0) else None
+
+
+def circulant(n: int, steps: list[int]) -> Graph:
+    return Graph(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+
+
+def test_the_explicit_stack_returns_the_recursive_mapping():
+    # circulants of equal degree pass the profile filter, so the search
+    # itself must tell them apart and backtrack
+    rng = random.Random(11)
+    found = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(6, 13)
+        k = rng.randint(1, 3)
+        g = circulant(n, rng.sample(range(1, n // 2 + 1), k))
+        h = circulant(n, rng.sample(range(1, n // 2 + 1), k))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = h.relabeled(perm)
+        expected = recursive_witness(g, h)
+        witness = find_isomorphism(g, h)
+        assert witness == expected
+        if witness is not None:
+            assert list(witness.items()) == list(expected.items())
+        if g.edge_count == h.edge_count:
+            found[witness is not None] += 1
+    assert found[True] > 50 and found[False] > 50

@@ -2,7 +2,8 @@
 orders its factors, the edge coloring has one state and one continuation
 check, neighborhood quotients are factored only through
 ``NeighborhoodCache``, which alone holds the size cap and the quotient memo,
-and the exact factorizer recurses only where its depth stays small.
+and the exact factorizer and the isomorphism search recurse only where
+their depth stays small.
 
 An import inside a function body is how a module reaches back into one that
 imports it; keeping every relative import at the top of its module keeps
@@ -274,6 +275,13 @@ def test_factorize_recurses_only_where_depth_stays_small():
     # explicit stack
     source = (PACKAGE / "factorize.py").read_text()
     assert self_calling_functions(source) == ["_pfd"]
+
+
+def test_isomorphism_recurses_only_in_the_canonical_search():
+    # find_isomorphism keeps an explicit stack, one level per vertex; the
+    # individualization search of canonical_form still recurses
+    source = (PACKAGE / "isomorphism.py").read_text()
+    assert self_calling_functions(source) == ["canonical_form.search"]
 
 
 def test_the_check_sees_nested_recursion():

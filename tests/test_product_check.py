@@ -87,6 +87,17 @@ def test_linear_check_agrees_with_the_pairwise_scan():
     assert verdicts[True] > 0 and verdicts[False] > 200
 
 
+def moved_column(factors, column: int, old: int, new: int):
+    """The strong product of ``factors`` with every coordinate ``old`` in
+    ``column`` replaced by ``new``, which no vertex held."""
+    graph, coords = strong_product(factors)
+    rows = [
+        c[:column] + (new if c[column] == old else c[column],) + c[column + 1 :]
+        for c in coords.coords
+    ]
+    return graph, rows, factors
+
+
 @pytest.mark.parametrize(
     "graph,coords,factors",
     [
@@ -95,6 +106,9 @@ def test_linear_check_agrees_with_the_pairwise_scan():
         (path_graph(3), [(0,), (1,), (1,)], [path_graph(3)]),  # not injective
         (path_graph(3), [(0,), (1,), (3,)], [path_graph(3)]),  # out of range
         (path_graph(3), [(0,), (1,), (2, 0)], [path_graph(3)]),  # ragged
+        moved_column([path_graph(3), path_graph(4)], 0, 2, -1),  # negative in one column
+        # out of range in the second of three columns
+        moved_column([path_graph(2), path_graph(3), path_graph(2)], 1, 2, 3),
     ],
 )
 def test_coordinates_must_be_a_bijection_onto_the_product(graph, coords, factors):
