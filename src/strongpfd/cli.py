@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (for ``recognize``: the graph is locally unrefined),
-1 negative pipeline verdict, 2 input or resource errors (malformed file,
-empty, disconnected, non-thin where thinness is required, a quotient above
-``--size-cap``, generation parameters that admit no instance, a search
-deeper than the recursion limit).
+1 negative pipeline verdict, 2 input or resource errors (malformed file or
+option value, empty, disconnected, non-thin where thinness is required, a
+quotient above ``--size-cap``, generation parameters that admit no
+instance, a search deeper than the recursion limit).
 """
 
 from __future__ import annotations
@@ -25,6 +25,18 @@ from .sclasses import backbone, is_thin, quotient, relative_s_partition, require
 from .skeleton import SkeletonError, build_skeleton
 
 DEFAULT_BENCH_SIZES = (50, 100, 200, 400, 800)
+
+
+def _sizes(text: str) -> list[int]:
+    """An argparse type: a comma-separated list of at least one size, each
+    an integer of at least 2."""
+    try:
+        sizes = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+    if not sizes or min(sizes) < 2:
+        raise argparse.ArgumentTypeError(f"need one or more sizes of at least 2, got {text!r}")
+    return sizes
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -100,11 +112,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.factors.split(",") if tok]
-    if not sizes:
-        print("--factors must name at least one size", file=sys.stderr)
-        return 2
-    instance = random_product_instance(sizes, seed=args.seed, edge_prob=args.edge_prob)
+    instance = random_product_instance(args.factors, seed=args.seed, edge_prob=args.edge_prob)
     data = {
         "graph": gio.graph_to_dict(instance.graph),
         "factors": [gio.graph_to_dict(f) for f in instance.ground_truth_factors],
@@ -128,13 +136,8 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = (
-        [int(tok) for tok in args.sizes.split(",") if tok]
-        if args.sizes
-        else list(DEFAULT_BENCH_SIZES)
-    )
     rows = ["k,vertices,millis"]
-    for k in sizes:
+    for k in args.sizes:
         graph, _ = strong_product([path_graph(k), path_graph(3)])
         start = time.perf_counter()
         result = pfd_fast(graph)
@@ -216,14 +219,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="seeded random product instance with ground truth")
     common(p, needs_input=False)
-    p.add_argument("--factors", required=True, help="comma-separated factor sizes, e.g. 3,3")
+    p.add_argument(
+        "--factors", type=_sizes, required=True, help="comma-separated factor sizes, e.g. 3,3"
+    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--edge-prob", type=float, default=0.45)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("bench", help="wall-clock scaling run over k-by-3 king strips")
     common(p, needs_input=False)
-    p.add_argument("--sizes", help="comma-separated k values")
+    p.add_argument(
+        "--sizes",
+        type=_sizes,
+        default=list(DEFAULT_BENCH_SIZES),
+        help="comma-separated k values, each at least 2",
+    )
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -1,8 +1,9 @@
 """Graph file formats: edge-list text, JSON, and DOT output with edge colors.
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based ids.
-JSON format: ``{"n": int, "edges": [[u, v], ...]}``.  Both loaders validate
-simplicity (no loops, no duplicates) and id ranges.
+JSON format: ``{"n": int, "edges": [[u, v], ...]}``, with JSON integers
+only.  Both loaders validate simplicity (no loops, no duplicates) and id
+ranges.
 """
 
 from __future__ import annotations
@@ -57,16 +58,27 @@ def graph_to_dict(graph: Graph) -> dict:
     return {"n": graph.vertex_count, "edges": [[u, v] for u, v in graph.edges()]}
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer as JSON writes one: no bool, float or
+    string."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphError("graph JSON needs 'n' and 'edges' keys")
-    edges = data["edges"]
+    n, edges = data["n"], data["edges"]
+    if not _is_int(n) or not isinstance(edges, list):
+        raise GraphError(
+            f"graph JSON needs an integer 'n' and a list 'edges', got n={n!r} "
+            f"and edges of type {type(edges).__name__}"
+        )
     seen: set[Edge] = set()
     pairs = []
     for item in edges:
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+        if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_int, item))):
             raise GraphError(f"bad edge entry {item!r}")
-        u, v = int(item[0]), int(item[1])
+        u, v = item
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         key = edge_key(u, v)
@@ -74,7 +86,7 @@ def graph_from_dict(data: dict) -> Graph:
             raise GraphError(f"duplicate edge {key}")
         seen.add(key)
         pairs.append(key)
-    return Graph(int(data["n"]), pairs)
+    return Graph(n, pairs)
 
 
 def load_graph(path: str | Path, fmt: str | None = None) -> Graph:

@@ -15,21 +15,21 @@ raw colors of all centers that lift it, and a diagonal-free square joins the
 colors of its opposite edges.  Lifted edges between backbone vertices pass
 the same continuation check as the anchored coloring of ``pfd_fast``.  The
 stitched coloring is verified before any square is merged: when it reads
-as a product coloring whose every edge changes exactly its own color's
-coordinate, the unique-square property of the Cartesian skeleton leaves
-the merge nothing to unite, and it is skipped.  The expensive
-2-neighborhood sweep runs only when the colored structure does not
-already verify as a product; on locally unrefined inputs whose fibers are
-all witnessed it is skipped.  ``fiber_components`` is the one routine that
-splits a coloring into its fibers; ``product_coordinates`` reads the
-factors and coordinates off them.
+as a product coloring, every edge already changes exactly its own color's
+coordinate, so the unique-square property of the Cartesian skeleton leaves
+the merge nothing to unite, and it is skipped on that verdict alone.  The
+expensive 2-neighborhood sweep runs only when the colored structure does
+not already verify as a product; on locally unrefined inputs whose fibers
+are all witnessed it is skipped.  ``fiber_components`` is the one routine
+that splits a coloring into its fibers; ``product_coordinates`` takes the
+factors off the reference fibers and reads each coordinate off a layer,
+the component of a vertex among the edges of every other color.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, GraphError, edge_key
@@ -261,10 +261,9 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
     Factors every backbone neighborhood once and stitches their lifted edges
     in one pass, colors the edges pinched between two same-colored edges and
     verifies the result; colors are merged across diagonal-free squares
-    only when that coloring does not already verify with every edge
-    changing its own color's coordinate (``_settle``).  When the result is
-    still not a product coloring, the 2-neighborhood sweep runs, and each of
-    its rounds ends in the same verify-then-merge step.
+    only when that coloring does not already verify (``_settle``).  When
+    the result is still not a product coloring, the 2-neighborhood sweep
+    runs, and each of its rounds ends in the same verify-then-merge step.
     """
     graph = cache.graph
     require_thin_connected(graph, "skeleton construction")
@@ -317,41 +316,30 @@ def _settle(
 
     Returns (final colors, color count, ``product_coordinates`` result),
     the same as merging first.  The merge is skipped when the coloring
-    verifies and every colored edge of final color c changes exactly
-    coordinate c of the returned coordinates; then it could unite nothing.
-    Take incident skeleton edges up of color A and uq of color B != A, so p
-    is u with coordinate A changed and q is u with coordinate B changed.  A
-    far corner d != u is joined to p by an edge of one color X and to q by
-    one of color Y, so p and q, which differ in A and B, differ in at most X
-    and Y: X = A and Y = B would give d = u, hence X = B and Y = A, and d is
-    u with both coordinates changed.  So qd has color A, pd has color B,
-    and both unions of the square join a color with itself.  No proof is
-    written down that verification implies the coordinate check, so both
-    are required.  Otherwise the merge runs, and only a merge that united
-    something is renumbered and verified again, as an unchanged partition
-    keeps its verdict.
+    verifies; then every colored edge of final color c changes exactly
+    coordinate c, and the merge could unite nothing.  For every other color
+    d, an edge of color c lies inside one layer for d, which fixes
+    coordinate d, so the edge keeps every coordinate but c; its ends are
+    two vertices and the coordinates are a bijection, so it changes
+    coordinate c.  Take incident skeleton edges up of color A and uq of color B != A,
+    so p is u with coordinate A changed and q is u with coordinate B
+    changed.  A far corner d != u is joined to p by an edge of one color X
+    and to q by one of color Y, so p and q, which differ in A and B, differ
+    in at most X and Y: X = A and Y = B would give d = u, hence X = B and Y
+    = A, and d is u with both coordinates changed.  So qd has color A, pd
+    has color B, and both unions of the square join a color with itself.
+    Otherwise the merge runs, and only a merge that united something is
+    renumbered and verified again, as an unchanged partition keeps its
+    verdict.
     """
     final, n_colors = _renumber(coloring)
     verification = product_coordinates(graph, final, n_colors)
-    coords = verification[1]
-    if coords is not None and _edges_follow_coordinates(final, coords):
+    if verification[0]:
         return final, n_colors, verification
     if merge_parallel_colors(graph, coloring):
         final, n_colors = _renumber(coloring)
         verification = product_coordinates(graph, final, n_colors)
     return final, n_colors, verification
-
-
-def _edges_follow_coordinates(
-    edge_color: dict[Edge, int], coords: list[tuple[int, ...]]
-) -> bool:
-    """Whether every edge of color c joins two vertices whose coordinates
-    differ in position c and nowhere else, in O(edges · colors)."""
-    for (u, v), c in edge_color.items():
-        cu, cv = coords[u], coords[v]
-        if cu[c] == cv[c] or cu[:c] != cv[:c] or cu[c + 1 :] != cv[c + 1 :]:
-            return False
-    return True
 
 
 def _undersized_fiber_vertices(
@@ -426,12 +414,13 @@ def product_coordinates(
 ) -> tuple[bool, list[tuple[int, ...]] | None, list[Graph] | None, list[str]]:
     """Derive per-vertex factor coordinates from a product coloring.
 
-    For every color the fibers are its edge components; the fiber through
-    vertex 0 is the reference factor, and coordinates of other fibers are
-    carried over by parallel transport along edges of the other colors,
-    visiting each vertex's colored neighbors in ascending order.  Returns
-    (ok, coords, factors, diagnostics); when ok, the coordinates rebuild the
-    graph edge-exactly.
+    For every color c the fibers are its edge components and the fiber
+    through vertex 0 is the reference factor.  The layer of v for c is its
+    component among the edges of every other color, and coordinate c of v
+    is the position, in the reference c-fiber, of the one reference vertex
+    in that layer; the check fails when a layer meets the reference fiber
+    twice or not at all.  Returns (ok, coords, factors, diagnostics); when
+    ok, the coordinates are a bijection and rebuild the graph edge-exactly.
     """
     n = graph.vertex_count
     if n_colors == 0:
@@ -439,7 +428,7 @@ def product_coordinates(
             return True, [()], [], []
         return False, None, None, ["no colors but the graph is larger than one vertex"]
 
-    comp_of, comps_of, nbrs = fiber_components(graph, edge_color, n_colors)
+    _, comps_of, nbrs = fiber_components(graph, edge_color, n_colors)
     # fiber 0 of every color passes through vertex 0
     ref_sets = [comps[0] for comps in comps_of]
     for c, comps in enumerate(comps_of):
@@ -449,49 +438,27 @@ def product_coordinates(
     if math.prod(len(r) for r in ref_sets) != n:
         return False, None, None, ["reference fiber sizes do not multiply to the vertex count"]
 
-    # On a coloring that is not a product, the path that first reaches a fiber
-    # decides whether transport fails; a fixed neighbor order keeps the
-    # verdict and the diagnostic independent of the order of ``edge_color``.
-    incident = [
-        sorted((v, d) for d, adj in enumerate(nbrs) for v in adj[u]) for u in graph.vertices()
-    ]
-    # parallel transport of each color's fiber onto the reference fiber
-    position: list[dict[int, int]] = []
-    for c in range(n_colors):
-        comp = comp_of[c]
-        comps = comps_of[c]
-        psi: dict[int, int] = {v: i for i, v in enumerate(ref_sets[c])}
-        known = {0}
-        queue = deque([0])
-        while queue:
-            k = queue.popleft()
-            for u in comps[k]:
-                for v, d in incident[u]:
-                    if d == c:
-                        continue
-                    k2 = comp[v]
-                    if k2 in known:
-                        continue
-                    mapped: dict[int, int] = {}
-                    ok = True
-                    for w in comps[k2]:
-                        back = [t for t in nbrs[d][w] if comp[t] == k]
-                        if len(back) != 1 or back[0] not in psi:
-                            ok = False
-                            break
-                        mapped[w] = psi[back[0]]
-                    if not ok:
-                        return False, None, None, [
-                            f"fiber transport failed between components of color {c}"
-                        ]
-                    psi.update(mapped)
-                    known.add(k2)
-                    queue.append(k2)
-        if len(known) != len(comps):
+    # one breadth-first search from each reference vertex labels its layer
+    columns: list[list[int]] = []
+    for c, ref in enumerate(ref_sets):
+        others = [adj for d, adj in enumerate(nbrs) if d != c]
+        column = [-1] * n
+        for i, r in enumerate(ref):
+            if column[r] >= 0:
+                return False, None, None, [f"a layer of color {c} meets its reference fiber twice"]
+            column[r] = i
+            layer = [r]
+            for u in layer:  # grows while it is read: a breadth-first search
+                for adj in others:
+                    for w in adj[u]:
+                        if column[w] < 0:
+                            column[w] = i
+                            layer.append(w)
+        if -1 in column:
             return False, None, None, [f"fibers of color {c} are not connected by other colors"]
-        position.append(psi)
+        columns.append(column)
 
-    coords = [tuple(position[c][v] for c in range(n_colors)) for v in range(n)]
+    coords = list(zip(*columns))
     if len(set(coords)) != n:
         return False, None, None, ["coordinate map is not a bijection"]
 

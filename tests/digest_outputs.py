@@ -14,8 +14,9 @@ and message.  The script prints one line per entry point, the digest of
 its outcomes in order and how many there are, then, per workload and
 entry point, how many quotients the neighborhood memo factored (its
 misses), how often ``skeleton.merge_parallel_colors`` ran and how many
-unions those calls made.  Run it at two commits and compare the lines;
-pytest does not collect this file.
+unions those calls made, and how often ``skeleton.product_coordinates``
+ran and how many of those calls verified.  Run it at two commits and
+compare the lines; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -81,24 +82,40 @@ def count_merges() -> dict[str, int]:
     return counter
 
 
+def count_verdicts() -> dict[str, int]:
+    """Count the calls of ``skeleton.product_coordinates``, under
+    ``"calls"``, and those that return ok, under ``"ok"``."""
+    counter = {"calls": 0, "ok": 0}
+    check = skeleton.product_coordinates
+
+    def counted(graph, edge_color, n_colors):
+        result = check(graph, edge_color, n_colors)
+        counter["calls"] += 1
+        counter["ok"] += result[0]
+        return result
+
+    skeleton.product_coordinates = counted
+    return counter
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     rows: dict[str, list[str]] = {kind: [] for kind in ENTRY_POINTS}
-    misses: dict[tuple[str, str], int] = {}
-    merges: dict[tuple[str, str], list[int]] = {}
-    counter = count_misses()
-    merge_counter = count_merges()
+    counters = (count_misses(), count_merges(), count_verdicts())
+    # per (source, entry point): misses, merge calls, unions, checks, ok checks
+    totals: dict[tuple[str, str], list[int]] = {}
+
+    def snapshot() -> list[int]:
+        return [count for counter in counters for count in counter.values()]
 
     def run(source: str, kind: str, graph) -> None:
-        start = counter["now"]
-        calls, unions = merge_counter["calls"], merge_counter["unions"]
+        before = snapshot()
         rows[kind].append(outcome(kind, graph))
-        misses[source, kind] = misses.get((source, kind), 0) + counter["now"] - start
-        seen = merges.setdefault((source, kind), [0, 0])
-        seen[0] += merge_counter["calls"] - calls
-        seen[1] += merge_counter["unions"] - unions
+        seen = totals.setdefault((source, kind), [0] * len(before))
+        for i, (now, then) in enumerate(zip(snapshot(), before)):
+            seen[i] += now - then
 
     for name in workloads.WORKLOADS:
         pool = workloads.build(name, args.seed)
@@ -111,10 +128,10 @@ def main(argv: list[str]) -> int:
     for kind in ENTRY_POINTS:
         digest = hashlib.blake2b("\n".join(rows[kind]).encode(), digest_size=16).hexdigest()
         print(f"{kind} {digest} outcomes={len(rows[kind])}")
-    for (source, kind), count in misses.items():
+    for (source, kind), (count, calls, unions, checks, ok) in totals.items():
         print(f"misses {source} {kind} {count}")
-        calls, unions = merges[source, kind]
         print(f"merges {source} {kind} calls={calls} unions={unions}")
+        print(f"verdicts {source} {kind} calls={checks} ok={ok}")
     return 0
 
 

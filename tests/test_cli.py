@@ -44,6 +44,39 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, graph_json",
+    [
+        (["check-thin"], '{"n": "x", "edges": []}'),
+        (["check-thin"], '{"n": 3, "edges": 5}'),
+        (["check-thin"], '{"n": 3, "edges": [[0, null]]}'),
+        (["check-thin"], '{"n": 3.7, "edges": [[0, 1.9]]}'),
+        (["generate", "--factors", "3,x", "--seed", "1"], None),
+        (["generate", "--factors", ",", "--seed", "1"], None),
+        (["bench", "--sizes", "x"], None),
+        (["bench", "--sizes", "1"], None),
+    ],
+    ids=[
+        "n-string", "edges-number", "id-null", "n-float",
+        "factors-token", "factors-empty", "sizes-token", "sizes-one",
+    ],
+)
+def test_bad_input_or_option_exits_two_with_one_error_line(tmp_path, capsys, argv, graph_json):
+    if graph_json is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(graph_json)
+        argv = argv + ["--input", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:  # argparse refuses an option value
+        code = exit_info.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_non_thin_input_exits_two(tmp_path, capsys):
     path = tmp_path / "k4.json"
     save_graph(complete_graph(4), path)

@@ -5,7 +5,9 @@ ascending order, the way the package split colorings into fibers before one
 routine served every caller.  Both must give the same fiber ids, the same
 sorted members and the same per-color neighbor sets, on finished skeletons
 and on partial colorings that leave vertices isolated.  The product check
-built on it must not depend on the order of the coloring's entries.
+built on it must not depend on the order of the coloring's entries, and
+hand-made colorings whose fibers pass the size checks reach each of its
+layer failures.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from strongpfd import NeighborhoodCache, build_skeleton, random_connected_graph
+from strongpfd import Graph, NeighborhoodCache, build_skeleton, edge_key, random_connected_graph
 from strongpfd.skeleton import fiber_components, product_coordinates
 
 from conftest import recovery_corpus
@@ -80,10 +82,9 @@ def test_fibers_of_partial_colorings():
 
 
 def test_product_check_ignores_the_order_of_the_coloring():
-    # Skeletons with a few edges dropped give colorings on which the path that
-    # first reaches a fiber decides the verdict; a check that followed the
-    # coloring's entry order fails transport on some orders of them and
-    # verifies on others.
+    # Skeletons with a few edges dropped give colorings whose fibers and
+    # layers are built from the coloring's entries; the verdict and the
+    # diagnostic must not follow the order of those entries.
     rng = random.Random(1)
     outcomes = set()
     for graph in recovery_corpus()[:60]:
@@ -98,4 +99,51 @@ def test_product_check_ignores_the_order_of_the_coloring():
                 rng.shuffle(items)
                 assert product_coordinates(graph, dict(items), skeleton.n_colors) == expected
             outcomes.add(expected[3][0].split()[0] if expected[3] else "ok")
-    assert {"ok", "fiber"} <= outcomes
+    assert {"ok", "color"} <= outcomes
+
+
+def layer_failure(edges_of_color):
+    """The product check's diagnostic on a hand-made coloring, the same on
+    every order of its entries."""
+    edge_color = {edge_key(u, v): c for c, edges in enumerate(edges_of_color) for u, v in edges}
+    graph = Graph(1 + max(v for edge in edge_color for v in edge), edge_color)
+    results = set()
+    items = list(edge_color.items())
+    for seed in range(4):
+        random.Random(seed).shuffle(items)
+        ok, coords, factors, diagnostics = product_coordinates(
+            graph, dict(items), len(edges_of_color)
+        )
+        assert not ok and coords is None and factors is None
+        results.add(tuple(diagnostics))
+    (diagnostics,) = results
+    return diagnostics
+
+
+def test_a_layer_that_meets_its_reference_fiber_twice():
+    # color 0 fibers {0,1,2} {3,4,5} {6,7,8}, color 1 fibers {0,1,3}
+    # {2,5,8} {4,6,7}: sizes pass, and the layer of color 0 through 0, its
+    # color-1 fiber, also holds 1
+    diagnostics = layer_failure(
+        [
+            [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)],
+            [(0, 3), (1, 3), (2, 5), (5, 8), (4, 6), (4, 7)],
+        ]
+    )
+    assert diagnostics == ("a layer of color 0 meets its reference fiber twice",)
+
+
+def test_a_layer_that_misses_its_reference_fiber():
+    # four blocks of four vertices, each a color-2 path with two color-1
+    # chords, so the layers of color 0 are the blocks; color 0 pairs block 0
+    # with block 1 and block 2 with block 3, so its reference fiber {0, 4}
+    # meets only two of the four layers
+    blocks = [range(4 * b, 4 * b + 4) for b in range(4)]
+    diagnostics = layer_failure(
+        [
+            [(v, v + 4) for b in (0, 2) for v in blocks[b]],
+            [(b[0], b[2]) for b in blocks] + [(b[1], b[3]) for b in blocks],
+            [(b[i], b[i + 1]) for b in blocks for i in range(3)],
+        ]
+    )
+    assert diagnostics == ("fibers of color 0 are not connected by other colors",)

@@ -55,14 +55,27 @@ def test_edgelist_validation(text):
         loads_edgelist(text)
 
 
+# JSON that must be refused: ids and counts are JSON integers only, and
+# 'edges' is a list of pairs
+MALFORMED_JSON = [
+    '{"edges": [[0, 1]]}',
+    "{not json",
+    '{"n": "x", "edges": []}',
+    '{"n": 3, "edges": 5}',
+    '{"n": 3, "edges": [[0, null]]}',
+    '{"n": 3.7, "edges": [[0, 1.9]]}',
+    '{"n": 3, "edges": [[0, 1.0]]}',
+    '{"n": true, "edges": []}',
+    '{"n": 3, "edges": [[0, "1"]]}',
+]
+
+
 def test_json_validation(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"edges": [[0, 1]]}))
-    with pytest.raises(GraphError):
-        load_graph(path)
-    path.write_text("{not json")
-    with pytest.raises(GraphError):
-        load_graph(path)
+    for text in MALFORMED_JSON:
+        path.write_text(text)
+        with pytest.raises(GraphError):
+            load_graph(path)
 
 
 def test_dot_color_roundtrip():

@@ -1,10 +1,10 @@
 """The square merge is the fallback of ``build_skeleton``'s first pass.
 
-A stitched coloring that verifies as a product coloring, with every edge of
-color c changing exactly coordinate c of the verified coordinates, skips
-``merge_parallel_colors``: on such a coloring the merge can unite nothing.
-A coloring that fails either check is merged, and the result must be the
-one an assembly that always merges gives, frozen below.
+A stitched coloring that verifies as a product coloring skips
+``merge_parallel_colors``: every edge of color c then changes exactly
+coordinate c of the verified coordinates, and the merge can unite nothing.
+A coloring that fails the check is merged, and the result must be the one
+an assembly that always merges gives, frozen below.
 ``tests/test_skeleton_differential.py`` compares whole outputs on the
 recovery corpus.
 """
@@ -125,8 +125,7 @@ def test_a_coloring_that_follows_its_coordinates_has_nothing_to_merge(monkeypatc
 
     def checked(graph, coloring):
         final, n_colors = skeleton._renumber(coloring)
-        ok, coords, _, _ = skeleton.product_coordinates(graph, final, n_colors)
-        if ok and skeleton._edges_follow_coordinates(final, coords):
+        if skeleton.product_coordinates(graph, final, n_colors)[0]:
             assert skeleton.merge_parallel_colors(graph, copy.deepcopy(coloring)) == 0
             seen["follows"] += 1
         else:
