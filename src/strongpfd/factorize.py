@@ -26,31 +26,27 @@ checked on the quotient, and the quotient graph is built from its masks and
 factored only when the cache's memo has no entry under that key; no
 subgraph of the host is built.  The 1-neighborhoods of the coloring stages,
 the 2-neighborhoods of the N2 sweep and the split search of route 2 all
-take this path.  A miss costs one split search and one verification:
-internal quotient factorizations are left in the order the split search
-found them, and only the public ``factor_exact`` orders its factors.  A
-one-factor result under identity coordinates is verified by graph equality.
+take this path.  A coloring stage keeps, per center, only what the local
+algorithm reads: the local prime count and the lifted edges
+(``factor_neighborhood``); route 2 reads each member's local coordinate row
+straight off the ball and lifts nothing.  A miss costs one split search and
+one verification: internal quotient factorizations are left in the order
+the split search found them, and only the public ``factor_exact`` orders
+its factors.  A one-factor result under identity coordinates is verified by
+graph equality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import repeat
+from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .graph import DisconnectedError, Edge, Graph, GraphError, VertexSet, edge_key
 from .isomorphism import canonical_form
 from .products import Coordinatization
-from .sclasses import (
-    NotThinError,
-    QuotientResult,
-    backbone,
-    is_thin,
-    quotient_graph,
-    relative_quotient,
-)
+from .sclasses import NotThinError, backbone, is_thin, quotient_graph, relative_quotient
 
 DEFAULT_SIZE_CAP = 24
 
@@ -242,16 +238,13 @@ def _split_via_containment(graph: Graph):
 # -- candidate route 2: thin graphs without a universal vertex ----------------
 
 
-def _box(nf: NeighborhoodFactorization, center: int, inside: frozenset[int]):
-    """Members of N[center] whose local coordinates agree with the center's
-    outside ``inside``."""
-    coords = nf.coordinates
+def _box(coords: dict[int, tuple[int, ...]], center: int, inside: frozenset[int]):
+    """Members of N[center], given by their local coordinates ``coords``,
+    whose coordinates agree with the center's outside ``inside``."""
     cv = coords[center]
     span = range(len(cv))
     return frozenset(
-        u
-        for u in nf.vertices
-        if all(coords[u][i] == cv[i] for i in span if i not in inside)
+        u for u, cu in coords.items() if all(cu[i] == cv[i] for i in span if i not in inside)
     )
 
 
@@ -264,10 +257,11 @@ def _grow_fiber_candidates(
 ) -> list[frozenset[int]]:
     """Grow fiber candidates from a seed box through the anchor.
 
-    Backbone vertices of the growing set are expanded one by one: the local
-    factor directions of their neighborhood that point along the fiber are
-    inferred from already-known members, with branching over the directions
-    that remain ambiguous.  The box complementary to a valid choice must
+    Backbone vertices of the growing set are expanded one by one, each
+    through ``neighborhood(v)``, the local coordinates of N[v] by host id:
+    the local factor directions that point along the fiber are inferred
+    from already-known members, with branching over the directions that
+    remain ambiguous.  The box complementary to a valid choice must
     have the same size as the seed's complementary box, which prunes almost
     every wrong branch.
     """
@@ -287,11 +281,11 @@ def _grow_fiber_candidates(
             results.add(current)
             continue
         v, rest = pending[0], pending[1:]
-        nf = neighborhood(v)
-        coords, m_v = nf.coordinates, nf.prime_count
+        coords = neighborhood(v)
         cv = coords[v]
+        m_v = len(cv)
         forced: set[int] = set()
-        for u in current.intersection(nf.vertices):
+        for u in current.intersection(coords):
             forced.update(i for i in range(m_v) if coords[u][i] != cv[i])
         free = [i for i in range(m_v) if i not in forced]
         children = []
@@ -299,9 +293,9 @@ def _grow_fiber_candidates(
             inside = frozenset(forced | {free[j] for j in range(len(free)) if pick >> j & 1})
             if not inside or len(inside) == m_v:
                 continue
-            if len(_box(nf, v, frozenset(range(m_v)) - inside)) != cross_box_size:
+            if len(_box(coords, v, frozenset(range(m_v)) - inside)) != cross_box_size:
                 continue
-            grown = current | _box(nf, v, inside)
+            grown = current | _box(coords, v, inside)
             if len(grown) * 2 > n:
                 continue
             fresh = sorted((grown & backbone_set) - current - set(rest) - {v})
@@ -316,21 +310,34 @@ def _split_grown(graph: Graph):
     The anchor neighborhood is factored; every bipartition of its local
     factors seeds a pair of boxes through the anchor, which are grown into
     full fiber candidates along the backbone and verified by extension.
+    Each neighborhood is read once off its factored ball as the local
+    coordinate row of every member, by host id; the members of a class
+    share theirs.
     """
     n = graph.vertex_count
     degs = [graph.degree(v) for v in range(n)]
     anchor = max(range(n), key=lambda v: (degs[v], -v))
-    neighborhood = NeighborhoodCache(graph).get
-    nf = neighborhood(anchor)
-    m = nf.prime_count
+    cache = NeighborhoodCache(graph)
+    local: dict[int, dict[int, tuple[int, ...]]] = {}
+
+    def neighborhood(v: int) -> dict[int, tuple[int, ...]]:
+        coords = local.get(v)
+        if coords is None:
+            members, _, class_map, entry = cache.factor_ball(v, 1)
+            rows = entry.factorization.coords.coords  # type: ignore[union-attr]
+            coords = local[v] = {u: rows[c] for u, c in zip(members, class_map)}
+        return coords
+
+    around = neighborhood(anchor)
+    m = len(around[anchor])
     if m < 2:
         return None
     backbone_set = frozenset(backbone(graph))
     all_dirs = frozenset(range(m))
     for pick in range(1, 1 << (m - 1)):
         side = frozenset(i for i in range(m) if pick >> i & 1)
-        seed_a = _box(nf, anchor, side)
-        seed_b = _box(nf, anchor, all_dirs - side)
+        seed_a = _box(around, anchor, side)
+        seed_b = _box(around, anchor, all_dirs - side)
         cands_a = _grow_fiber_candidates(graph, seed_a, len(seed_b), backbone_set, neighborhood)
         cands_b = _grow_fiber_candidates(graph, seed_b, len(seed_a), backbone_set, neighborhood)
         for fa in cands_a:
@@ -511,9 +518,10 @@ def _induced_bfs(v0: int, members: list[int], adj: dict[int, frozenset[int]]):
 def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
     """Try to realize the graph as <fa> box <fb> with both fibers through v0.
 
-    Returns the complete pair-to-vertex bijection or None.  Adjacency and
-    non-adjacency against every previously placed pair are enforced at each
-    step, so a completed map is an isomorphism by construction.
+    Returns the complete pair-to-vertex bijection or None.  The fibers must
+    meet in v0 alone.  Adjacency and non-adjacency against every previously
+    placed pair are enforced at each step, so a completed map is an
+    isomorphism by construction.
     """
     seta, setb = frozenset(fa), frozenset(fb)
     adj_a = {a: graph.adjacency_set(a) & seta for a in fa}
@@ -547,13 +555,8 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
     pairs = [(a, b) for a in fa if a != v0 for b in fb if b != v0]
     pairs.sort(key=lambda p: (da[p[0]] + db[p[1]], p[0], p[1]))
     masks = graph.closed_masks
-
-    def pair_adjacent(p: tuple[int, int], q: tuple[int, int]) -> bool:
-        if p == q:
-            return False
-        pa, pb = p
-        qa, qb = q
-        return (pa == qa or qa in adj_a[pa]) and (pb == qb or qb in adj_b[pb])
+    closed_a = {a: adj_a[a] | {a} for a in fa}
+    closed_b = {b: adj_b[b] | {b} for b in fb}
 
     # depth-first over the pairs in order; left[i] holds the candidates
     # pairs[i] has not tried yet
@@ -566,6 +569,10 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
             used.discard(phi.pop(pair))
         else:
             left[depth] = masks[phi[(parent_a[a], b)]] & masks[phi[(a, parent_b[b])]]
+        # used is the image of phi, one to one as the fibers meet in v0
+        # alone, so u fits exactly when its placed neighbors are the images
+        # of the pair's placed product neighbors
+        near = {phi[q] for q in product(closed_a[a], closed_b[b]) if q in phi}
         m = left[depth]
         while m:
             low = m & -m
@@ -573,8 +580,7 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
             m ^= low
             if u in used:
                 continue
-            row = graph.adjacency_set(u)
-            if all(pair_adjacent(pair, q) == (placed in row) for q, placed in phi.items()):
+            if graph.adjacency_set(u) & used == near:
                 phi[pair] = u
                 used.add(u)
                 break
@@ -614,31 +620,19 @@ class FactoredQuotient:
 
 @dataclass(frozen=True)
 class NeighborhoodFactorization:
-    """Factored quotient of one closed neighborhood plus the lifted edges.
+    """What the local algorithm keeps of one closed neighborhood: the number
+    of local prime factors of its quotient and the lifted edges.
 
-    ``quotient`` numbers the members of N[center] by their position in
-    ``vertices``.  ``lifted`` maps host-graph edges inside N[center] to a
-    local factor index; an edge is lifted when its quotient image changes
-    exactly one local coordinate and at least one endpoint class is a
-    singleton.
+    ``lifted`` maps host-graph edges inside N[center] to a local factor
+    index; an edge is lifted when its quotient image changes exactly one
+    local coordinate and at least one endpoint class is a singleton.  The
+    classes, the quotient and its factorization stay with the cache's
+    ``factor_ball``.
     """
 
     center: int
-    vertices: VertexSet
-    quotient: QuotientResult
-    factorization: LocalFactorization
+    prime_count: int
     lifted: dict[Edge, int]
-
-    @property
-    def prime_count(self) -> int:
-        return self.factorization.prime_count
-
-    @cached_property
-    def coordinates(self) -> dict[int, tuple[int, ...]]:
-        """Local coordinates by host id; the members of a class share theirs."""
-        assert self.factorization.coords is not None
-        rows = self.factorization.coords.coords
-        return {u: rows[c] for u, c in zip(self.vertices, self.quotient.class_map)}
 
 
 @dataclass
@@ -650,9 +644,10 @@ class NeighborhoodCache:
     graph, to the quotient graph, its factorization and its Cartesian
     edges.  On bounded-degree products most neighborhoods have
     labelled-equal quotients, so each distinct one is built and factored
-    once, and a hit builds no graph at all.  ``entries`` holds each
-    center's closed-neighborhood factorization, lifted through that
-    neighborhood's own classes and host ids.
+    once, and a hit builds no graph at all.  ``entries`` holds, per center
+    that ``get`` was asked for, its local prime count and the edges lifted
+    through that neighborhood's own classes and host ids; nothing else of
+    the neighborhood is kept.
     """
 
     graph: Graph
@@ -710,8 +705,7 @@ def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactori
     """
     if not is_thin(cache.graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
-    members, classes, class_map, entry = cache.factor_ball(v, 1)
-    quot = QuotientResult(entry.graph, class_map, classes)
+    members, classes, _, entry = cache.factor_ball(v, 1)
     single = [members[cls[0]] if len(cls) == 1 else None for cls in classes]
     lifted = {}
     for (qa, qb), idx in entry.cartesian_edges:
@@ -722,4 +716,4 @@ def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactori
             for pa in classes[qa]:
                 for pb in classes[qb]:
                     lifted[edge_key(members[pa], members[pb])] = idx
-    return NeighborhoodFactorization(v, members, quot, entry.factorization, lifted)
+    return NeighborhoodFactorization(v, entry.factorization.prime_count, lifted)

@@ -59,13 +59,18 @@ def verify_product(
     ``factors``, edge-exactly.
 
     A plain dict may use any color labels; they are renumbered densely in
-    ascending order.  ``factors`` are matched to the coloring's fibers as a
-    multiset up to isomorphism, so their order does not matter.
+    ascending order.  A plain dict with a key that is not an edge of
+    ``graph`` colors no product, so it fails.  ``factors`` are matched to
+    the coloring's fibers as a multiset up to isomorphism, so their order
+    does not matter.
     """
     if isinstance(coloring, ColoredSkeleton):
         edge_color = coloring.edge_color
         n_colors = coloring.n_colors
     else:
+        n, rows = graph.vertex_count, graph.adjacency_sets
+        if not all(0 <= u < n and v in rows[u] for u, v in coloring):
+            return False
         dense = {c: i for i, c in enumerate(sorted(set(coloring.values())))}
         edge_color = {edge: dense[c] for edge, c in coloring.items()}
         n_colors = len(dense)

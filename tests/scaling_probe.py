@@ -6,14 +6,17 @@ For each k in ``K`` the strip P_k⊠P_3 is built once in row-major order
 (the last factor's coordinate varies fastest); each run times ``pfd_fast``
 on a fresh ``Graph`` of its edges, so every lazy per-graph fact is paid
 inside the timer.  The script prints the best of ``REPEATS`` runs per k in ms per
-vertex, then the slope of the least-squares line through
-(log n, log time): 1 means linear, and a flat ms/vertex column reads as a
-slope near 1.  Wall-clock time of one process; compare runs taken on the
-same machine.  Pytest does not collect this file.
+vertex, once as it runs and once with the cyclic garbage collector disabled
+around each timed call, then, for each column, the slope of the
+least-squares line through (log n, log time): 1 means linear, and a flat
+ms/vertex column reads as a slope near 1.  The gap between the columns is
+the collector's share of the growth.  Wall-clock time of one process;
+compare runs taken on the same machine.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 import time
@@ -27,13 +30,18 @@ K = (400, 1600, 6400)
 REPEATS = 3
 
 
-def best_seconds(n: int, edges: list[tuple[int, int]]) -> float:
+def best_seconds(n: int, edges: list[tuple[int, int]], collect: bool) -> float:
     best = math.inf
     for _ in range(REPEATS):
         graph = Graph(n, edges)
-        start = time.perf_counter()
-        pfd_fast(graph)
-        best = min(best, time.perf_counter() - start)
+        if not collect:
+            gc.disable()
+        try:
+            start = time.perf_counter()
+            pfd_fast(graph)
+            best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
     return best
 
 
@@ -45,15 +53,16 @@ def fitted_slope(points: list[tuple[int, float]]) -> float:
 
 
 def main() -> int:
-    points = []
-    print("k n ms/vertex")
+    points: list[tuple[int, float]] = []
+    quiet: list[tuple[int, float]] = []
+    print("k n ms/vertex ms/vertex(gc off)")
     for k in K:
         strip, _ = strong_product([path_graph(k), path_graph(3)])
-        n = strip.vertex_count
-        seconds = best_seconds(n, list(strip.edges()))
-        points.append((n, seconds))
-        print(f"{k} {n} {seconds * 1e3 / n:.4f}")
-    print(f"slope {fitted_slope(points):.3f}")
+        n, edges = strip.vertex_count, list(strip.edges())
+        points.append((n, best_seconds(n, edges, collect=True)))
+        quiet.append((n, best_seconds(n, edges, collect=False)))
+        print(f"{k} {n} {points[-1][1] * 1e3 / n:.4f} {quiet[-1][1] * 1e3 / n:.4f}")
+    print(f"slope {fitted_slope(points):.3f} {fitted_slope(quiet):.3f}")
     return 0
 
 

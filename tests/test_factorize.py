@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -10,6 +12,7 @@ from strongpfd import (
     FactorSizeError,
     Graph,
     NeighborhoodCache,
+    NeighborhoodFactorization,
     NotThinError,
     backbone,
     canonical_form,
@@ -18,6 +21,7 @@ from strongpfd import (
     factor_exact,
     factor_neighborhood,
     is_isomorphic,
+    is_thin,
     path_graph,
     pfd_fast,
     quotient,
@@ -128,6 +132,17 @@ def test_factor_neighborhood_at_product_center(p3xp3):
         assert direction_of_label.setdefault(label, true_dir) == true_dir
 
 
+def test_neighborhood_record_keeps_the_prime_count_and_the_lifted_edges():
+    # the classes, the quotient and its factorization stay with the ball
+    assert [f.name for f in dataclasses.fields(NeighborhoodFactorization)] == [
+        "center",
+        "prime_count",
+        "lifted",
+    ]
+    cached = [name for name, value in vars(NeighborhoodFactorization).items() if isinstance(value, cached_property)]
+    assert cached == []
+
+
 def test_factor_neighborhood_of_simplicial_vertex_is_empty():
     p3 = path_graph(3)
     nf = factor_neighborhood(NeighborhoodCache(p3), 0)
@@ -142,10 +157,28 @@ def test_factor_neighborhood_requires_thin_host():
 
 def test_factor_neighborhood_quotient_classes():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)])
-    nf = factor_neighborhood(NeighborhoodCache(g), 0)
-    assert set(len(cls) for cls in nf.quotient.class_members) == {1, 2}
+    members, classes, _, _ = NeighborhoodCache(g).factor_ball(0, 1)
+    assert members == (0, 1, 2, 3)
+    assert set(len(cls) for cls in classes) == {1, 2}
     # the collapsed pair is the twin pair inside the apex neighborhood
-    assert (1, 2) in nf.quotient.class_members
+    assert (1, 2) in classes
+
+
+def test_route_two_opens_no_neighborhood_record(monkeypatch):
+    # P_4 x P_3 is thin and has no universal vertex, so the split search
+    # grows its fibers from local coordinates read off the factored balls
+    graph, _ = strong_product([path_graph(4), path_graph(3)])
+    assert is_thin(graph) and max(map(graph.degree, graph.vertices())) < graph.vertex_count - 1
+    grown = count_calls(monkeypatch, "_split_grown")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("route 2 opened a per-center neighborhood record")
+
+    monkeypatch.setattr(factorize, "factor_neighborhood", refuse)
+    result = factor_exact(graph)
+    assert grown[0] > 0
+    assert [tuple(f.edges()) for f in result.factors] == [((0, 1), (1, 2)), ((0, 1), (1, 2), (2, 3))]
+    assert result.coords.coords == tuple((j, i) for i in range(4) for j in range(3))
 
 
 def test_lifted_edges_are_ground_truth_cartesian():

@@ -216,7 +216,8 @@ def top_level_callers(source: str, name: str) -> list[str]:
 def test_only_the_neighborhood_cache_builds_quotients():
     # every region's quotient is read, capped, memoized and factored in one
     # place; the whole-graph quotient and the public relative partition are
-    # the only other readers of the relative classes
+    # the only other readers of the relative classes, and only the public
+    # whole-graph quotient wraps its result in a QuotientResult
     cache = ("factorize.py", "NeighborhoodCache")
     expected = {
         "relative_quotient": {
@@ -225,6 +226,7 @@ def test_only_the_neighborhood_cache_builds_quotients():
             ("sclasses.py", "relative_s_partition"),
         },
         "quotient_graph": {cache, ("sclasses.py", "quotient")},
+        "QuotientResult": {("sclasses.py", "quotient")},
     }
     for target, owners in expected.items():
         found = {

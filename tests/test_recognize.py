@@ -11,6 +11,7 @@ from strongpfd import (
     NotThinError,
     canonical_form,
     cartesian_edge_set,
+    cartesian_index,
     complete_graph,
     cycle_graph,
     is_isomorphic,
@@ -214,6 +215,17 @@ def test_recognize_survives_coloring_abort(p3xp3):
     assert report.coloring is None
     assert report.max_local_factors == 2
     assert any("local factors" in d for d in report.diagnostics)
+
+
+def test_verify_product_rejects_a_key_outside_the_graph():
+    graph, coords = strong_product([path_graph(3), path_graph(2)])
+    factors = [path_graph(3), path_graph(2)]
+    truth = {e: cartesian_index(graph, coords, *e) for e in cartesian_edge_set(graph, coords)}
+    assert verify_product(factors, truth, graph)
+    # a vertex past the end, a negative id, and a pair that is no edge
+    for key in ((0, 99), (-1, 0), (0, 5)):
+        assert not verify_product(factors, {key: 0}, graph), key
+        assert not verify_product(factors, {**truth, key: 0}, graph), key
 
 
 def test_verify_product_accepts_any_color_labels():
