@@ -1,22 +1,26 @@
 """Exact prime factorization of small graphs under the strong product,
 plus the neighborhood factorizer that feeds the coloring pipeline.
 
-The split search fixes candidate fiber pairs through an anchor vertex and
-tries to extend them to a full product bijection by constraint propagation
-with backtracking; a verified extension is a factorization by construction.
-Candidate generation has three routes:
+A graph of prime order is prime.  A thin graph is split by a search that
+fixes candidate fiber pairs through an anchor vertex and tries to extend
+them to a full product bijection by constraint propagation with
+backtracking; a verified extension is a factorization by construction.
+Factors of a thin graph are thin, so the search only ever sees thin graphs.
+Candidate generation has two routes:
 
-1. graphs that are thin and own a universal vertex (every closed
-   neighborhood and every quotient of one is of this kind): candidate
-   fibers are read off the neighborhood-containment order, giving a
-   quadratic candidate set;
-2. other thin graphs: the anchor's neighborhood is factored and its local
-   factor boxes are grown into fiber candidates along the backbone;
-3. everything else: connected vertex subsets through a max-degree anchor,
-   grown depth first under the inner-degree caps of the degree law, then
-   held to the exact degree and edge-count laws and, last, to isometry.
+1. graphs that own a universal vertex (every closed neighborhood and every
+   quotient of one is of this kind): candidate fibers are read off the
+   neighborhood-containment order, giving a quadratic candidate set;
+2. the others: the anchor's neighborhood is factored and its local factor
+   boxes are grown into fiber candidates along the backbone.
 
-All routes are exact; the size cap only bounds running time.
+A graph that is not thin is factored through its thin quotient G/S.  In
+A ⊠ B, N[(a, b)] = N[a] × N[b], so the classes of a product are products
+of classes, G/S = A/S ⊠ B/S and class sizes multiply.  The quotient's
+prime factors are grouped as finely as the class sizes allow, each group's
+product is blown up by its share of the sizes, and what is left of the
+sizes is one complete prime factor per prime.  All routes are exact; the
+size cap only bounds running time.
 
 ``NeighborhoodCache`` owns neighborhood factoring for one graph: its
 ``factor_ball`` is the one path from a ball around a vertex to a factored
@@ -40,13 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product, repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, combinations, product, repeat
+from typing import Iterable, Sequence
 
-from .graph import DisconnectedError, Edge, Graph, GraphError, VertexSet, edge_key
+from .graph import DisconnectedError, Edge, Graph, GraphError, VertexSet, complete_graph, edge_key
 from .isomorphism import canonical_form
-from .products import Coordinatization
-from .sclasses import NotThinError, backbone, is_thin, quotient_graph, relative_quotient
+from .products import Coordinatization, strong_product
+from .sclasses import NotThinError, backbone, is_thin, quotient, quotient_graph, relative_quotient
 
 DEFAULT_SIZE_CAP = 24
 
@@ -133,23 +137,33 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
     if size_cap is not None and n > size_cap:
         raise FactorSizeError(f"graph has {n} vertices, size cap is {size_cap}")
     result = _factor_verified(graph)
-    factors = result.factors
-    if len(factors) < 2:
+    if len(result.factors) < 2:
         return result
     assert result.coords is not None
-    order = sorted(
-        range(len(factors)),
-        key=lambda i: (factors[i].vertex_count, canonical_form(factors[i])),
-    )
-    rows = tuple(tuple(row[i] for i in order) for row in result.coords.coords)
-    coords = Coordinatization(tuple(factors[i].vertex_count for i in order), rows)
+    return ordered_factorization(result.factors, result.coords.coords)
+
+
+def ordered_factorization(
+    factors: Sequence[Graph], rows: Sequence[tuple[int, ...]]
+) -> LocalFactorization:
+    """The factorization with its factors sorted by (vertex count, canonical
+    form) and each coordinate row permuted alike.
+
+    Only factors whose vertex count another factor shares need their
+    canonical form; the others are already placed by their counts.
+    """
+    counts = [f.vertex_count for f in factors]
+    shared = {c for c in counts if counts.count(c) > 1}
+    keys = [(c, canonical_form(f) if c in shared else b"") for c, f in zip(counts, factors)]
+    order = sorted(range(len(factors)), key=keys.__getitem__)
+    ordered = tuple(tuple(row[i] for i in order) for row in rows)
+    coords = Coordinatization(tuple(counts[i] for i in order), ordered)
     return LocalFactorization(tuple(factors[i] for i in order), coords)
 
 
 def _factor_verified(graph: Graph) -> LocalFactorization:
     """``factor_exact`` without the size cap and the factor ordering: the
-    factors in the order the split search found them, verified against
-    ``graph``."""
+    factors in the order they were found, verified against ``graph``."""
     if graph.vertex_count == 0:
         raise GraphError("cannot factor an empty graph")
     if not graph.is_connected():
@@ -162,11 +176,22 @@ def _factor_verified(graph: Graph) -> LocalFactorization:
     return result
 
 
+def _least_prime_factor(n: int) -> int:
+    """The least prime dividing ``n`` > 1, or ``n`` itself when it is 1."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
 def _pfd(graph: Graph) -> tuple[list[Graph], list[tuple[int, ...]]]:
+    """Prime factors and coordinates, split by split; a graph that is not
+    thin goes through its quotient.  The order test comes first, since a
+    graph of prime order is prime, thin or not."""
     n = graph.vertex_count
     if n == 1:
         return [], [()]
-    split = _find_split(graph)
+    composite = _least_prime_factor(n) < n
+    if composite and not is_thin(graph):
+        return _factor_through_quotient(graph)
+    split = _find_split(graph) if composite else None
     if split is None:
         return [graph], [(v,) for v in range(n)]
     fa, fb, phi = split
@@ -182,16 +207,101 @@ def _pfd(graph: Graph) -> tuple[list[Graph], list[tuple[int, ...]]]:
 
 
 def _find_split(graph: Graph):
+    """A split of a thin graph of composite order, or None if it is prime."""
     n = graph.vertex_count
-    if not any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
-        return None
-    # every route reads the closed masks; holding them, is_thin reads them too
-    graph.closed_masks
-    if is_thin(graph):
-        if any(graph.degree(v) == n - 1 for v in graph.vertices()):
-            return _split_via_containment(graph)
-        return _split_grown(graph)
-    return _split_blind(graph)
+    if any(graph.degree(v) == n - 1 for v in graph.vertices()):
+        return _split_via_containment(graph)
+    return _split_grown(graph)
+
+
+# -- graphs that are not thin -------------------------------------------------
+
+
+def _factor_through_quotient(graph: Graph) -> tuple[list[Graph], list[tuple[int, ...]]]:
+    """Prime factors and coordinates of a graph that is not thin, read off
+    the prime factors of its thin quotient and its class sizes s.
+
+    If G = A ⊠ B, then G/S = A/S ⊠ B/S and s is the product of the factors'
+    size functions.  So each prime factor of G is a group of the quotient's
+    prime factors blown up by a size function of the group's coordinates,
+    or a K_p that only scales s.  The groups are the finest over which s
+    splits as a product: coordinates i and j belong together when
+    s(x)·s(x^ij) ≠ s(x^i)·s(x^j) for some x, where x^A is x with the
+    coordinates in A reset to the base's.  Between unlinked groups the
+    differences of log s along one group do not depend on the other, so s
+    is the product of its restrictions to the groups up to a constant.  A
+    restriction over its gcd is a prime blow-up: a gcd of 1 leaves it no
+    K_p and no coarser grouping splits it.  The gcd of s is what is left.
+    Twins are interchangeable, so the members of a class get their digits
+    in mixed radix by their rank in the class.
+    """
+    q = quotient(graph)
+    factors, rows = _pfd(q.quotient)
+    sizes = [len(members) for members in q.class_members]
+    at = {row: x for x, row in enumerate(rows)}
+    base = rows[0]
+
+    def size_at(row: tuple[int, ...], reset: Iterable[int]) -> int:
+        kept = dict(enumerate(row))
+        kept.update((i, base[i]) for i in reset)
+        return sizes[at[tuple(kept.values())]]
+
+    k = len(factors)
+    label = list(range(k))
+    for i, j in combinations(range(k), 2):
+        if label[i] != label[j] and any(
+            s * size_at(row, (i, j)) != size_at(row, (i,)) * size_at(row, (j,))
+            for row, s in zip(rows, sizes)
+        ):
+            old = label[j]
+            label = [label[i] if g == old else g for g in label]
+    blown, groups = [], []
+    for g in dict.fromkeys(label):
+        members = [i for i in range(k) if label[i] == g]
+        outside = [i for i in range(k) if label[i] != g]
+        core, cells = strong_product([factors[i] for i in members])
+        weights = [0] * core.vertex_count
+        for row, s in zip(rows, sizes):
+            if all(row[i] == base[i] for i in outside):
+                weights[cells.vertex_at(tuple(row[i] for i in members))] = s
+        common = math.gcd(*weights)
+        weights = [w // common for w in weights]
+        starts = [0, *accumulate(weights)]
+        blown.append(_blow_up(core, starts))
+        groups.append((members, cells, weights, starts))
+    primes = []
+    rest = math.gcd(*sizes)
+    while rest > 1:
+        primes.append(_least_prime_factor(rest))
+        rest //= primes[-1]
+    if len(blown) + len(primes) == 1:
+        return [graph], [(v,) for v in range(graph.vertex_count)]
+    coords = []
+    for v, x in enumerate(q.class_map):
+        rank = q.class_members[x].index(v)
+        row = []
+        for members, cells, weights, starts in groups:
+            y = cells.vertex_at(tuple(rows[x][i] for i in members))
+            rank, digit = divmod(rank, weights[y])
+            row.append(starts[y] + digit)
+        for p in primes:
+            rank, digit = divmod(rank, p)
+            row.append(digit)
+        coords.append(tuple(row))
+    return blown + [complete_graph(p) for p in primes], coords
+
+
+def _blow_up(core: Graph, starts: list[int]) -> Graph:
+    """``core`` with each vertex y replaced by a clique on the vertices
+    starts[y] to starts[y + 1] - 1, and each edge by all edges between its
+    ends' cliques."""
+    if starts[-1] == core.vertex_count:
+        return core
+    blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
+    edges = [e for block in blocks for e in combinations(block, 2)]
+    for y, z in core.edges():
+        edges.extend(product(blocks[y], blocks[z]))
+    return Graph(starts[-1], edges)
 
 
 # -- candidate route 1: thin graphs with a universal vertex ------------------
@@ -350,147 +460,6 @@ def _split_grown(graph: Graph):
                 if phi is not None:
                     return sorted(fa), sorted(fb), phi
     return None
-
-
-# -- candidate route 3: anchored subset search (non-thin inputs) --------------
-
-
-def _split_blind(graph: Graph):
-    """Split search for graphs that are not thin.
-
-    Fiber pairs through a max-degree anchor v0 are connected vertex subsets.
-    A fiber A of a split A ⊠ B obeys the degree law
-    deg(a) + 1 = (deg_A(a) + 1)(deg_B(v0) + 1), and likewise B.  Each law
-    caps the inner degrees of a candidate, which only grow with the subset,
-    so the enumeration cuts a branch as soon as one vertex passes its cap.
-    A full candidate must then meet the exact degree and edge-count laws;
-    the isometry test, the costliest filter, runs last.
-    """
-    n = graph.vertex_count
-    degs = [graph.degree(v) for v in range(n)]
-    anchor = degs.index(max(degs))
-    open_masks = [m ^ 1 << v for v, m in enumerate(graph.closed_masks)]
-    everyone = (1 << n) - 1
-    host_layers: dict[int, list[int]] = {}
-
-    def isometric(members: int) -> bool:
-        # the connected subset keeps every host distance when each BFS layer
-        # inside it is its part of the host's layer at that depth; zip may
-        # stop at the host's last layer, but the equal layers reach every member
-        for v in _bits(members):
-            if v not in host_layers:
-                host_layers[v] = _bfs_layers(open_masks, v, everyone)
-            inner = _bfs_layers(open_masks, v, members)
-            if any(x != y & members for x, y in zip(inner, host_layers[v])):
-                return False
-        return True
-
-    # B is connected, so deg_B(v0) + 1 >= 2 and deg_A(a) + 1 <= (deg(a) + 1) / 2
-    caps_a = [(deg + 1) // 2 - 1 for deg in degs]
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d:
-            continue
-        size_b = n // d
-        for fa, _ in _connected_subsets(open_masks, anchor, d, everyone, caps_a):
-            members_a = _bits(fa)
-            spans = [(degs[a] + 1, (open_masks[a] & fa).bit_count() + 1) for a in members_a]
-            if any(total % inner for total, inner in spans):
-                continue
-            if len({total // inner for total, inner in spans}) != 1 or not isometric(fa):
-                continue
-            # the edge law 2m + n = (2m_A + |A|)(2m_B + |B|) fixes 2m_B + |B|
-            span_b, rest = divmod(2 * graph.edge_count + n, sum(inner for _, inner in spans))
-            if rest:
-                continue
-            dwa = (open_masks[anchor] & fa).bit_count() + 1
-            pool = 1 << anchor
-            for v in range(n):
-                if (degs[v] + 1) % dwa == 0 and not fa >> v & 1:
-                    pool |= 1 << v
-            if pool.bit_count() < size_b:
-                continue
-            caps_b = [(deg + 1) // dwa - 1 for deg in degs]
-            for fb, saturated in _connected_subsets(open_masks, anchor, size_b, pool, caps_b):
-                if saturated != fb:
-                    continue
-                members_b = _bits(fb)
-                if sum(caps_b[b] + 1 for b in members_b) != span_b or not isometric(fb):
-                    continue
-                phi = _try_extension(graph, members_a, members_b, anchor)
-                if phi is not None:
-                    return members_a, members_b, phi
-    return None
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending."""
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(low.bit_length() - 1)
-        mask ^= low
-    return found
-
-
-def _bfs_layers(open_masks: list[int], source: int, within: int) -> list[int]:
-    """Masks of the vertices at distance 0, 1, ... from ``source`` in the
-    subgraph induced by the mask ``within``."""
-    layers = []
-    layer = seen = 1 << source
-    while layer:
-        layers.append(layer)
-        reach = 0
-        for u in _bits(layer):
-            reach |= open_masks[u]
-        layer = reach & within & ~seen
-        seen |= layer
-    return layers
-
-
-def _connected_subsets(
-    open_masks: list[int], root: int, size: int, allowed: int, caps: list[int]
-) -> Iterator[tuple[int, int]]:
-    """Connected subsets of ``size`` >= 2 vertices through ``root`` inside
-    the mask ``allowed`` in which no vertex v has more than caps[v]
-    neighbors, as (members, saturated) masks; ``saturated`` holds the
-    members with exactly caps[v] neighbors inside.
-
-    Depth first from ``root``: a subset grows by each of its frontier
-    vertices in ascending order, and each subset is grown once.  A vertex
-    joins only if neither it nor a member next to it passes its cap; inner
-    degrees only grow, so no subset beyond that branch could keep the caps.
-    """
-    start = 1 << root
-    frontier = open_masks[root] & allowed
-    stack = [[start, start if caps[root] == 0 else 0, frontier, frontier]]
-    seen: set[int] = set()
-    while stack:
-        top = stack[-1]
-        members, saturated, frontier, todo = top
-        if not todo:
-            stack.pop()
-            continue
-        low = todo & -todo
-        top[3] = todo ^ low
-        v = low.bit_length() - 1
-        near = open_masks[v] & members
-        inner = near.bit_count()
-        if inner > caps[v] or near & saturated:
-            continue
-        grown = members | low
-        if grown in seen:
-            continue
-        seen.add(grown)
-        if inner == caps[v]:
-            saturated |= low
-        for u in _bits(near):
-            if (open_masks[u] & grown).bit_count() == caps[u]:
-                saturated |= 1 << u
-        if len(stack) + 1 == size:
-            yield grown, saturated
-        else:
-            ahead = (frontier | open_masks[v] & allowed) & ~grown
-            stack.append([grown, saturated, ahead, ahead])
 
 
 # -- bijection extension ------------------------------------------------------

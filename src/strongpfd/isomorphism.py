@@ -3,8 +3,9 @@
 Two routes: a canonical form built by color refinement with backtracking
 individualization (equal byte strings iff isomorphic), and a direct
 backtracking isomorphism search that also produces a witness bijection.
-Both are exponential in the worst case; intended for graphs up to a few
-dozen vertices.
+Both keep their own stacks.  Both are exponential in the worst case;
+intended for graphs up to a few dozen vertices.  The canonical search
+branches once per twin class of a cell, not once per member.
 """
 
 from __future__ import annotations
@@ -46,36 +47,43 @@ def _adjacency_code(graph: Graph, order: list[int]) -> bytes:
 
 
 def canonical_form(graph: Graph) -> bytes:
-    """Canonical byte string: equal for two graphs iff they are isomorphic."""
+    """Canonical byte string: equal for two graphs iff they are isomorphic.
+
+    The least adjacency code over the leaves of the individualization
+    search, which keeps its own stack.  A node branches on one vertex per
+    twin class of its target cell (same open or same closed neighborhood):
+    swapping two twins is an automorphism that fixes the node's coloring,
+    so their subtrees hold the same codes.
+    """
     n = graph.vertex_count
     if n == 0:
         return b"\x00"
-    best: list[bytes | None] = [None]
-
-    def search(colors: list[int]) -> None:
-        colors = _refine(graph, colors)
+    twin_class = list(range(n))
+    firsts: dict[int, int] = {}
+    for v, mask in enumerate(graph.closed_masks):
+        for key in (mask, mask ^ 1 << v):
+            twin_class[v] = firsts.setdefault(key, twin_class[v])
+    best: bytes | None = None
+    stack = [[graph.degree(v) for v in range(n)]]
+    while stack:
+        colors = _refine(graph, stack.pop())
         cells: dict[int, list[int]] = {}
         for v in range(n):
             cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
         if target is None:
-            order = sorted(range(n), key=lambda v: colors[v])
-            code = _adjacency_code(graph, order)
-            if best[0] is None or code < best[0]:
-                best[0] = code
-            return
-        for v in target:
+            code = _adjacency_code(graph, sorted(range(n), key=colors.__getitem__))
+            if best is None or code < best:
+                best = code
+            continue
+        # each twin class by its least member; the order of the leaves
+        # does not move the minimum
+        for v in {twin_class[v]: v for v in reversed(target)}.values():
             branched = list(colors)
             branched[v] = -1
-            search(branched)
-
-    search([graph.degree(v) for v in range(n)])
-    assert best[0] is not None
-    return n.to_bytes(4, "big") + best[0]
+            stack.append(branched)
+    assert best is not None
+    return n.to_bytes(4, "big") + best
 
 
 def _profiles(graph: Graph) -> list[tuple[int, tuple[int, ...]]]:

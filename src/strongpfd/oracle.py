@@ -3,9 +3,11 @@
 The oracle deliberately avoids the pruned split search of the main
 factorizer: it enumerates every vertex-subset pair through a fixed anchor,
 builds the product of the induced candidates outright, and tests graph
-isomorphism.  It shares only the graph primitives, the class and backbone
-readings of ``sclasses`` and the isomorphism checker with the pipeline, and
-none of its split search, so cross-checks between the two are meaningful.
+isomorphism, also on graphs that are not thin.  It shares only the graph
+primitives, the class and backbone readings of ``sclasses``, the
+isomorphism checker and the public factor order (``ordered_factorization``)
+with the pipeline, and none of its split search or its quotient route, so
+cross-checks between the two are meaningful.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .graph import DisconnectedError, Graph, GraphError
-from .factorize import LocalFactorization
-from .isomorphism import canonical_form, find_isomorphism
+from .factorize import LocalFactorization, ordered_factorization
+from .isomorphism import find_isomorphism
 from .products import Coordinatization, strong_product
 from .sclasses import backbone, is_thin, quotient
 
@@ -60,6 +62,7 @@ def _oracle_split(graph: Graph):
     """First subset pair (A, B) through the anchor with graph iso to A x B."""
     n = graph.vertex_count
     degs = [graph.degree(v) for v in range(n)]
+    degree_sequence = sorted(degs)
     anchor = max(range(n), key=lambda v: (degs[v], -v))
     rest = [v for v in range(n) if v != anchor]
     for d in range(2, isqrt(n) + 1):
@@ -72,6 +75,7 @@ def _oracle_split(graph: Graph):
             if not sub_a.is_connected():
                 continue
             ma = sub_a.edge_count
+            spans_a = [sub_a.degree(v) + 1 for v in range(d)]
             pool = [v for v in rest if v not in extra_a]
             for extra_b in itertools.combinations(pool, size_b - 1):
                 fb = sorted((anchor,) + extra_b)
@@ -82,6 +86,10 @@ def _oracle_split(graph: Graph):
                     continue
                 sub_b, _ = graph.induced_subgraph(fb)
                 if not sub_b.is_connected():
+                    continue
+                # a product vertex has degree (deg_A + 1)(deg_B + 1) - 1
+                spans_b = [sub_b.degree(v) + 1 for v in range(size_b)]
+                if sorted(x * y - 1 for x in spans_a for y in spans_b) != degree_sequence:
                     continue
                 product = _product_graph(sub_a, sub_b)
                 witness = find_isomorphism(product, graph)
@@ -118,14 +126,7 @@ def oracle_pfd(graph: Graph, cap: int = ORACLE_CAP) -> LocalFactorization:
     if not graph.is_connected():
         raise DisconnectedError("prime factorization requires a connected graph")
     factors, rows = _oracle_pfd(graph)
-    order = sorted(
-        range(len(factors)),
-        key=lambda i: (factors[i].vertex_count, canonical_form(factors[i])),
-    )
-    factors = [factors[i] for i in order]
-    rows = [tuple(row[i] for i in order) for row in rows]
-    coords = Coordinatization(tuple(f.vertex_count for f in factors), tuple(rows))
-    return LocalFactorization(tuple(factors), coords)
+    return ordered_factorization(factors, rows)
 
 
 # -- seeded generators ---------------------------------------------------------

@@ -11,7 +11,11 @@ read as it is) runs through its own entry point, and every graph of the
 three.  An outcome is ``recognize(...).to_dict()``, the factors and
 coordinates of ``pfd_fast`` or ``factor_exact``, or the exception's type
 and message.  The script prints one line per entry point, the digest of
-its outcomes in order and how many there are, then, per workload and
+its outcomes in order and how many there are; ``factor_exact`` gets one
+line for its thin inputs and one for the others, plus a line for the
+factor multisets (sorted canonical forms) of those others, since their
+factor labels and coordinates depend on how the quotient is split.  Then,
+per workload and
 entry point, how many quotients the neighborhood memo factored (its
 misses), how often ``skeleton.merge_parallel_colors`` ran and how many
 unions those calls made, and how often ``skeleton.product_coordinates``
@@ -37,17 +41,38 @@ from strongpfd import factorize, skeleton  # noqa: E402
 from strongpfd.io import loads_edgelist  # noqa: E402
 
 ENTRY_POINTS = ("recognize", "pfd_fast", "factor_exact")
+#: the digest rows: factor_exact outcomes split by the input's thinness
+ROWS = (
+    "recognize",
+    "pfd_fast",
+    "factor_exact thin",
+    "factor_exact non-thin",
+    "factor_exact non-thin multisets",
+)
 
 
-def outcome(kind: str, graph) -> str:
+def call(kind: str, graph):
+    """The entry point's result, or the exception it raised."""
     try:
-        result = getattr(strongpfd, kind)(graph)
+        return getattr(strongpfd, kind)(graph)
     except Exception as exc:  # every exception is an outcome to compare
-        return f"{type(exc).__name__}: {exc}"
+        return exc
+
+
+def outcome(kind: str, result) -> str:
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
     if kind == "recognize":
         return json.dumps(result.to_dict(), sort_keys=True)
     coords = None if result.coords is None else result.coords.coords
     return repr(([(f.vertex_count, tuple(f.edges())) for f in result.factors], coords))
+
+
+def multiset(result) -> str:
+    """The sorted canonical forms of the factors, or the exception."""
+    if isinstance(result, Exception):
+        return outcome("factor_exact", result)
+    return repr(sorted(strongpfd.canonical_form(f) for f in result.factors))
 
 
 def count_misses() -> dict[str, int]:
@@ -102,7 +127,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    rows: dict[str, list[str]] = {kind: [] for kind in ENTRY_POINTS}
+    rows: dict[str, list[str]] = {row: [] for row in ROWS}
     counters = (count_misses(), count_merges(), count_verdicts())
     # per (source, entry point): misses, merge calls, unions, checks, ok checks
     totals: dict[tuple[str, str], list[int]] = {}
@@ -112,7 +137,14 @@ def main(argv: list[str]) -> int:
 
     def run(source: str, kind: str, graph) -> None:
         before = snapshot()
-        rows[kind].append(outcome(kind, graph))
+        result = call(kind, graph)
+        if kind != "factor_exact":
+            rows[kind].append(outcome(kind, result))
+        elif strongpfd.is_thin(graph):
+            rows["factor_exact thin"].append(outcome(kind, result))
+        else:
+            rows["factor_exact non-thin"].append(outcome(kind, result))
+            rows["factor_exact non-thin multisets"].append(multiset(result))
         seen = totals.setdefault((source, kind), [0] * len(before))
         for i, (now, then) in enumerate(zip(snapshot(), before)):
             seen[i] += now - then
@@ -125,9 +157,9 @@ def main(argv: list[str]) -> int:
     for graph in recovery_corpus():
         for kind in ENTRY_POINTS:
             run("recovery", kind, graph)
-    for kind in ENTRY_POINTS:
-        digest = hashlib.blake2b("\n".join(rows[kind]).encode(), digest_size=16).hexdigest()
-        print(f"{kind} {digest} outcomes={len(rows[kind])}")
+    for row, outcomes in rows.items():
+        digest = hashlib.blake2b("\n".join(outcomes).encode(), digest_size=16).hexdigest()
+        print(f"{row} {digest} outcomes={len(outcomes)}")
     for (source, kind), (count, calls, unions, checks, ok) in totals.items():
         print(f"misses {source} {kind} {count}")
         print(f"merges {source} {kind} calls={calls} unions={unions}")

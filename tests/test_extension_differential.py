@@ -3,8 +3,9 @@
 ``legacy_extension`` checks each candidate vertex against every pair placed
 so far; the package checks it only against the placed product neighbors of
 its pair.  Every call that ``factor_exact`` makes to the extension, on
-seeded products of every route and on the near products of the route-3
-differential, must return the same mapping both ways, None included.
+seeded products of both split routes, of quotients of products that are not
+thin, and on the near products of ``test_quotient_first``, must return the
+same mapping both ways, None included.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import random
 from strongpfd import Graph, factor_exact, factorize, path_graph, random_product_instance, strong_product
 
 import legacy_extension
-from test_split_differential import FALSE_FIBER_SEEDS, near_product, relabeled
+from test_quotient_first import FALSE_FIBER_SEEDS, near_product, relabeled
 
 
 def seeded_products() -> list[tuple[str, Graph]]:
     """Row-major king strips and relabelled products of seeded random
-    factors: thin ones of at most 36 vertices, and others of at most 16,
-    where the subset search of route 3 stays fast."""
+    factors: thin ones of at most 36 vertices, and others of at most 16."""
     rng = random.Random(8128)
     cases = [(f"P{k}xP3", strong_product([path_graph(k), path_graph(3)])[0]) for k in (3, 5, 9)]
     while len(cases) < 43:

@@ -2,8 +2,8 @@
 orders its factors, the edge coloring has one state and one continuation
 check, neighborhood quotients are factored only through
 ``NeighborhoodCache``, which alone holds the size cap and the quotient memo,
-and the exact factorizer and the isomorphism search recurse only where
-their depth stays small.
+and the exact factorizer recurses only where its depth stays small, the
+isomorphism searches not at all.
 
 An import inside a function body is how a module reaches back into one that
 imports it; keeping every relative import at the top of its module keeps
@@ -59,9 +59,10 @@ def functions_referencing(source: str, name: str) -> list[str]:
 def test_only_factor_exact_orders_factors():
     # internal factorizations stay in split-search order; the canonical
     # order costs a canonical labelling per factor and only the public
-    # result promises it
+    # result promises it, through the one ordering helper the oracle shares
     source = (PACKAGE / "factorize.py").read_text()
-    assert functions_referencing(source, "canonical_form") == ["factor_exact"]
+    assert functions_referencing(source, "canonical_form") == ["ordered_factorization"]
+    assert top_level_callers(source, "ordered_factorization") == ["factor_exact"]
 
 
 def test_the_check_sees_a_nested_reference():
@@ -280,10 +281,10 @@ def test_factorize_recurses_only_where_depth_stays_small():
 
 
 def test_isomorphism_recurses_only_in_the_canonical_search():
-    # find_isomorphism keeps an explicit stack, one level per vertex; the
-    # individualization search of canonical_form still recurses
+    # find_isomorphism keeps an explicit stack, one level per vertex, and
+    # so does the individualization search of canonical_form
     source = (PACKAGE / "isomorphism.py").read_text()
-    assert self_calling_functions(source) == ["canonical_form.search"]
+    assert self_calling_functions(source) == []
 
 
 def test_the_check_sees_nested_recursion():
