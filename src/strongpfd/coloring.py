@@ -188,28 +188,21 @@ def _bfs_one_color(
 
 
 def completion_sweep(
-    graph: Graph,
-    coloring: PartialProductColoring,
-    color: int | None = None,
-    stage: str = STAGE_COMPLETION,
+    graph: Graph, coloring: PartialProductColoring, stage: str = STAGE_COMPLETION
 ) -> int:
     """Color uncolored edges pinched between two same-colored edges.
 
     An edge (v, w) joins color c when some z carries colored edges (z, v)
-    and (z, w) of color c.  Runs to a fixpoint; returns how many edges were
-    added, at once 0 when every edge of the graph is colored already.  With
-    ``color`` given, only that color spreads.  One color reaches the same
-    fixpoint in any order, so its edges are taken as they come; all colors
-    go in sorted edge order, which decides the color of an edge pinched in
-    two.
+    and (z, w) of color c.  Runs to a fixpoint over every color at once;
+    returns how many edges were added, at once 0 when every edge of the
+    graph is colored already.  Seeds go in sorted edge order, which decides
+    the color of an edge pinched in two.  ``pfd_fast`` and ``build_skeleton``
+    both finish their coloring with this one sweep.
     """
     colors = coloring.colors
     if len(colors) == graph.edge_count:
         return 0
-    if color is None:
-        seeds = sorted(colors.items())
-    else:
-        seeds = [(edge, c) for edge, c in colors.items() if c == color]
+    seeds = sorted(colors.items())
     incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
     for (u, v), c in seeds:
         incident[u].append((v, c))
@@ -241,10 +234,11 @@ def color_fibers_from(cache: NeighborhoodCache, anchor: int) -> PartialProductCo
     color per local factor.
 
     Follows the anchored coloring procedure: factor the anchor neighborhood,
-    open one color per local factor, run the color-restricted backbone BFS,
-    and finish with the completion sweep.  Raises ColoringError when the
-    continuation or the local factor counts break down, which means the
-    graph is not locally unrefined.
+    open one color per local factor, run the color-restricted backbone BFS
+    of each, and finish with one completion sweep over all colors, as
+    ``build_skeleton`` does.  Raises ColoringError when the continuation or
+    the local factor counts break down, which means the graph is not
+    locally unrefined.
     """
     graph = cache.graph
     require_thin_connected(graph, "fiber coloring")
@@ -253,9 +247,8 @@ def color_fibers_from(cache: NeighborhoodCache, anchor: int) -> PartialProductCo
 
     coloring = PartialProductColoring()
     for local_color in range(cache.get(anchor).prime_count):
-        raw = coloring.new_color()
-        _bfs_one_color(anchor, local_color, raw, cache, coloring)
-        completion_sweep(graph, coloring, color=raw)
+        _bfs_one_color(anchor, local_color, coloring.new_color(), cache, coloring)
+    completion_sweep(graph, coloring)
     return coloring
 
 

@@ -35,8 +35,9 @@ algorithm reads: the local prime count and the lifted edges
 (``factor_neighborhood``); route 2 reads each member's local coordinate row
 straight off the ball and lifts nothing.  A miss costs one split search and
 one verification: internal quotient factorizations are left in the order
-the split search found them, and only the public ``factor_exact`` orders
-its factors.  A one-factor result under identity coordinates is verified by
+the split search found them.  ``ordered_factorization`` is the one order
+of the public results, those of ``factor_exact``, ``pfd_fast`` and
+``oracle_pfd``.  A one-factor result under identity coordinates is verified by
 graph equality.
 """
 
@@ -127,8 +128,8 @@ def reconstructs(graph: Graph, factorization: LocalFactorization) -> bool:
 def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> LocalFactorization:
     """Complete prime factor decomposition of a connected graph.
 
-    Factor order is normalized by (vertex count, canonical form); a result
-    with fewer than two factors has nothing to order.  The factorization is
+    Factors are in the order of ``ordered_factorization``; a result with
+    fewer than two factors has nothing to order.  The factorization is
     verified before it is ordered, a one-factor result by graph equality.
     Raises FactorSizeError above ``size_cap`` and DisconnectedError on
     disconnected input.
@@ -144,21 +145,30 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
 
 
 def ordered_factorization(
-    factors: Sequence[Graph], rows: Sequence[tuple[int, ...]]
+    factors: Sequence[Graph], rows: Sequence[tuple[int, ...]] | None
 ) -> LocalFactorization:
-    """The factorization with its factors sorted by (vertex count, canonical
-    form) and each coordinate row permuted alike.
+    """The one factor order of the public results: the factors sorted by
+    vertex count, edge count and degree sequence, and by canonical form
+    among factors that tie on all three, with each coordinate row permuted
+    alike.
 
-    Only factors whose vertex count another factor shares need their
-    canonical form; the others are already placed by their counts.
+    A canonical form is computed only for a factor that ties with another
+    on the cheap keys; the others are already placed by them.  With
+    ``rows`` None the result carries no coordinates, as ``pfd_fast``'s.
     """
-    counts = [f.vertex_count for f in factors]
-    shared = {c for c in counts if counts.count(c) > 1}
-    keys = [(c, canonical_form(f) if c in shared else b"") for c, f in zip(counts, factors)]
+    cheap = [
+        (f.vertex_count, f.edge_count, tuple(sorted(map(len, f.adjacency_sets))))
+        for f in factors
+    ]
+    keys = [(k, canonical_form(f) if cheap.count(k) > 1 else b"") for k, f in zip(cheap, factors)]
     order = sorted(range(len(factors)), key=keys.__getitem__)
-    ordered = tuple(tuple(row[i] for i in order) for row in rows)
-    coords = Coordinatization(tuple(counts[i] for i in order), ordered)
-    return LocalFactorization(tuple(factors[i] for i in order), coords)
+    ordered = tuple(factors[i] for i in order)
+    if rows is None:
+        return LocalFactorization(ordered, None)
+    coords = Coordinatization(
+        tuple(f.vertex_count for f in ordered), tuple(tuple(row[i] for i in order) for row in rows)
+    )
+    return LocalFactorization(ordered, coords)
 
 
 def _factor_verified(graph: Graph) -> LocalFactorization:

@@ -59,8 +59,15 @@ def _product_graph(a: Graph, b: Graph) -> Graph:
 
 
 def _oracle_split(graph: Graph):
-    """First subset pair (A, B) through the anchor with graph iso to A x B."""
+    """First subset pair (A, B) through the anchor with graph iso to A x B.
+
+    B is tested by the edge law and the degree law on its in-set degrees,
+    read off the closed masks, before it is built and checked connected;
+    each test is a necessary condition, so their order does not change which
+    pair is found first.
+    """
     n = graph.vertex_count
+    masks = graph.closed_masks
     degs = [graph.degree(v) for v in range(n)]
     degree_sequence = sorted(degs)
     anchor = max(range(n), key=lambda v: (degs[v], -v))
@@ -78,18 +85,18 @@ def _oracle_split(graph: Graph):
             spans_a = [sub_a.degree(v) + 1 for v in range(d)]
             pool = [v for v in rest if v not in extra_a]
             for extra_b in itertools.combinations(pool, size_b - 1):
-                fb = sorted((anchor,) + extra_b)
-                fb_set = frozenset(fb)
-                mb = sum(len(graph.adjacency_set(v) & fb_set) for v in fb) // 2
+                fb = (anchor,) + extra_b
+                fb_mask = sum(1 << v for v in fb)
+                # closed in-set degrees: deg_B + 1 per member
+                spans_b = [(masks[v] & fb_mask).bit_count() for v in fb]
                 # a strong product has ((2ma+na)(2mb+nb) - na*nb)/2 edges
-                if (2 * ma + d) * (2 * mb + size_b) - d * size_b != 2 * graph.edge_count:
-                    continue
-                sub_b, _ = graph.induced_subgraph(fb)
-                if not sub_b.is_connected():
+                if (2 * ma + d) * sum(spans_b) - d * size_b != 2 * graph.edge_count:
                     continue
                 # a product vertex has degree (deg_A + 1)(deg_B + 1) - 1
-                spans_b = [sub_b.degree(v) + 1 for v in range(size_b)]
                 if sorted(x * y - 1 for x in spans_a for y in spans_b) != degree_sequence:
+                    continue
+                sub_b, _ = graph.induced_subgraph(sorted(fb))
+                if not sub_b.is_connected():
                     continue
                 product = _product_graph(sub_a, sub_b)
                 witness = find_isomorphism(product, graph)

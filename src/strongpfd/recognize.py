@@ -3,8 +3,11 @@
 A graph qualifies when the maximal local prime count over all decomposed
 neighborhoods equals the number of final skeleton colors and the extracted
 per-color components rebuild the graph edge-for-edge; the skeleton module
-builds the coloring and runs that product check.  The single-anchor fast
-path extracts the prime factors directly from one backbone coloring.
+builds the coloring and runs that product check, whose diagnostics the
+report lists once each.  A report keeps its factors in color order.  The
+single-anchor fast path extracts the prime factors directly from one
+backbone coloring, finished by the same completion sweep as the skeleton,
+and returns them in the factor order of ``factor_exact``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass, field
 
 from .graph import Edge, Graph
 from .coloring import ColoringError, NeighborhoodCache, color_fibers_from
-from .factorize import FactorSizeError, LocalFactorization
+from .factorize import FactorSizeError, LocalFactorization, ordered_factorization
 from .io import graph_to_dict
-from .isomorphism import canonical_form, is_isomorphic
+from .isomorphism import is_isomorphic
 from .sclasses import backbone, require_thin_connected
 from .skeleton import (
     ColoredSkeleton,
@@ -117,7 +120,7 @@ def recognize(graph: Graph, size_cap: int | None = None) -> RecognitionReport:
         skeleton.n2_prime_counts.values()
     )
     max_local = max(all_counts, default=0)
-    ok, _, factors, diag = skeleton.verification
+    ok, _, factors, _ = skeleton.verification
     if ok:
         assert factors is not None
         extracted = tuple(factors)
@@ -129,7 +132,7 @@ def recognize(graph: Graph, size_cap: int | None = None) -> RecognitionReport:
             graph.induced_subgraph(next((m for m in comps if len(m) > 1), [0]))[0]
             for comps in comps_of
         )
-    diagnostics = list(skeleton.diagnostics) + diag
+    diagnostics = list(skeleton.diagnostics)
     in_upsilon = ok and max_local == skeleton.n_colors
     if ok and max_local != skeleton.n_colors:
         diagnostics.append(
@@ -155,7 +158,8 @@ def pfd_fast(
     surface as ColoringError; violations that keep the coloring locally
     coherent produce factors that simply fail to rebuild the graph (run
     ``recognize`` to decide membership first).  The result carries no
-    coordinates, only the factor graphs.
+    coordinates, only the factor graphs, in the one factor order of
+    ``factorize.ordered_factorization``, which ``factor_exact`` shares.
     """
     require_thin_connected(graph, "recognition")
     x = backbone(graph)[0] if anchor is None else anchor
@@ -172,28 +176,5 @@ def pfd_fast(
             "not locally unrefined: fiber sizes through the anchor do not "
             "multiply to the vertex count"
         )
-    return LocalFactorization(tuple(_ordered_factors(factors)), None)
+    return ordered_factorization(factors, None)
 
-
-def _ordered_factors(factors: list[Graph]) -> list[Graph]:
-    """Deterministic factor order; canonical forms break ties only among
-    factors that cheap invariants cannot separate (keeps big easy factors
-    out of the canonical labeling)."""
-
-    def cheap(f: Graph) -> tuple:
-        return (
-            f.vertex_count,
-            f.edge_count,
-            tuple(sorted(f.degree(v) for v in f.vertices())),
-        )
-
-    groups: dict[tuple, list[Graph]] = {}
-    for f in factors:
-        groups.setdefault(cheap(f), []).append(f)
-    ordered: list[Graph] = []
-    for key in sorted(groups):
-        group = groups[key]
-        if len(group) > 1:
-            group.sort(key=canonical_form)
-        ordered.extend(group)
-    return ordered

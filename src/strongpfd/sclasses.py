@@ -7,8 +7,9 @@ neighborhoods intersected with H coincide.  The backbone is the set of
 vertices whose closed neighborhood is strictly maximal; on thin connected
 graphs it induces a connected dominating set.  Thinness and the backbone
 are read off the ``Graph``, which finds both in one pass over its
-adjacency sets, so neither builds the host's n-bit closed masks; only the
-witness helpers ``s_class_size`` and ``s1_witness`` read them.
+adjacency sets, so neither builds the host's n-bit closed masks; the
+witness helpers ``s_class_size`` and ``s1_witness`` read their classes
+through the public ``relative_s_partition``, so nothing here reads them.
 
 ``relative_quotient`` is the one quotient routine: it splits a vertex set
 into its relative classes by keys in the set's own positions, read once off
@@ -131,22 +132,11 @@ def relative_s_partition(graph: Graph, host: Iterable[int]) -> SPartition:
 
 def s_class_size(graph: Graph, z: int, x: int) -> int:
     """Size of the class of x relative to the closed neighborhood of z."""
-    graph._check_vertex(z)
     graph._check_vertex(x)
-    masks = graph.closed_masks
-    zmask = masks[z]
-    if not (zmask >> x) & 1:
+    partition = relative_s_partition(graph, graph.closed_neighborhood(z))
+    if x not in partition.class_index:
         raise GraphError(f"vertex {x} is not in the closed neighborhood of {z}")
-    target = masks[x] & zmask
-    count = 0
-    m = zmask
-    while m:
-        low = m & -m
-        w = low.bit_length() - 1
-        if masks[w] & zmask == target:
-            count += 1
-        m ^= low
-    return count
+    return len(partition.class_of(x))
 
 
 def is_thin(graph: Graph) -> bool:
@@ -196,16 +186,9 @@ def s1_witness(graph: Graph, u: int, v: int) -> int | None:
     if not is_thin(graph):
         raise NotThinError("the singleton-class condition is defined on thin graphs")
     bset = set(backbone(graph))
-    masks = graph.closed_masks
-    common = masks[u] & masks[v]
-    candidates = []
-    m = common
-    while m:
-        low = m & -m
-        candidates.append(low.bit_length() - 1)
-        m ^= low
-    ordered = [z for z in candidates if z in bset] + [z for z in candidates if z not in bset]
-    for z in ordered:
-        if s_class_size(graph, z, u) == 1 or s_class_size(graph, z, v) == 1:
+    common = set(graph.closed_neighborhood(u)).intersection(graph.closed_neighborhood(v))
+    for z in sorted(common & bset) + sorted(common - bset):
+        partition = relative_s_partition(graph, graph.closed_neighborhood(z))
+        if len(partition.class_of(u)) == 1 or len(partition.class_of(v)) == 1:
             return z
     return None

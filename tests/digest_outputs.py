@@ -12,9 +12,9 @@ three.  An outcome is ``recognize(...).to_dict()``, the factors and
 coordinates of ``pfd_fast`` or ``factor_exact``, or the exception's type
 and message.  The script prints one line per entry point, the digest of
 its outcomes in order and how many there are; ``factor_exact`` gets one
-line for its thin inputs and one for the others, plus a line for the
-factor multisets (sorted canonical forms) of those others, since their
-factor labels and coordinates depend on how the quotient is split.  Then,
+line for its thin inputs and one for the others, plus, for each of the
+two, a line for the factor multisets (sorted canonical forms), which a
+change of factor order or of factor labels leaves as they are.  Then,
 per workload and
 entry point, how many quotients the neighborhood memo factored (its
 misses), how often ``skeleton.merge_parallel_colors`` ran and how many
@@ -46,6 +46,7 @@ ROWS = (
     "recognize",
     "pfd_fast",
     "factor_exact thin",
+    "factor_exact thin multisets",
     "factor_exact non-thin",
     "factor_exact non-thin multisets",
 )
@@ -140,11 +141,10 @@ def main(argv: list[str]) -> int:
         result = call(kind, graph)
         if kind != "factor_exact":
             rows[kind].append(outcome(kind, result))
-        elif strongpfd.is_thin(graph):
-            rows["factor_exact thin"].append(outcome(kind, result))
         else:
-            rows["factor_exact non-thin"].append(outcome(kind, result))
-            rows["factor_exact non-thin multisets"].append(multiset(result))
+            row = "factor_exact thin" if strongpfd.is_thin(graph) else "factor_exact non-thin"
+            rows[row].append(outcome(kind, result))
+            rows[f"{row} multisets"].append(multiset(result))
         seen = totals.setdefault((source, kind), [0] * len(before))
         for i, (now, then) in enumerate(zip(snapshot(), before)):
             seen[i] += now - then

@@ -190,7 +190,7 @@ def legacy_recognize(graph: Graph, size_cap: int | None = None) -> RecognitionRe
         skeleton.n2_prime_counts.values()
     )
     max_local = max(all_counts, default=0)
-    ok, _, factors, diag = product_coordinates(graph, skeleton.edge_color, skeleton.n_colors)
+    ok, _, factors, _ = product_coordinates(graph, skeleton.edge_color, skeleton.n_colors)
     if ok:
         extracted = tuple(factors)
     else:
@@ -203,7 +203,8 @@ def legacy_recognize(graph: Graph, size_cap: int | None = None) -> RecognitionRe
             members = comps[comp[endpoints[0]]] if endpoints else [0]
             extracted.append(graph.induced_subgraph(members)[0])
         extracted = tuple(extracted)
-    diagnostics = list(skeleton.diagnostics) + diag
+    # the skeleton's diagnostics are the product check's already
+    diagnostics = list(skeleton.diagnostics)
     in_upsilon = ok and max_local == skeleton.n_colors
     if ok and max_local != skeleton.n_colors:
         diagnostics.append(

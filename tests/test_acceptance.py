@@ -260,14 +260,19 @@ def test_criterion_09_blind_fibers_recovered_by_second_stage():
 
 
 def test_criterion_10_scaling_smoke():
+    # best of 3 calls, each on a fresh graph (nothing memoized on it), so a
+    # full collection of a heap that earlier tests left behind does not
+    # land on the one timed call of some k
     times: dict[int, float] = {}
     total_start = time.perf_counter()
     for k in (50, 100, 200, 400, 800):
-        graph, _ = strong_product([path_graph(k), path_graph(3)])
-        start = time.perf_counter()
-        result = pfd_fast(graph)
-        times[k] = time.perf_counter() - start
-        assert sorted(f.vertex_count for f in result.factors) == [3, k]
+        times[k] = math.inf
+        for _ in range(3):
+            graph = strong_product([path_graph(k), path_graph(3)])[0]
+            start = time.perf_counter()
+            result = pfd_fast(graph)
+            times[k] = min(times[k], time.perf_counter() - start)
+            assert sorted(f.vertex_count for f in result.factors) == [3, k]
     total = time.perf_counter() - total_start
     ks = sorted(times)
     xs = [math.log(k) for k in ks]

@@ -20,6 +20,7 @@ from strongpfd import (
     path_graph,
     strong_product,
 )
+from strongpfd import coloring as coloring_module
 from strongpfd.coloring import STAGE_LIFT, PartialProductColoring, completion_sweep
 from strongpfd.graph import edge_key
 from strongpfd.oracle import random_thin_graph
@@ -168,6 +169,22 @@ def test_extend_is_idempotent_after_run(p3xp3):
     before = dict(coloring.colors)
     assert completion_sweep(graph, coloring) == 0
     assert coloring.colors == before
+
+
+def test_fiber_coloring_ends_in_one_sweep_over_all_colors(monkeypatch):
+    # every covering walk runs first, then the one sweep that the skeleton
+    # assembly runs too
+    graph, _ = strong_product([path_graph(4), cycle_graph(5)])
+    opened = []
+    sweep = coloring_module.completion_sweep
+
+    def recorded(graph, coloring, *args):
+        opened.append(len(coloring.uf.parent))
+        return sweep(graph, coloring, *args)
+
+    monkeypatch.setattr(coloring_module, "completion_sweep", recorded)
+    color_fibers_from(NeighborhoodCache(graph), min(backbone(graph)))
+    assert opened == [2]
 
 
 def test_sweep_of_a_fully_colored_graph_adds_nothing(p3xp3, monkeypatch):

@@ -58,11 +58,17 @@ def functions_referencing(source: str, name: str) -> list[str]:
 
 def test_only_factor_exact_orders_factors():
     # internal factorizations stay in split-search order; the canonical
-    # order costs a canonical labelling per factor and only the public
-    # result promises it, through the one ordering helper the oracle shares
+    # order costs a canonical labelling per tied factor and only the public
+    # results promise it, through the one ordering helper the oracle shares
     source = (PACKAGE / "factorize.py").read_text()
     assert functions_referencing(source, "canonical_form") == ["ordered_factorization"]
     assert top_level_callers(source, "ordered_factorization") == ["factor_exact"]
+
+
+def test_pfd_fast_orders_factors_through_the_shared_helper():
+    source = (PACKAGE / "recognize.py").read_text()
+    assert functions_referencing(source, "canonical_form") == []
+    assert top_level_callers(source, "ordered_factorization") == ["pfd_fast"]
 
 
 def test_the_check_sees_a_nested_reference():

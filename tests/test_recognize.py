@@ -14,6 +14,7 @@ from strongpfd import (
     cartesian_index,
     complete_graph,
     cycle_graph,
+    factor_exact,
     is_isomorphic,
     path_graph,
     pfd_fast,
@@ -82,7 +83,8 @@ def test_recognize_twisted_fixture():
     assert not report.in_upsilon
     assert report.max_local_factors == 2
     assert not report.reconstruction_ok
-    assert report.diagnostics
+    # the failed product check, once
+    assert report.diagnostics == ["color 1 has fibers of unequal sizes [4, 8]"]
 
 
 def test_recognize_rejects_bad_inputs():
@@ -150,6 +152,21 @@ def test_pfd_fast_agrees_with_recognize():
             continue
         fast = pfd_fast(inst.graph)
         assert canon_multiset(fast.factors) == canon_multiset(report.extracted_factors)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [path_graph(4), cycle_graph(4)],
+        [cycle_graph(4), Graph(4, [(0, 1), (0, 2), (0, 3)])],
+    ],
+)
+def test_pfd_fast_and_factor_exact_share_one_factor_order(factors):
+    graph, _ = strong_product(factors)
+    fast = pfd_fast(graph).factors
+    exact = factor_exact(graph).factors
+    assert len(fast) == len(exact) == len(factors)
+    assert all(is_isomorphic(f, e) for f, e in zip(fast, exact))
 
 
 def test_pfd_fast_unreliable_outside_its_precondition():
