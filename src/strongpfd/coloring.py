@@ -203,10 +203,11 @@ def completion_sweep(
     if len(colors) == graph.edge_count:
         return 0
     seeds = sorted(colors.items())
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+    # incident[v][c]: the ends of v's c-colored edges, in the order colored
+    incident: list[dict[int, list[int]]] = [{} for _ in range(graph.vertex_count)]
     for (u, v), c in seeds:
-        incident[u].append((v, c))
-        incident[v].append((u, c))
+        incident[u].setdefault(c, []).append(v)
+        incident[v].setdefault(c, []).append(u)
     rows = graph.adjacency_sets
     worklist = deque(seeds)
     added = 0
@@ -215,15 +216,15 @@ def completion_sweep(
         for z, other in ((u, v), (v, u)):
             near = rows[other]
             # appends below go to other's and w's lists, never to z's
-            for w, cw in incident[z]:
-                if cw != c or w == other:
+            for w in incident[z][c]:
+                if w == other:
                     continue
                 edge = edge_key(other, w)
                 if edge in colors or w not in near:
                     continue
                 coloring.assign(edge, c, stage)
-                incident[other].append((w, c))
-                incident[w].append((other, c))
+                incident[other][c].append(w)
+                incident[w].setdefault(c, []).append(other)
                 worklist.append((edge, c))
                 added += 1
     return added

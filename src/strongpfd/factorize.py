@@ -27,18 +27,25 @@ size cap only bounds running time.
 quotient.  The classes of the ball and the key of its quotient come from
 ``sclasses.relative_quotient`` in the ball's own positions, the size cap is
 checked on the quotient, and the quotient graph is built from its masks and
-factored only when the cache's memo has no entry under that key; no
-subgraph of the host is built.  The 1-neighborhoods of the coloring stages,
-the 2-neighborhoods of the N2 sweep and the split search of route 2 all
-take this path.  A coloring stage keeps, per center, only what the local
-algorithm reads: the local prime count and the lifted edges
-(``factor_neighborhood``); route 2 reads each member's local coordinate row
-straight off the ball and lifts nothing.  A miss costs one split search and
-one verification: internal quotient factorizations are left in the order
-the split search found them.  ``ordered_factorization`` is the one order
-of the public results, those of ``factor_exact``, ``pfd_fast`` and
-``oracle_pfd``.  A one-factor result under identity coordinates is verified by
-graph equality.
+factored only when the memo has no entry under that key; no subgraph of the
+host is built.  The 1-neighborhoods of the coloring stages, the
+2-neighborhoods of the N2 sweep and the split search of route 2 all take
+this path.  The memo serves one public call: ``recognize``, ``pfd_fast``
+and ``factor_exact`` each open a root cache, and the factorization below
+passes it down, so route 2, inside a memo miss, on the factors of a split
+or under a quotient, opens its cache on its own graph through the
+enclosing cache's ``on`` and shares the memo.  Within one call each
+labelled quotient is factored once.
+
+A coloring stage keeps, per center, only what the local algorithm reads:
+the local prime count and the lifted edges (``factor_neighborhood``);
+route 2 reads each member's local coordinate row straight off the ball and
+lifts nothing.  A miss costs one split search and one verification:
+internal quotient factorizations are left in the order the split search
+found them.  ``ordered_factorization`` is the one order of the public
+results, those of ``factor_exact``, ``pfd_fast`` and ``oracle_pfd``.  A
+one-factor result under identity coordinates is verified by graph
+equality.
 """
 
 from __future__ import annotations
@@ -137,7 +144,7 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
     n = graph.vertex_count
     if size_cap is not None and n > size_cap:
         raise FactorSizeError(f"graph has {n} vertices, size cap is {size_cap}")
-    result = _factor_verified(graph)
+    result = _factor_verified(graph, NeighborhoodCache(graph))
     if len(result.factors) < 2:
         return result
     assert result.coords is not None
@@ -171,14 +178,17 @@ def ordered_factorization(
     return LocalFactorization(ordered, coords)
 
 
-def _factor_verified(graph: Graph) -> LocalFactorization:
+def _factor_verified(graph: Graph, cache: NeighborhoodCache) -> LocalFactorization:
     """``factor_exact`` without the size cap and the factor ordering: the
-    factors in the order they were found, verified against ``graph``."""
+    factors in the order they were found, verified against ``graph``.
+
+    ``cache`` is the enclosing cache, whose quotient memo every split search
+    below shares."""
     if graph.vertex_count == 0:
         raise GraphError("cannot factor an empty graph")
     if not graph.is_connected():
         raise DisconnectedError("prime factorization requires a connected graph")
-    factors, coords_rows = _pfd(graph)
+    factors, coords_rows = _pfd(graph, cache)
     coords = Coordinatization(tuple(f.vertex_count for f in factors), tuple(coords_rows))
     result = LocalFactorization(tuple(factors), coords)
     if not reconstructs(graph, result):
@@ -191,7 +201,7 @@ def _least_prime_factor(n: int) -> int:
     return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
 
 
-def _pfd(graph: Graph) -> tuple[list[Graph], list[tuple[int, ...]]]:
+def _pfd(graph: Graph, cache: NeighborhoodCache) -> tuple[list[Graph], list[tuple[int, ...]]]:
     """Prime factors and coordinates, split by split; a graph that is not
     thin goes through its quotient.  The order test comes first, since a
     graph of prime order is prime, thin or not."""
@@ -200,15 +210,15 @@ def _pfd(graph: Graph) -> tuple[list[Graph], list[tuple[int, ...]]]:
         return [], [()]
     composite = _least_prime_factor(n) < n
     if composite and not is_thin(graph):
-        return _factor_through_quotient(graph)
-    split = _find_split(graph) if composite else None
+        return _factor_through_quotient(graph, cache)
+    split = _find_split(graph, cache) if composite else None
     if split is None:
         return [graph], [(v,) for v in range(n)]
     fa, fb, phi = split
     ga, map_a = graph.induced_subgraph(fa)
     gb, map_b = graph.induced_subgraph(fb)
-    factors_a, coords_a = _pfd(ga)
-    factors_b, coords_b = _pfd(gb)
+    factors_a, coords_a = _pfd(ga, cache)
+    factors_b, coords_b = _pfd(gb, cache)
     coords: list[tuple[int, ...] | None] = [None] * n
     for (a, b), vertex in phi.items():
         coords[vertex] = coords_a[map_a[a]] + coords_b[map_b[b]]
@@ -216,18 +226,20 @@ def _pfd(graph: Graph) -> tuple[list[Graph], list[tuple[int, ...]]]:
     return factors_a + factors_b, coords  # type: ignore[return-value]
 
 
-def _find_split(graph: Graph):
+def _find_split(graph: Graph, cache: NeighborhoodCache):
     """A split of a thin graph of composite order, or None if it is prime."""
     n = graph.vertex_count
     if any(graph.degree(v) == n - 1 for v in graph.vertices()):
         return _split_via_containment(graph)
-    return _split_grown(graph)
+    return _split_grown(graph, cache)
 
 
 # -- graphs that are not thin -------------------------------------------------
 
 
-def _factor_through_quotient(graph: Graph) -> tuple[list[Graph], list[tuple[int, ...]]]:
+def _factor_through_quotient(
+    graph: Graph, cache: NeighborhoodCache
+) -> tuple[list[Graph], list[tuple[int, ...]]]:
     """Prime factors and coordinates of a graph that is not thin, read off
     the prime factors of its thin quotient and its class sizes s.
 
@@ -246,7 +258,7 @@ def _factor_through_quotient(graph: Graph) -> tuple[list[Graph], list[tuple[int,
     in mixed radix by their rank in the class.
     """
     q = quotient(graph)
-    factors, rows = _pfd(q.quotient)
+    factors, rows = _pfd(q.quotient, cache)
     sizes = [len(members) for members in q.class_members]
     at = {row: x for x, row in enumerate(rows)}
     base = rows[0]
@@ -424,26 +436,29 @@ def _grow_fiber_candidates(
     return sorted(results, key=lambda s: (len(s), sorted(s)))
 
 
-def _split_grown(graph: Graph):
+def _split_grown(graph: Graph, cache: NeighborhoodCache):
     """Split search for thin graphs without a universal vertex.
 
     The anchor neighborhood is factored; every bipartition of its local
     factors seeds a pair of boxes through the anchor, which are grown into
     full fiber candidates along the backbone and verified by extension.
-    Each neighborhood is read once off its factored ball as the local
-    coordinate row of every member, by host id; the members of a class
-    share theirs.
+    The balls are factored through a cache on ``graph`` that ``cache``, the
+    enclosing one, opens: it shares the quotient memo of the whole public
+    call, so a quotient the caller or an earlier split already factored is
+    a hit.  Each neighborhood is read once off its factored ball as the
+    local coordinate row of every member, by host id; the members of a
+    class share theirs.
     """
     n = graph.vertex_count
     degs = [graph.degree(v) for v in range(n)]
     anchor = max(range(n), key=lambda v: (degs[v], -v))
-    cache = NeighborhoodCache(graph)
+    balls = cache.on(graph)
     local: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def neighborhood(v: int) -> dict[int, tuple[int, ...]]:
         coords = local.get(v)
         if coords is None:
-            members, _, class_map, entry = cache.factor_ball(v, 1)
+            members, _, class_map, entry = balls.factor_ball(v, 1)
             rows = entry.factorization.coords.coords  # type: ignore[union-attr]
             coords = local[v] = {u: rows[c] for u, c in zip(members, class_map)}
         return coords
@@ -617,22 +632,31 @@ class NeighborhoodFactorization:
 @dataclass
 class NeighborhoodCache:
     """The one path from a ball in one graph to its factored quotient,
-    under one size cap and one quotient memo.
+    under one size cap and the quotient memo of one public call.
 
     ``quotients`` maps a quotient's ``closed_masks``, which fix the labelled
     graph, to the quotient graph, its factorization and its Cartesian
     edges.  On bounded-degree products most neighborhoods have
     labelled-equal quotients, so each distinct one is built and factored
-    once, and a hit builds no graph at all.  ``entries`` holds, per center
-    that ``get`` was asked for, its local prime count and the edges lifted
-    through that neighborhood's own classes and host ids; nothing else of
-    the neighborhood is kept.
+    once, and a hit builds no graph at all.  The memo is shared by every
+    cache that ``on`` opens from this one, on the graphs of the split
+    searches below it, so within one public call each labelled quotient is
+    factored once: the key fixes the quotient, its factorization is
+    deterministic, and only verified results are stored.  ``entries``
+    holds, per center that ``get`` was asked for, its local prime count and
+    the edges lifted through that neighborhood's own classes and host ids;
+    nothing else of the neighborhood is kept.
     """
 
     graph: Graph
     size_cap: int | None = None
     entries: dict[int, NeighborhoodFactorization] = field(default_factory=dict)
     quotients: dict[tuple[int, ...], FactoredQuotient] = field(default_factory=dict)
+
+    def on(self, graph: Graph) -> NeighborhoodCache:
+        """A cache on ``graph`` without a size cap that shares this cache's
+        quotient memo; the split searches open theirs through it."""
+        return NeighborhoodCache(graph, quotients=self.quotients)
 
     def get(self, v: int) -> NeighborhoodFactorization:
         nf = self.entries.get(v)
@@ -660,7 +684,7 @@ class NeighborhoodCache:
         entry = self.quotients.get(masks)
         if entry is None:
             qgraph = quotient_graph(masks)
-            fact = _factor_verified(qgraph)
+            fact = _factor_verified(qgraph, self)
             found = []
             if len(fact.factors) > 1:
                 assert fact.coords is not None

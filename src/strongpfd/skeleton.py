@@ -114,11 +114,16 @@ def _far_corner(
 
 
 def merge_parallel_colors(graph: Graph, coloring: PartialProductColoring) -> int:
-    """Union colors of opposite edges over every diagonal-free skeleton square.
+    """Union colors of opposite edges over every diagonal-free square of the
+    skeleton, the subgraph of the colored edges, in one pass.
 
-    Iterates incident differently-colored edge pairs (ordered by shared
-    vertex, then neighbor ids) until no merge fires.  Returns the number of
-    unions performed; with one root left there is nothing to merge.
+    Visits incident differently-colored edge pairs (ordered by shared
+    vertex, then neighbor ids) once.  Returns the number of unions
+    performed; with one root left there is nothing to merge.  A second pass
+    could unite nothing, so none runs: unions never split a set, so a pair
+    skipped because its two edges share a root still shares it; a pair not
+    skipped has already made both of its unions; and the far corner of a
+    pair is read off the skeleton, which the call does not change.
     """
     edge_color = coloring.colors
     find, union = coloring.uf.find, coloring.uf.union
@@ -126,26 +131,20 @@ def merge_parallel_colors(graph: Graph, coloring: PartialProductColoring) -> int
         return 0
     skeleton = Graph(graph.vertex_count, edge_color.keys())
     adj = [skeleton.adjacency_set(v) for v in skeleton.vertices()]
-    merged_total = 0
-    while True:
-        merged = 0
-        for u in skeleton.vertices():
-            nbrs = skeleton.neighbors(u)
-            for i, p in enumerate(nbrs):
-                for q in nbrs[i + 1 :]:
-                    ep, eq = edge_key(u, p), edge_key(u, q)
-                    if find(edge_color[ep]) == find(edge_color[eq]):
-                        continue
-                    d = _far_corner(u, q, adj[u], adj[p], adj[q])
-                    if d is None:
-                        continue
-                    if union(edge_color[ep], edge_color[edge_key(q, d)]):
-                        merged += 1
-                    if union(edge_color[eq], edge_color[edge_key(p, d)]):
-                        merged += 1
-        merged_total += merged
-        if not merged:
-            return merged_total
+    merged = 0
+    for u in skeleton.vertices():
+        nbrs = skeleton.neighbors(u)
+        for i, p in enumerate(nbrs):
+            for q in nbrs[i + 1 :]:
+                ep, eq = edge_key(u, p), edge_key(u, q)
+                if find(edge_color[ep]) == find(edge_color[eq]):
+                    continue
+                d = _far_corner(u, q, adj[u], adj[p], adj[q])
+                if d is None:
+                    continue
+                merged += union(edge_color[ep], edge_color[edge_key(q, d)])
+                merged += union(edge_color[eq], edge_color[edge_key(p, d)])
+    return merged
 
 
 def n2_sweep(

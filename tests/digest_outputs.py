@@ -17,9 +17,11 @@ two, a line for the factor multisets (sorted canonical forms), which a
 change of factor order or of factor labels leaves as they are.  Then,
 per workload and
 entry point, how many quotients the neighborhood memo factored (its
-misses), how often ``skeleton.merge_parallel_colors`` ran and how many
-unions those calls made, and how often ``skeleton.product_coordinates``
-ran and how many of those calls verified.  Run it at two commits and
+misses), how many factorizations repeated a labelled graph that the same
+public call had already factored (its repeats), how often
+``skeleton.merge_parallel_colors`` ran and how many unions those calls
+made, and how often ``skeleton.product_coordinates`` ran and how many of
+those calls verified.  Run it at two commits and
 compare the lines; pytest does not collect this file.
 """
 
@@ -78,18 +80,36 @@ def multiset(result) -> str:
 
 def count_misses() -> dict[str, int]:
     """Count the quotients the memo of every ``NeighborhoodCache`` factors,
-    under the key ``"now"``."""
-    counter = {"now": 0}
-    factor_ball = factorize.NeighborhoodCache.factor_ball
+    under ``"misses"``: a miss of ``factor_ball`` builds its quotient graph
+    once, and nothing else in ``factorize`` builds one."""
+    counter = {"misses": 0}
+    build = factorize.quotient_graph
 
-    def counted(self, center, radius):
-        before = len(self.quotients)
-        found = factor_ball(self, center, radius)
-        counter["now"] += len(self.quotients) - before
-        return found
+    def counted(masks):
+        counter["misses"] += 1
+        return build(masks)
 
-    factorize.NeighborhoodCache.factor_ball = counted
+    factorize.quotient_graph = counted
     return counter
+
+
+def count_repeats() -> tuple[dict[str, int], set]:
+    """Count the verified factorizations whose graph, keyed by its
+    ``closed_masks``, the same public call had already factored, under
+    ``"repeats"``; the set of keys seen is returned too, for the caller to
+    empty before each public call."""
+    counter = {"repeats": 0}
+    seen: set = set()
+    factor_verified = factorize._factor_verified
+
+    def counted(graph, cache):
+        key = graph.closed_masks
+        counter["repeats"] += key in seen
+        seen.add(key)
+        return factor_verified(graph, cache)
+
+    factorize._factor_verified = counted
+    return counter, seen
 
 
 def count_merges() -> dict[str, int]:
@@ -129,8 +149,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     rows: dict[str, list[str]] = {row: [] for row in ROWS}
-    counters = (count_misses(), count_merges(), count_verdicts())
-    # per (source, entry point): misses, merge calls, unions, checks, ok checks
+    repeats, factored = count_repeats()
+    counters = (count_misses(), repeats, count_merges(), count_verdicts())
+    # per (source, entry point): misses, repeats, merge calls, unions,
+    # checks, ok checks
     totals: dict[tuple[str, str], list[int]] = {}
 
     def snapshot() -> list[int]:
@@ -138,6 +160,7 @@ def main(argv: list[str]) -> int:
 
     def run(source: str, kind: str, graph) -> None:
         before = snapshot()
+        factored.clear()
         result = call(kind, graph)
         if kind != "factor_exact":
             rows[kind].append(outcome(kind, result))
@@ -160,8 +183,9 @@ def main(argv: list[str]) -> int:
     for row, outcomes in rows.items():
         digest = hashlib.blake2b("\n".join(outcomes).encode(), digest_size=16).hexdigest()
         print(f"{row} {digest} outcomes={len(outcomes)}")
-    for (source, kind), (count, calls, unions, checks, ok) in totals.items():
+    for (source, kind), (count, repeated, calls, unions, checks, ok) in totals.items():
         print(f"misses {source} {kind} {count}")
+        print(f"repeats {source} {kind} {repeated}")
         print(f"merges {source} {kind} calls={calls} unions={unions}")
         print(f"verdicts {source} {kind} calls={checks} ok={ok}")
     return 0

@@ -2,8 +2,9 @@
 orders its factors, the edge coloring has one state and one continuation
 check, neighborhood quotients are factored only through
 ``NeighborhoodCache``, which alone holds the size cap and the quotient memo,
-and the exact factorizer recurses only where its depth stays small, the
-isomorphism searches not at all.
+only the public entry points open one from scratch, and the exact
+factorizer recurses only where its depth stays small, the isomorphism
+searches not at all.
 
 An import inside a function body is how a module reaches back into one that
 imports it; keeping every relative import at the top of its module keeps
@@ -254,6 +255,55 @@ def test_the_check_sees_calls_in_methods_and_through_modules():
         "table = {1: quotient_graph((1,))}\n"
     )
     assert top_level_callers(source, "quotient_graph") == ["C", "f", "Assign"]
+
+
+def cache_constructions(source: str) -> list[tuple[str, bool]]:
+    """Each call of ``NeighborhoodCache``, by its innermost enclosing
+    function or class, with whether it passes a ``quotients`` memo."""
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and "NeighborhoodCache" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            found.append((owner, any(kw.arg == "quotients" for kw in node.keywords)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_public_calls_open_a_cache_from_scratch():
+    # one quotient memo serves a whole public call: the entry points and
+    # the CLI open the root cache, and every split search below opens its
+    # own through the enclosing cache's ``on``, which shares the memo
+    fresh, shared = set(), set()
+    for name, source in package_sources().items():
+        for owner, passes_memo in cache_constructions(source):
+            (shared if passes_memo else fresh).add((name, owner))
+    assert {entry for entry in fresh if entry[0] != "cli.py"} == {
+        ("recognize.py", "recognize"),
+        ("recognize.py", "pfd_fast"),
+        ("factorize.py", "factor_exact"),
+    }
+    assert shared == {("factorize.py", "on")}
+    source = (PACKAGE / "factorize.py").read_text()
+    assert top_level_callers(source, "on") == ["_split_grown"]
+
+
+def test_the_check_sees_every_cache_construction():
+    source = (
+        "from . import factorize\n"
+        "def f(g):\n    return NeighborhoodCache(g, 4)\n"
+        "class C:\n    def on(self, g):\n        return NeighborhoodCache(g, quotients=self.q)\n"
+        "def h(g):\n    return [factorize.NeighborhoodCache(g) for _ in g]\n"
+        "root = NeighborhoodCache(None)\n"
+    )
+    assert cache_constructions(source) == [("f", False), ("on", True), ("h", False), (None, False)]
 
 
 def self_calling_functions(source: str) -> list[str]:

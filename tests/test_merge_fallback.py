@@ -17,9 +17,11 @@ import random
 import pytest
 
 from strongpfd import (
+    Graph,
     NeighborhoodCache,
     SkeletonError,
     build_skeleton,
+    edge_key,
     path_graph,
     random_product_instance,
     recognize,
@@ -28,7 +30,7 @@ from strongpfd import (
 from strongpfd import skeleton
 from strongpfd.coloring import STAGE_N2, PartialProductColoring, completion_sweep
 
-from conftest import recovery_corpus
+from conftest import house_graph, recovery_corpus
 
 
 def always_merge_skeleton(cache: NeighborhoodCache) -> skeleton.ColoredSkeleton:
@@ -140,3 +142,72 @@ def test_a_coloring_that_follows_its_coordinates_has_nothing_to_merge(monkeypatc
             continue
     assert seen["follows"] > 100 and seen["merged"] > 0
 
+
+def fixpoint_merge(graph, coloring: PartialProductColoring) -> int:
+    """``merge_parallel_colors`` as it was while it repeated its pass over
+    the skeleton until a pass united nothing."""
+    edge_color = coloring.colors
+    find, union = coloring.uf.find, coloring.uf.union
+    if len({find(c) for c in set(edge_color.values())}) < 2:
+        return 0
+    sk = Graph(graph.vertex_count, edge_color.keys())
+    adj = [sk.adjacency_set(v) for v in sk.vertices()]
+    merged_total = 0
+    while True:
+        merged = 0
+        for u in sk.vertices():
+            nbrs = sk.neighbors(u)
+            for i, p in enumerate(nbrs):
+                for q in nbrs[i + 1 :]:
+                    ep, eq = edge_key(u, p), edge_key(u, q)
+                    if find(edge_color[ep]) == find(edge_color[eq]):
+                        continue
+                    d = skeleton._far_corner(u, q, adj[u], adj[p], adj[q])
+                    if d is None:
+                        continue
+                    if union(edge_color[ep], edge_color[edge_key(q, d)]):
+                        merged += 1
+                    if union(edge_color[eq], edge_color[edge_key(p, d)]):
+                        merged += 1
+        merged_total += merged
+        if not merged:
+            return merged_total
+
+
+def root_partition(coloring: PartialProductColoring) -> set[frozenset[int]]:
+    find = coloring.uf.find
+    groups: dict[int, set[int]] = {}
+    for c in range(len(coloring.uf.parent)):
+        groups.setdefault(find(c), set()).add(c)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_one_merge_pass_unites_what_the_fixpoint_loop_does(monkeypatch):
+    # every coloring build_skeleton hands to the merge, and each skeleton's
+    # edges with one raw color per edge, which leaves all uniting to squares
+    colorings = []
+    merge = skeleton.merge_parallel_colors
+
+    def captured(graph, coloring):
+        colorings.append((graph, copy.deepcopy(coloring)))
+        return merge(graph, coloring)
+
+    monkeypatch.setattr(skeleton, "merge_parallel_colors", captured)
+    graphs = seeded_products() + [strong_product([path_graph(k), house_graph()])[0] for k in range(3, 9)]
+    for graph in graphs:
+        try:
+            built = build_skeleton(NeighborhoodCache(graph))
+        except SkeletonError:
+            continue
+        raw = PartialProductColoring()
+        for edge in built.edge_color:
+            raw.colors[edge] = raw.new_color()
+        colorings.append((graph, raw))
+    united = 0
+    for graph, coloring in colorings:
+        once, looped = copy.deepcopy(coloring), copy.deepcopy(coloring)
+        unions = merge(graph, once)
+        assert unions == fixpoint_merge(graph, looped)
+        assert root_partition(once) == root_partition(looped)
+        united += unions > 0
+    assert united > len(graphs)

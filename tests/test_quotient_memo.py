@@ -18,6 +18,7 @@ from strongpfd import (
     Graph,
     NeighborhoodCache,
     cycle_graph,
+    factor_exact,
     factor_neighborhood,
     path_graph,
     pfd_fast,
@@ -28,6 +29,7 @@ from strongpfd import (
 from strongpfd import factorize, products
 
 from conftest import house_graph, recovery_corpus
+from test_merge_fallback import seeded_products
 
 
 def relabeled(graph: Graph, seed: int) -> Graph:
@@ -134,6 +136,51 @@ def test_n2_sweep_reuses_the_memo(monkeypatch):
     unmemoized(monkeypatch)
     assert recognize(graph).to_dict() == report.to_dict()
     assert memoized < calls[0]
+
+
+def record_repeats(monkeypatch: pytest.MonkeyPatch) -> tuple[set, list]:
+    """Record, per public call, the ``closed_masks`` of every graph the
+    verified split search factors; a key seen twice in one call is listed
+    as a repeat.  The caller empties the returned set between calls."""
+    seen: set = set()
+    repeats: list = []
+    factor_verified = factorize._factor_verified
+
+    def recorded(graph, cache):
+        key = graph.closed_masks
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return factor_verified(graph, cache)
+
+    monkeypatch.setattr(factorize, "_factor_verified", recorded)
+    return seen, repeats
+
+
+def test_no_labelled_quotient_is_factored_twice_in_one_call(monkeypatch):
+    # route 2 inside a 2-ball miss, on the factors of a split and under a
+    # quotient opens its cache through the enclosing one and shares its memo
+    corpus = [(f"P{k}xhouse", strong_product([path_graph(k), house_graph()])[0]) for k in range(3, 9)]
+    corpus += [(f"seeded {i}", g) for i, g in enumerate(seeded_products())]
+    corpus += [(f"recovery {i}", g) for i, g in enumerate(recovery_corpus()[:50])]
+    seen, repeats = record_repeats(monkeypatch)
+    calls = {
+        "recognize": recognize,
+        "pfd_fast": pfd_fast,
+        "factor_exact": lambda g: factor_exact(g, size_cap=None),
+    }
+    n2_inputs = 0
+    for label, graph in corpus:
+        for name, call in calls.items():
+            seen.clear()
+            try:
+                result = call(graph)
+            except ColoringError:
+                continue
+            if name == "recognize":
+                n2_inputs += result.coloring is not None and result.coloring.n2_ran
+            assert seen and repeats == [], (label, name)
+    assert n2_inputs > 10
 
 
 #: Functions that factor one neighborhood or 2-neighborhood quotient.
