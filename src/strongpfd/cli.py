@@ -29,13 +29,14 @@ DEFAULT_BENCH_SIZES = (50, 100, 200, 400, 800)
 
 def _sizes(text: str) -> list[int]:
     """An argparse type: a comma-separated list of at least one size, each
-    an integer of at least 2."""
+    an integer of at least 3, since no connected graph on two vertices is
+    thin."""
     try:
         sizes = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
-    if not sizes or min(sizes) < 2:
-        raise argparse.ArgumentTypeError(f"need one or more sizes of at least 2, got {text!r}")
+    if not sizes or min(sizes) < 3:
+        raise argparse.ArgumentTypeError(f"need one or more sizes of at least 3, got {text!r}")
     return sizes
 
 
@@ -220,7 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="seeded random product instance with ground truth")
     common(p, needs_input=False)
     p.add_argument(
-        "--factors", type=_sizes, required=True, help="comma-separated factor sizes, e.g. 3,3"
+        "--factors",
+        type=_sizes,
+        required=True,
+        help="comma-separated factor sizes, each at least 3, e.g. 3,3",
     )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--edge-prob", type=float, default=0.45)
@@ -232,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes",
         type=_sizes,
         default=list(DEFAULT_BENCH_SIZES),
-        help="comma-separated k values, each at least 2",
+        help="comma-separated k values, each at least 3",
     )
     p.set_defaults(func=cmd_bench)
 

@@ -37,22 +37,23 @@ or under a quotient, opens its cache on its own graph through the
 enclosing cache's ``on`` and shares the memo.  Within one call each
 labelled quotient is factored once.
 
-A coloring stage keeps, per center, only what the local algorithm reads:
-the local prime count and the lifted edges (``factor_neighborhood``);
-route 2 reads each member's local coordinate row straight off the ball and
-lifts nothing.  A miss costs one split search and one verification:
-internal quotient factorizations are left in the order the split search
-found them.  ``ordered_factorization`` is the one order of the public
-results, those of ``factor_exact``, ``pfd_fast`` and ``oracle_pfd``.  A
-one-factor result under identity coordinates is verified by graph
-equality.
+The memo keeps, per quotient, only what is read of it: the prime count,
+each quotient vertex's coordinate row and the Cartesian edges.  A coloring
+stage keeps, per center, the local prime count and the lifted edges
+(``factor_neighborhood``); route 2 reads each member's local coordinate
+row straight off the ball's entry and lifts nothing.  A miss costs one
+split search and one verification: internal quotient factorizations are
+left in the order the split search found them.  ``ordered_factorization``
+is the one order of the public results, those of ``factor_exact``,
+``pfd_fast`` and ``oracle_pfd``.  A one-factor result under identity
+coordinates is verified by graph equality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, product, repeat
+from itertools import accumulate, combinations, product
 from typing import Iterable, Sequence
 
 from .graph import DisconnectedError, Edge, Graph, GraphError, VertexSet, complete_graph, edge_key
@@ -459,8 +460,7 @@ def _split_grown(graph: Graph, cache: NeighborhoodCache):
         coords = local.get(v)
         if coords is None:
             members, _, class_map, entry = balls.factor_ball(v, 1)
-            rows = entry.factorization.coords.coords  # type: ignore[union-attr]
-            coords = local[v] = {u: rows[c] for u, c in zip(members, class_map)}
+            coords = local[v] = {u: entry.rows[c] for u, c in zip(members, class_map)}
         return coords
 
     around = neighborhood(anchor)
@@ -593,23 +593,17 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
 
 @dataclass(frozen=True)
 class FactoredQuotient:
-    """A quotient graph, its factorization and its Cartesian edges, listed
-    as ((qa, qb), factor index) in the order of ``graph.edges()``.
+    """What the memo keeps of one factored quotient: its number of prime
+    factors, each quotient vertex's coordinate row, and its Cartesian edges
+    as (qa, qb, factor index) in the order of the quotient's edges.
 
-    Only a quotient with two or more factors stores its Cartesian edges; a
-    prime quotient reads them off its graph, since its one coordinate
-    changes along every edge.
+    The quotient graph and its factorization are dropped once these are
+    read off; a prime quotient's one coordinate changes along every edge.
     """
 
-    graph: Graph
-    factorization: LocalFactorization
-    composite_edges: tuple[tuple[Edge, int], ...]
-
-    @property
-    def cartesian_edges(self) -> Iterable[tuple[Edge, int]]:
-        if self.factorization.prime_count == 1:
-            return zip(self.graph.edges(), repeat(0))
-        return self.composite_edges
+    prime_count: int
+    rows: tuple[tuple[int, ...], ...]
+    cartesian_edges: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -620,8 +614,7 @@ class NeighborhoodFactorization:
     ``lifted`` maps host-graph edges inside N[center] to a local factor
     index; an edge is lifted when its quotient image changes exactly one
     local coordinate and at least one endpoint class is a singleton.  The
-    classes, the quotient and its factorization stay with the cache's
-    ``factor_ball``.
+    classes come from the cache's ``factor_ball``, the rest from its memo.
     """
 
     center: int
@@ -635,8 +628,10 @@ class NeighborhoodCache:
     under one size cap and the quotient memo of one public call.
 
     ``quotients`` maps a quotient's ``closed_masks``, which fix the labelled
-    graph, to the quotient graph, its factorization and its Cartesian
-    edges.  On bounded-degree products most neighborhoods have
+    graph, to its ``FactoredQuotient``: the prime count, the coordinate
+    rows and the Cartesian edges, read off on the miss that built and
+    factored it; the quotient graph and its factorization die with the
+    miss.  On bounded-degree products most neighborhoods have
     labelled-equal quotients, so each distinct one is built and factored
     once, and a hit builds no graph at all.  The memo is shared by every
     cache that ``on`` opens from this one, on the graphs of the split
@@ -668,11 +663,12 @@ class NeighborhoodCache:
         self, center: int, radius: int
     ) -> tuple[VertexSet, tuple[VertexSet, ...], tuple[int, ...], FactoredQuotient]:
         """The vertices within ``radius`` of ``center``, their classes (as
-        positions), each position's class, and the factored quotient.
+        positions), each position's class, and the memo entry of its
+        quotient.
 
         Raises FactorSizeError, naming the center, the radius and the
-        quotient's size, when that size exceeds the cap; the factors come
-        in the order the split search found them.
+        quotient's size, when that size exceeds the cap; the coordinate
+        columns come in the order the split search found the factors.
         """
         members = self.graph.n_neighborhood(center, radius)
         classes, class_map, masks = relative_quotient(self.graph, members)
@@ -685,15 +681,17 @@ class NeighborhoodCache:
         if entry is None:
             qgraph = quotient_graph(masks)
             fact = _factor_verified(qgraph, self)
-            found = []
-            if len(fact.factors) > 1:
-                assert fact.coords is not None
-                rows = fact.coords.coords
+            assert fact.coords is not None
+            rows = fact.coords.coords
+            if fact.prime_count < 2:
+                found = [(qa, qb, 0) for qa, qb in qgraph.edges()]
+            else:
+                found = []
                 for qa, qb in qgraph.edges():
                     changed = [i for i, (x, y) in enumerate(zip(rows[qa], rows[qb])) if x != y]
                     if len(changed) == 1:
-                        found.append(((qa, qb), changed[0]))
-            entry = self.quotients[masks] = FactoredQuotient(qgraph, fact, tuple(found))
+                        found.append((qa, qb, changed[0]))
+            entry = self.quotients[masks] = FactoredQuotient(fact.prime_count, rows, tuple(found))
         return members, classes, class_map, entry
 
 
@@ -711,7 +709,7 @@ def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactori
     members, classes, _, entry = cache.factor_ball(v, 1)
     single = [members[cls[0]] if len(cls) == 1 else None for cls in classes]
     lifted = {}
-    for (qa, qb), idx in entry.cartesian_edges:
+    for qa, qb, idx in entry.cartesian_edges:
         ha, hb = single[qa], single[qb]
         if ha is not None and hb is not None:
             lifted[ha, hb] = idx
@@ -719,4 +717,4 @@ def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactori
             for pa in classes[qa]:
                 for pb in classes[qb]:
                     lifted[edge_key(members[pa], members[pb])] = idx
-    return NeighborhoodFactorization(v, entry.factorization.prime_count, lifted)
+    return NeighborhoodFactorization(v, entry.prime_count, lifted)

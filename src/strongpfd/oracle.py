@@ -4,10 +4,10 @@ The oracle deliberately avoids the pruned split search of the main
 factorizer: it enumerates every vertex-subset pair through a fixed anchor,
 builds the product of the induced candidates outright, and tests graph
 isomorphism, also on graphs that are not thin.  It shares only the graph
-primitives, the class and backbone readings of ``sclasses``, the
-isomorphism checker and the public factor order (``ordered_factorization``)
-with the pipeline, and none of its split search or its quotient route, so
-cross-checks between the two are meaningful.
+primitives, the thinness test of ``sclasses``, the isomorphism checker and
+the public factor order (``ordered_factorization``) with the pipeline, and
+none of its split search or its quotient route, so cross-checks between
+the two are meaningful.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .graph import DisconnectedError, Graph, GraphError
 from .factorize import LocalFactorization, ordered_factorization
 from .isomorphism import find_isomorphism
 from .products import Coordinatization, strong_product
-from .sclasses import backbone, is_thin, quotient
+from .sclasses import is_thin
 
 ORACLE_CAP = 16
 
@@ -228,46 +228,16 @@ def _mobius_king_strip(columns: int) -> Graph:
     return Graph(columns * rows, edges)
 
 
-def _king_circulant(n: int, step: int) -> Graph:
-    offsets = (1, step - 1, step, step + 1)
-    edges = set()
-    for v in range(n):
-        for o in offsets:
-            edges.add(tuple(sorted((v, (v + o) % n))))
-    return Graph(n, sorted(edges))
-
-
-def _twisted_candidates():
-    yield _mobius_king_strip(4)
-    yield _mobius_king_strip(5)
-    yield _king_circulant(16, 4)
-    yield _king_circulant(13, 4)
-
-
 @functools.cache
 def twisted_instance() -> Graph:
-    """A prime graph whose backbone neighborhoods all factor into two parts.
+    """A prime graph whose backbone neighborhoods all factor into two parts:
+    the Möbius king strip on four columns.
 
-    Searches a small family of ring-glued path products with a twisted seam
-    and freezes the first member that verifies: thin, connected, prime, and
-    with exactly two prime factors in the quotient of every backbone
-    neighborhood, both counts by the brute-force oracle.
+    It is thin, connected and prime, and the quotient of every backbone
+    neighborhood has exactly two prime factors; ``tests/test_oracle.py``
+    checks each of these with the brute-force oracle.
     """
-    for candidate in _twisted_candidates():
-        if candidate.vertex_count > ORACLE_CAP:
-            continue
-        if not candidate.is_connected() or not is_thin(candidate):
-            continue
-        local = [
-            quotient(candidate.induced_subgraph(candidate.closed_neighborhood(v))[0]).quotient
-            for v in backbone(candidate)
-        ]
-        if {oracle_pfd(q).prime_count for q in local} != {2}:
-            continue
-        if oracle_pfd(candidate).prime_count != 1:
-            continue
-        return candidate
-    raise GenerationError("no twisted fixture found in the candidate family")
+    return _mobius_king_strip(4)
 
 
 __all__ = [

@@ -168,14 +168,14 @@ def n2_sweep(
     fresh: dict[tuple[int, int], int] = {}
     for x in sorted(targets):
         members, classes, class_map, entry = cache.factor_ball(x, 2)
-        counts[x] = entry.factorization.prime_count
+        counts[x] = entry.prime_count
         qx = class_map[members.index(x)]
         if len(classes[qx]) != 1:
             raise SkeletonError(
                 f"2-neighborhood class of {x} is not a singleton; host graph is not thin"
             )
         # edges come sorted, so the far ends of those at qx ascend
-        for (qa, qb), idx in entry.cartesian_edges:
+        for qa, qb, idx in entry.cartesian_edges:
             if qx not in (qa, qb):
                 continue
             for hy in classes[qb if qa == qx else qa]:

@@ -20,9 +20,10 @@ entry point, how many quotients the neighborhood memo factored (its
 misses), how many factorizations repeated a labelled graph that the same
 public call had already factored (its repeats), how often
 ``skeleton.merge_parallel_colors`` ran and how many unions those calls
-made, and how often ``skeleton.product_coordinates`` ran and how many of
-those calls verified.  Run it at two commits and
-compare the lines; pytest does not collect this file.
+made, how often ``skeleton.product_coordinates`` ran and how many of
+those calls verified, and how often ``coloring.completion_sweep`` ran and
+how many edges those calls added.  Run it at two commits and compare the
+lines; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 import strongpfd  # noqa: E402
 import workloads  # noqa: E402
 from conftest import recovery_corpus  # noqa: E402
-from strongpfd import factorize, skeleton  # noqa: E402
+from strongpfd import coloring, factorize, skeleton  # noqa: E402
 from strongpfd.io import loads_edgelist  # noqa: E402
 
 ENTRY_POINTS = ("recognize", "pfd_fast", "factor_exact")
@@ -144,15 +145,32 @@ def count_verdicts() -> dict[str, int]:
     return counter
 
 
+def count_sweeps() -> dict[str, int]:
+    """Count the calls of ``coloring.completion_sweep``, through both its
+    ``coloring`` and its ``skeleton`` binding, under ``"calls"``, and the
+    edges they add, under ``"added"``."""
+    counter = {"calls": 0, "added": 0}
+    sweep = coloring.completion_sweep
+
+    def counted(graph, partial, stage=coloring.STAGE_COMPLETION):
+        added = sweep(graph, partial, stage)
+        counter["calls"] += 1
+        counter["added"] += added
+        return added
+
+    coloring.completion_sweep = skeleton.completion_sweep = counted
+    return counter
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     rows: dict[str, list[str]] = {row: [] for row in ROWS}
     repeats, factored = count_repeats()
-    counters = (count_misses(), repeats, count_merges(), count_verdicts())
+    counters = (count_misses(), repeats, count_merges(), count_verdicts(), count_sweeps())
     # per (source, entry point): misses, repeats, merge calls, unions,
-    # checks, ok checks
+    # checks, ok checks, sweeps, edges added
     totals: dict[tuple[str, str], list[int]] = {}
 
     def snapshot() -> list[int]:
@@ -183,11 +201,12 @@ def main(argv: list[str]) -> int:
     for row, outcomes in rows.items():
         digest = hashlib.blake2b("\n".join(outcomes).encode(), digest_size=16).hexdigest()
         print(f"{row} {digest} outcomes={len(outcomes)}")
-    for (source, kind), (count, repeated, calls, unions, checks, ok) in totals.items():
+    for (source, kind), (count, repeated, calls, unions, checks, ok, sweeps, added) in totals.items():
         print(f"misses {source} {kind} {count}")
         print(f"repeats {source} {kind} {repeated}")
         print(f"merges {source} {kind} calls={calls} unions={unions}")
         print(f"verdicts {source} {kind} calls={checks} ok={ok}")
+        print(f"sweeps {source} {kind} calls={sweeps} added={added}")
     return 0
 
 

@@ -77,6 +77,22 @@ def test_bad_input_or_option_exits_two_with_one_error_line(tmp_path, capsys, arg
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["generate", "--factors", "2", "--seed", "1"], "--factors"),
+        (["bench", "--sizes", "2"], "--sizes"),
+    ],
+)
+def test_sizes_below_three_are_refused_naming_the_option(capsys, argv, option):
+    # no connected graph on two vertices is thin, so no size-2 factor is generated or benchmarked
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: need one or more sizes of at least 3" in err
+
+
 def test_non_thin_input_exits_two(tmp_path, capsys):
     path = tmp_path / "k4.json"
     save_graph(complete_graph(4), path)

@@ -18,9 +18,13 @@ from strongpfd import (
     is_isomorphic,
     oracle_pfd,
     path_graph,
+    pfd_fast,
+    random_product_instance,
+    recognize,
     strong_product,
 )
 from strongpfd import coloring as coloring_module
+from strongpfd import skeleton as skeleton_module
 from strongpfd.coloring import STAGE_LIFT, PartialProductColoring, completion_sweep
 from strongpfd.graph import edge_key
 from strongpfd.oracle import random_thin_graph
@@ -207,6 +211,28 @@ def test_sweep_of_a_fully_colored_graph_adds_nothing(p3xp3, monkeypatch):
     assert completion_sweep(graph, coloring) == 0
     assert coloring.colors == colors
     assert coloring.stages == stages
+
+
+@pytest.mark.parametrize("edge", [(14, 22), (5, 21)], ids=["edge-added", "edge-removed"])
+def test_sweep_completes_the_skeleton_of_a_perturbed_product(edge, monkeypatch):
+    # one edge toggled in a seeded 5x5 product gives a prime graph whose
+    # neighborhoods leave a few product edges uncolored; the sweep colors them
+    base = random_product_instance([5, 5], seed=985715, edge_prob=0.6).graph
+    graph = Graph(base.vertex_count, sorted(set(base.edges()) ^ {edge}))
+    added = []
+    sweep = coloring_module.completion_sweep
+
+    def recorded(*args, **kwargs):
+        added.append(sweep(*args, **kwargs))
+        return added[-1]
+
+    monkeypatch.setattr(coloring_module, "completion_sweep", recorded)
+    monkeypatch.setattr(skeleton_module, "completion_sweep", recorded)
+    report = recognize(graph)
+    assert report.in_upsilon and len(report.extracted_factors) == 1
+    assert set(report.coloring.cartesian_edges) == set(graph.edges())
+    assert pfd_fast(graph).prime_count == 1
+    assert len(added) == 2 and min(added) > 0
 
 
 def test_coloring_is_deterministic():

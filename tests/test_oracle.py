@@ -18,6 +18,7 @@ from strongpfd import (
     is_thin,
     oracle_pfd,
     path_graph,
+    quotient,
     random_connected_graph,
     random_product_instance,
     random_thin_graph,
@@ -124,6 +125,12 @@ def test_twisted_fixture_properties():
     assert graph.vertex_count <= 16
     assert is_thin(graph) and graph.is_connected()
     assert oracle_pfd(graph).prime_count == 1
+    # every backbone quotient has two prime factors, by the oracle and by the pipeline
+    local = [
+        quotient(graph.induced_subgraph(graph.closed_neighborhood(v))[0]).quotient
+        for v in backbone(graph)
+    ]
+    assert {oracle_pfd(q).prime_count for q in local} == {2}
     counts = {factor_neighborhood(NeighborhoodCache(graph), v).prime_count for v in backbone(graph)}
     assert counts == {2}
     report = recognize(graph)

@@ -6,10 +6,12 @@ building the induced subgraph, collapsing its classes into a quotient graph
 and listing the quotient's Cartesian edges through ``cartesian_index``.
 That path is copied here so later refactors of the package cannot move the
 reference; each neighborhood must give the same classes, quotient graph,
-factorization and lifted edges both ways.  Neighborhood factorizations are
-no longer put in canonical factor order, so the local factors may differ
-from the frozen order by one permutation, applied alike to the factors, the
-coordinate columns and the lifted indices.
+coordinate rows, prime count, Cartesian edges and lifted edges both ways.
+The memo keeps no quotient graph, so the quotient is rebuilt from the
+ball's key masks.  Neighborhood factorizations are no longer put in
+canonical factor order, so the local factors may differ from the frozen
+order by one permutation, applied alike to the coordinate columns, the
+Cartesian indices and the lifted indices.
 """
 
 from __future__ import annotations
@@ -111,11 +113,11 @@ def legacy_lifted(members, classes, edges):
 # -- comparisons ------------------------------------------------------------------
 
 
-def column_permutation(fact: LocalFactorization, legacy: LocalFactorization) -> list[int]:
-    """pi with column j of ``fact``'s coordinates equal to column pi[j] of
-    ``legacy``'s.  The columns of a bijection onto a product of two or more
+def column_permutation(rows, legacy: LocalFactorization) -> list[int]:
+    """pi with column j of ``rows`` equal to column pi[j] of ``legacy``'s
+    coordinates.  The columns of a bijection onto a product of two or more
     nontrivial factors are distinct, so pi is unique when it exists."""
-    columns = list(zip(*fact.coords.coords))
+    columns = list(zip(*rows))
     legacy_columns = list(zip(*legacy.coords.coords))
     assert len(columns) == len(legacy_columns)
     pi = [legacy_columns.index(column) for column in columns]
@@ -126,27 +128,21 @@ def column_permutation(fact: LocalFactorization, legacy: LocalFactorization) -> 
 def assert_same_neighborhood(nf, cache: NeighborhoodCache, label) -> None:
     """Everything equals the frozen path exactly, except that the local
     factors may come in another order: one permutation of the local factor
-    indices must map the factors, the coordinate columns and the lifted
-    indices onto the frozen (vertex count, canonical form) order.  The
-    record ``nf`` keeps the prime count and the lifted edges; the classes,
-    the quotient and its factorization are read off the ball of the cache
-    that made it."""
+    indices must map the coordinate columns, the Cartesian indices and the
+    lifted indices onto the frozen (vertex count, canonical form) order.
+    The record ``nf`` keeps the prime count and the lifted edges; the
+    classes and the memo entry are read off the ball of the cache that made
+    it, and the quotient is rebuilt from the ball's key masks."""
     members, got_classes, got_map, entry = cache.factor_ball(nf.center, 1)
     qgraph, class_map, classes, fact, edges = legacy_neighborhood(cache.graph, members)
     assert got_map == class_map, label
     assert got_classes == classes, label
-    assert entry.graph == qgraph, label
-    pi = column_permutation(entry.factorization, fact)
-    permuted = LocalFactorization(
-        tuple(fact.factors[i] for i in pi),
-        Coordinatization(
-            tuple(fact.coords.factor_sizes[i] for i in pi),
-            tuple(tuple(row[i] for i in pi) for row in fact.coords.coords),
-        ),
-    )
-    assert entry.factorization == permuted, label
-    assert nf.prime_count == fact.prime_count, label
+    assert quotient_graph(relative_quotient(cache.graph, members)[2]) == qgraph, label
+    pi = column_permutation(entry.rows, fact)
+    assert entry.rows == tuple(tuple(row[i] for i in pi) for row in fact.coords.coords), label
+    assert entry.prime_count == nf.prime_count == fact.prime_count, label
     local = {i: j for j, i in enumerate(pi)}
+    assert entry.cartesian_edges == tuple((qa, qb, local[i]) for qa, qb, i in edges), label
     expected = legacy_lifted(members, classes, edges)
     assert list(nf.lifted.items()) == [(e, local[i]) for e, i in expected.items()], label
 
@@ -234,9 +230,10 @@ def test_n2_quotients_match_the_subgraph_path(k, monkeypatch):
         for cache in (NeighborhoodCache(graph), shared):
             found, classes, class_map, entry = cache.factor_ball(x, 2)
             assert (found, class_map, classes) == (members, old_map, old_classes), (k, x)
-            assert entry.graph == qgraph, (k, x)
-            assert entry.factorization == fact, (k, x)
-            assert list(entry.cartesian_edges) == [((qa, qb), i) for qa, qb, i in edges], (k, x)
+            assert quotient_graph(relative_quotient(graph, found)[2]) == qgraph, (k, x)
+            assert entry.rows == fact.coords.coords, (k, x)
+            assert entry.prime_count == fact.prime_count, (k, x)
+            assert entry.cartesian_edges == edges, (k, x)
 
 
 def non_thin_graphs() -> list[Graph]:

@@ -2,20 +2,24 @@
 factorization.
 
 A memo hit must give exactly what factoring the quotient afresh gives: the
-same factors, coordinates and lifted edges per neighborhood, and the same
-recognition report and fast-path factors per graph.
+same prime count, coordinate rows, Cartesian edges and lifted edges per
+neighborhood, and the same recognition report and fast-path factors per
+graph.  The memo keeps nothing else of a quotient.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from strongpfd import (
     ColoringError,
+    Coordinatization,
     Graph,
+    LocalFactorization,
     NeighborhoodCache,
     cycle_graph,
     factor_exact,
@@ -27,6 +31,7 @@ from strongpfd import (
     twisted_instance,
 )
 from strongpfd import factorize, products
+from strongpfd.oracle import random_thin_graph
 
 from conftest import house_graph, recovery_corpus
 from test_merge_fallback import seeded_products
@@ -78,11 +83,57 @@ def test_memo_hits_give_the_unmemoized_neighborhoods():
             fresh = NeighborhoodCache(graph)
             plain = factor_neighborhood(fresh, v)
             assert memoized.prime_count == plain.prime_count, (label, v)
-            # the factorizations stay with the balls; both lookups hit their cache's memo
+            # the rows and Cartesian edges stay in the memo; both lookups hit it
             memoized_ball, plain_ball = cache.factor_ball(v, 1), fresh.factor_ball(v, 1)
-            assert memoized_ball[3].factorization == plain_ball[3].factorization, (label, v)
+            assert memoized_ball[3] == plain_ball[3], (label, v)
             assert list(memoized.lifted.items()) == list(plain.lifted.items()), (label, v)
         assert len(cache.quotients) <= graph.vertex_count
+
+
+def record_memos(monkeypatch: pytest.MonkeyPatch) -> list:
+    """Record the quotient memo of every cache that ``factor_ball`` runs on;
+    the returned list gets each memo once."""
+    memos: list = []
+    factor_ball = NeighborhoodCache.factor_ball
+
+    def recorded(self, center, radius):
+        if not any(memo is self.quotients for memo in memos):
+            memos.append(self.quotients)
+        return factor_ball(self, center, radius)
+
+    monkeypatch.setattr(NeighborhoodCache, "factor_ball", recorded)
+    return memos
+
+
+def held_objects(value) -> list:
+    """``value`` and everything its dataclass fields, tuples, lists and
+    dicts reach."""
+    found, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        found.append(item)
+        if is_dataclass(item):
+            stack.extend(getattr(item, f.name) for f in fields(item))
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.items())
+    return found
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [random_thin_graph(47, 0.5, 3), strong_product([path_graph(12), path_graph(3)])[0]],
+    ids=["dense prime", "king strip"],
+)
+def test_memo_keeps_no_graph_or_factorization(graph, monkeypatch):
+    memos = record_memos(monkeypatch)
+    recognize(graph)
+    values = [entry for memo in memos for entry in memo.values()]
+    assert values
+    for entry in values:
+        held = held_objects(entry)
+        assert not [x for x in held if isinstance(x, (Graph, LocalFactorization, Coordinatization))]
 
 
 def test_king_strip_neighborhoods_share_one_quotient():
