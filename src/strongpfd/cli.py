@@ -12,19 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import io as gio
-from .graph import Graph, GraphError, path_graph
+from .graph import Graph, GraphError
 from .factorize import NeighborhoodCache, factor_exact
 from .oracle import GenerationError, random_product_instance
-from .products import strong_product
 from .recognize import pfd_fast, recognize
 from .sclasses import backbone, is_thin, quotient, relative_s_partition, require_thin_connected
 from .skeleton import SkeletonError, build_skeleton
-
-DEFAULT_BENCH_SIZES = (50, 100, 200, 400, 800)
 
 
 def _sizes(text: str) -> list[int]:
@@ -40,15 +36,12 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit_json(data: dict, output: str | None) -> None:
+    text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
     if output:
         Path(output).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(data: dict, output: str | None) -> None:
-    _emit(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n", output)
 
 
 def _load(args: argparse.Namespace) -> Graph:
@@ -136,19 +129,6 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    rows = ["k,vertices,millis"]
-    for k in args.sizes:
-        graph, _ = strong_product([path_graph(k), path_graph(3)])
-        start = time.perf_counter()
-        result = pfd_fast(graph)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        assert result.prime_count == 2
-        rows.append(f"{k},{graph.vertex_count},{elapsed:.3f}")
-    _emit("\n".join(rows) + "\n", args.output)
-    return 0
-
-
 def cmd_factor_exact(args: argparse.Namespace) -> int:
     graph = _load(args)
     result = factor_exact(graph, size_cap=args.size_cap)
@@ -229,16 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--edge-prob", type=float, default=0.45)
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("bench", help="wall-clock scaling run over k-by-3 king strips")
-    common(p, needs_input=False)
-    p.add_argument(
-        "--sizes",
-        type=_sizes,
-        default=list(DEFAULT_BENCH_SIZES),
-        help="comma-separated k values, each at least 3",
-    )
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -42,9 +42,11 @@ each quotient vertex's coordinate row and the Cartesian edges.  A coloring
 stage keeps, per center, the local prime count and the lifted edges
 (``factor_neighborhood``); route 2 reads each member's local coordinate
 row straight off the ball's entry and lifts nothing.  A miss costs one
-split search and one verification: internal quotient factorizations are
-left in the order the split search found them.  ``ordered_factorization``
-is the one order of the public results, those of ``factor_exact``,
+split search and one verification and builds no public result type: it
+reads the plain factors and rows of ``_factor_verified``, left in the
+order the split search found them.  ``factor_exact`` is the one door that
+checks its input, and ``ordered_factorization`` is the one order and the
+one builder of the public results, those of ``factor_exact``,
 ``pfd_fast`` and ``oracle_pfd``.  A one-factor result under identity
 coordinates is verified by graph equality.
 """
@@ -73,8 +75,8 @@ class LocalFactorization:
     """Prime factors plus a coordinatization of the factored graph.
 
     Trivial one-vertex factors are omitted, so a one-vertex input yields an
-    empty factor list.  ``coords`` is None only when a caller constructed
-    the factorization without full coordinate information.
+    empty factor list.  ``coords`` is None only in ``pfd_fast``'s result,
+    which carries no coordinates.
     """
 
     factors: tuple[Graph, ...]
@@ -136,20 +138,20 @@ def reconstructs(graph: Graph, factorization: LocalFactorization) -> bool:
 def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> LocalFactorization:
     """Complete prime factor decomposition of a connected graph.
 
-    Factors are in the order of ``ordered_factorization``; a result with
-    fewer than two factors has nothing to order.  The factorization is
-    verified before it is ordered, a one-factor result by graph equality.
-    Raises FactorSizeError above ``size_cap`` and DisconnectedError on
-    disconnected input.
+    The one door of the exact factorizer: it checks its input, and its
+    factors are verified and then put in the order of
+    ``ordered_factorization``.  Raises FactorSizeError above ``size_cap``,
+    GraphError on the empty graph and DisconnectedError on disconnected
+    input.
     """
     n = graph.vertex_count
     if size_cap is not None and n > size_cap:
         raise FactorSizeError(f"graph has {n} vertices, size cap is {size_cap}")
-    result = _factor_verified(graph, NeighborhoodCache(graph))
-    if len(result.factors) < 2:
-        return result
-    assert result.coords is not None
-    return ordered_factorization(result.factors, result.coords.coords)
+    if n == 0:
+        raise GraphError("cannot factor an empty graph")
+    if not graph.is_connected():
+        raise DisconnectedError("prime factorization requires a connected graph")
+    return ordered_factorization(*_factor_verified(graph, NeighborhoodCache(graph)))
 
 
 def ordered_factorization(
@@ -161,40 +163,44 @@ def ordered_factorization(
     alike.
 
     A canonical form is computed only for a factor that ties with another
-    on the cheap keys; the others are already placed by them.  With
-    ``rows`` None the result carries no coordinates, as ``pfd_fast``'s.
+    on the cheap keys; the others are already placed by them.  Fewer than
+    two factors have nothing to order, so their rows are kept as they are.
+    With ``rows`` None the result carries no coordinates, as
+    ``pfd_fast``'s.
     """
-    cheap = [
-        (f.vertex_count, f.edge_count, tuple(sorted(map(len, f.adjacency_sets))))
-        for f in factors
-    ]
-    keys = [(k, canonical_form(f) if cheap.count(k) > 1 else b"") for k, f in zip(cheap, factors)]
-    order = sorted(range(len(factors)), key=keys.__getitem__)
-    ordered = tuple(factors[i] for i in order)
+    ordered = tuple(factors)
+    if len(ordered) > 1:
+        cheap = [
+            (f.vertex_count, f.edge_count, tuple(sorted(map(len, f.adjacency_sets))))
+            for f in ordered
+        ]
+        keys = [
+            (k, canonical_form(f) if cheap.count(k) > 1 else b"") for k, f in zip(cheap, ordered)
+        ]
+        order = sorted(range(len(ordered)), key=keys.__getitem__)
+        ordered = tuple(ordered[i] for i in order)
+        if rows is not None:
+            rows = [tuple(row[i] for i in order) for row in rows]
     if rows is None:
         return LocalFactorization(ordered, None)
-    coords = Coordinatization(
-        tuple(f.vertex_count for f in ordered), tuple(tuple(row[i] for i in order) for row in rows)
-    )
+    coords = Coordinatization(tuple(f.vertex_count for f in ordered), tuple(rows))
     return LocalFactorization(ordered, coords)
 
 
-def _factor_verified(graph: Graph, cache: NeighborhoodCache) -> LocalFactorization:
-    """``factor_exact`` without the size cap and the factor ordering: the
-    factors in the order they were found, verified against ``graph``.
+def _factor_verified(
+    graph: Graph, cache: NeighborhoodCache
+) -> tuple[list[Graph], list[tuple[int, ...]]]:
+    """The prime factors of a nonempty connected ``graph`` in the order they
+    were found and each vertex's coordinate row, verified against ``graph``.
 
-    ``cache`` is the enclosing cache, whose quotient memo every split search
-    below shares."""
-    if graph.vertex_count == 0:
-        raise GraphError("cannot factor an empty graph")
-    if not graph.is_connected():
-        raise DisconnectedError("prime factorization requires a connected graph")
-    factors, coords_rows = _pfd(graph, cache)
-    coords = Coordinatization(tuple(f.vertex_count for f in factors), tuple(coords_rows))
-    result = LocalFactorization(tuple(factors), coords)
-    if not reconstructs(graph, result):
+    No public result type is built: a memo miss reads the rows as they are,
+    and ``factor_exact`` checks its input and orders the result.  ``cache``
+    is the enclosing cache, whose quotient memo every split search below
+    shares."""
+    factors, rows = _pfd(graph, cache)
+    if not rebuilds_strong_product(graph, rows, factors):
         raise RuntimeError("internal error: factorization failed verification")
-    return result
+    return factors, rows
 
 
 def _least_prime_factor(n: int) -> int:
@@ -680,10 +686,8 @@ class NeighborhoodCache:
         entry = self.quotients.get(masks)
         if entry is None:
             qgraph = quotient_graph(masks)
-            fact = _factor_verified(qgraph, self)
-            assert fact.coords is not None
-            rows = fact.coords.coords
-            if fact.prime_count < 2:
+            factors, rows = _factor_verified(qgraph, self)
+            if len(factors) < 2:
                 found = [(qa, qb, 0) for qa, qb in qgraph.edges()]
             else:
                 found = []
@@ -691,7 +695,9 @@ class NeighborhoodCache:
                     changed = [i for i, (x, y) in enumerate(zip(rows[qa], rows[qb])) if x != y]
                     if len(changed) == 1:
                         found.append((qa, qb, changed[0]))
-            entry = self.quotients[masks] = FactoredQuotient(fact.prime_count, rows, tuple(found))
+            entry = self.quotients[masks] = FactoredQuotient(
+                len(factors), tuple(rows), tuple(found)
+            )
         return members, classes, class_map, entry
 
 

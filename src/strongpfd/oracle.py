@@ -169,9 +169,16 @@ def random_connected_graph(
 def random_thin_graph(
     n: int, edge_prob: float, seed: int, max_tries: int = 20000
 ) -> Graph:
-    """Seeded connected thin graph by rejection sampling."""
+    """Seeded connected thin graph by rejection sampling.
+
+    On two or more vertices, p <= 0 (or NaN) gives no edge and p >= 1 the
+    complete graph, whose vertices are all twins, so such a p is refused
+    before any sampling.
+    """
     if n < 2:
         raise GraphError("thin sampling needs at least two vertices")
+    if not 0 < edge_prob < 1:
+        raise GraphError(f"thin sampling needs 0 < edge probability < 1, got {edge_prob}")
     return _sample_graph(n, edge_prob, seed, max_tries, thin=True)
 
 

@@ -53,13 +53,8 @@ def test_malformed_input_exits_two(tmp_path, capsys):
         (["check-thin"], '{"n": 3.7, "edges": [[0, 1.9]]}'),
         (["generate", "--factors", "3,x", "--seed", "1"], None),
         (["generate", "--factors", ",", "--seed", "1"], None),
-        (["bench", "--sizes", "x"], None),
-        (["bench", "--sizes", "1"], None),
     ],
-    ids=[
-        "n-string", "edges-number", "id-null", "n-float",
-        "factors-token", "factors-empty", "sizes-token", "sizes-one",
-    ],
+    ids=["n-string", "edges-number", "id-null", "n-float", "factors-token", "factors-empty"],
 )
 def test_bad_input_or_option_exits_two_with_one_error_line(tmp_path, capsys, argv, graph_json):
     if graph_json is not None:
@@ -81,11 +76,10 @@ def test_bad_input_or_option_exits_two_with_one_error_line(tmp_path, capsys, arg
     "argv, option",
     [
         (["generate", "--factors", "2", "--seed", "1"], "--factors"),
-        (["bench", "--sizes", "2"], "--sizes"),
     ],
 )
 def test_sizes_below_three_are_refused_naming_the_option(capsys, argv, option):
-    # no connected graph on two vertices is thin, so no size-2 factor is generated or benchmarked
+    # no connected graph on two vertices is thin, so no size-2 factor is generated
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -169,7 +163,6 @@ def test_size_cap_only_on_the_commands_that_read_it(tmp_path, capsys):
         ["check-thin", "--input", path],
         ["quotient", "--input", path],
         ["generate", "--factors", "3,3", "--seed", "1"],
-        ["bench", "--sizes", "5"],
     ]
     for argv in ignoring:
         with pytest.raises(SystemExit) as exit_info:
@@ -236,19 +229,9 @@ def test_quotient_command(tmp_path, capsys):
     assert data["quotient"]["n"] == 1
 
 
-def test_bench_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--sizes", "6,10", "--output", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "k,vertices,millis"
-    assert len(lines) == 3
-    k, vertices, millis = lines[1].split(",")
-    assert (k, vertices) == ("6", "18")
-    float(millis)
-
-
 def test_generate_without_instance_exits_two(capsys):
-    # with edge probability 0 no factor is connected, so sampling gives up
+    # with edge probability 0 no factor has an edge, so the generator
+    # refuses the probability before it samples
     assert main(["generate", "--factors", "3,3", "--seed", "1", "--edge-prob", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,6 +11,7 @@ from strongpfd import (
     DisconnectedError,
     FactorSizeError,
     Graph,
+    GraphError,
     NeighborhoodCache,
     NeighborhoodFactorization,
     NotThinError,
@@ -71,6 +72,15 @@ def test_size_cap_and_disconnected_errors():
         factor_exact(path_graph(30), size_cap=24)
     with pytest.raises(DisconnectedError):
         factor_exact(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_factor_exact_refuses_the_empty_graph():
+    # the door checks its input; the verified core below it assumes a
+    # nonempty connected graph
+    with pytest.raises(GraphError) as raised:
+        factor_exact(Graph(0))
+    assert raised.type is GraphError
+    assert str(raised.value) == "cannot factor an empty graph"
 
 
 def test_factor_exact_grows_the_fibers_of_a_long_strip():
@@ -231,10 +241,10 @@ def count_calls(monkeypatch: pytest.MonkeyPatch, name: str) -> list[int]:
 
 def test_factor_exact_orders_only_several_factors(monkeypatch):
     forms = count_calls(monkeypatch, "canonical_form")
-    checks = count_calls(monkeypatch, "reconstructs")
+    checks = count_calls(monkeypatch, "rebuilds_strong_product")
     verified = count_calls(monkeypatch, "_factor_verified")
     # composite orders factor neighborhood quotients through the verified
-    # core again; each factorization is verified once
+    # core again; each factorization is verified once, by one product check
     for prime in (cycle_graph(7), cycle_graph(9), path_graph(12), Graph(1)):
         result = factorize.factor_exact(prime)
         assert result.prime_count == (prime.vertex_count > 1)

@@ -1,6 +1,7 @@
 """Package imports stay at module level, only the public exact factorizer
-orders its factors, the edge coloring has one state and one continuation
-check, neighborhood quotients are factored only through
+orders its factors and only its ordering helper builds a result, the edge
+coloring has one state and one continuation check, neighborhood quotients
+are factored only through
 ``NeighborhoodCache``, which alone holds the size cap and the quotient memo,
 only the public entry points open one from scratch, and the exact
 factorizer recurses only where its depth stays small, the isomorphism
@@ -243,6 +244,23 @@ def test_only_the_neighborhood_cache_builds_quotients():
             for owner in top_level_callers(source, target)
         }
         assert found == owners, target
+
+
+def test_only_the_ordering_helper_builds_a_result():
+    # a memo miss reads the plain factors and rows of the verified core, so
+    # the public result types are built once per public call, by the one
+    # helper that orders them; products builds its own coordinatizations
+    for target in ("LocalFactorization", "Coordinatization"):
+        found = {
+            (name, owner)
+            for name, source in package_sources().items()
+            if name != "products.py"
+            for owner in top_level_callers(source, target)
+        }
+        assert found == {("factorize.py", "ordered_factorization")}, target
+    # the verified core checks plain rows; the wrapper check is for callers
+    callers = [top_level_callers(source, "reconstructs") for source in package_sources().values()]
+    assert not any(callers)
 
 
 def test_the_check_sees_calls_in_methods_and_through_modules():

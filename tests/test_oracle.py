@@ -29,6 +29,7 @@ from strongpfd import (
     verify_product,
 )
 from strongpfd.factorize import LocalFactorization
+from strongpfd.oracle import GenerationError
 
 
 def canon_multiset(factors):
@@ -69,6 +70,18 @@ def test_thin_generator_determinism_and_contract():
     b = random_thin_graph(6, 0.5, seed=42)
     assert a == b
     assert is_thin(a) and a.is_connected()
+
+
+@pytest.mark.parametrize("edge_prob", [0.0, -0.5, 1.0, 1.5, float("nan")])
+def test_thin_generator_refuses_a_probability_without_thin_graphs(edge_prob):
+    # no edge, or every edge and so all vertices twins: nothing to sample
+    with pytest.raises(GraphError, match="0 < edge probability < 1"):
+        random_thin_graph(60, edge_prob, seed=1)
+
+
+def test_thin_generator_gives_up_after_its_tries():
+    with pytest.raises(GenerationError, match="in 50 tries"):
+        random_thin_graph(3, 1e-9, seed=1, max_tries=50)
 
 
 def test_three_vertex_thin_graph_is_path():

@@ -1,0 +1,59 @@
+"""Byte-identity of the public results, pinned as digests.
+
+Each group below runs its inputs through the entry points and hashes the
+outcomes in the format of ``tests/digest_outputs.py``: ``recognize``'s
+report as sorted JSON, the factors and coordinate rows of ``pfd_fast`` or
+``factor_exact``, or the type and message of the exception raised.  A
+refactor that is meant to keep every output as it is must leave every
+digest as it is; a change that is meant to alter an output re-pins the
+digests it moves and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from strongpfd import random_connected_graph, twisted_instance
+
+from conftest import neighborhood_blind_product, recovery_corpus
+from digest_outputs import call, outcome
+
+
+def criterion_11_inputs(count: int = 200):
+    """The first ``count`` inputs of acceptance criterion 11: connected
+    graphs on 2 to 10 vertices, not all of them thin."""
+    rng = random.Random(11)
+    graphs = []
+    for i in range(count):
+        n = rng.randint(2, 10)
+        graphs.append(random_connected_graph(n, rng.uniform(0.25, 0.85), seed=700000 + i))
+    return graphs
+
+
+def digest(kind: str, graphs) -> str:
+    outcomes = [outcome(kind, call(kind, graph)) for graph in graphs]
+    return hashlib.blake2b("\n".join(outcomes).encode(), digest_size=16).hexdigest()
+
+
+GROUPS = {
+    "recovery": recovery_corpus,
+    "criterion_11": criterion_11_inputs,
+    "fixtures": lambda: [twisted_instance(), neighborhood_blind_product()],
+}
+
+PINNED = {
+    ("recovery", "recognize"): "3d6f3abf02fc2fb0944ee1975befdc13",
+    ("recovery", "pfd_fast"): "e1f26b9144c5f533fd2ad8bb69ed11f5",
+    ("recovery", "factor_exact"): "3348900947cf194941a584b5e777f6b9",
+    ("criterion_11", "factor_exact"): "f94a40e86c548d8f6fc430cbef6fd9fb",
+    ("fixtures", "recognize"): "bdb01b3074f1ca8bbb5a8eb5a2da9862",
+    ("fixtures", "pfd_fast"): "09a5da4bf5add1c9625c0579ac26016f",
+}
+
+
+@pytest.mark.parametrize("group,kind", sorted(PINNED), ids="-".join)
+def test_outputs_match_the_pinned_digests(group, kind):
+    assert digest(kind, GROUPS[group]()) == PINNED[group, kind]

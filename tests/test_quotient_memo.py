@@ -136,6 +136,74 @@ def test_memo_keeps_no_graph_or_factorization(graph, monkeypatch):
         assert not [x for x in held if isinstance(x, (Graph, LocalFactorization, Coordinatization))]
 
 
+def count_constructions(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
+    """Count the constructions of the two public result types, by name."""
+    made = {"LocalFactorization": 0, "Coordinatization": 0}
+    for cls in (LocalFactorization, Coordinatization):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [random_thin_graph(47, 0.5, 3), strong_product([path_graph(12), path_graph(3)])[0]],
+    ids=["dense prime", "king strip"],
+)
+def test_memo_misses_build_no_result_type(graph, monkeypatch):
+    # a miss reads the plain factors and rows of the verified core; only
+    # ordered_factorization wraps a public result
+    made = count_constructions(monkeypatch)
+    verified = count_factorizations(monkeypatch)
+    recognize(graph)
+    assert verified[0] > 0
+    assert made == {"LocalFactorization": 0, "Coordinatization": 0}
+    verified[0] = 0
+    pfd_fast(graph)
+    assert verified[0] > 0
+    # pfd_fast's own result, which carries no coordinates
+    assert made == {"LocalFactorization": 1, "Coordinatization": 0}
+
+
+def test_factor_exact_builds_one_result(monkeypatch):
+    graph = strong_product([path_graph(4), path_graph(3)])[0]
+    made = count_constructions(monkeypatch)
+    verified = count_factorizations(monkeypatch)
+    assert factor_exact(graph).prime_count == 2
+    assert verified[0] > 1
+    assert made == {"LocalFactorization": 1, "Coordinatization": 1}
+
+
+def test_every_quotient_a_miss_builds_is_nonempty_and_connected(monkeypatch):
+    # the verified core checks neither, as factor_exact does for its input:
+    # a ball is nonempty and connected, and so is every quotient of it
+    built: dict[str, list[Graph]] = {}
+    build = factorize.quotient_graph
+    source = ""
+
+    def recorded(masks):
+        graph = build(masks)
+        built.setdefault(source, []).append(graph)
+        return graph
+
+    monkeypatch.setattr(factorize, "quotient_graph", recorded)
+    source = "recovery"
+    for graph in recovery_corpus():
+        recognize(graph)
+    source = "n2"
+    assert recognize(strong_product([path_graph(6), house_graph()])[0]).coloring.n2_ran
+    source = "king strip"
+    factor_exact(strong_product([path_graph(8), path_graph(3)])[0], size_cap=None)
+    assert sorted(built) == ["king strip", "n2", "recovery"]
+    for label, quotients in built.items():
+        for q in quotients:
+            assert q.vertex_count > 0 and q.is_connected(), label
+
+
 def test_king_strip_neighborhoods_share_one_quotient():
     graph, _ = strong_product([path_graph(40), path_graph(3)])
     cache = NeighborhoodCache(graph)
