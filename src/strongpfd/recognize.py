@@ -5,9 +5,11 @@ neighborhoods equals the number of final skeleton colors and the extracted
 per-color components rebuild the graph edge-for-edge; the skeleton module
 builds the coloring and runs that product check, whose diagnostics the
 report lists once each.  A report keeps its factors in color order.  The
-single-anchor fast path extracts the prime factors directly from one
-backbone coloring, finished by the same completion sweep as the skeleton,
-and returns them in the factor order of ``factor_exact``.
+single-anchor fast path returns the graph as its one prime factor when the
+anchor's neighborhood is prime, which proves the graph prime; otherwise it
+extracts the prime factors directly from one backbone coloring, finished
+by the same completion sweep as the skeleton.  Either way it returns them
+in the factor order of ``factor_exact``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph import Edge, Graph
+from .graph import Edge, Graph, GraphError
 from .coloring import ColoringError, NeighborhoodCache, color_fibers_from
 from .factorize import FactorSizeError, LocalFactorization, ordered_factorization
 from .io import graph_to_dict
@@ -153,18 +155,39 @@ def pfd_fast(
 ) -> LocalFactorization:
     """Prime factors through one backbone anchor (the quasi-linear path).
 
-    The anchor defaults to the smallest backbone vertex.  The caller asserts
-    local unrefinedness.  Violations that derail the anchored coloring
-    surface as ColoringError; violations that keep the coloring locally
-    coherent produce factors that simply fail to rebuild the graph (run
+    The anchor defaults to the smallest backbone vertex; any other anchor
+    must be on the backbone too (GraphError).  The caller asserts local
+    unrefinedness.  Violations that derail the anchored coloring surface as
+    ColoringError; violations that keep the coloring locally coherent
+    produce factors that simply fail to rebuild the graph (run
     ``recognize`` to decide membership first).  The result carries no
     coordinates, only the factor graphs, in the one factor order of
     ``factorize.ordered_factorization``, which ``factor_exact`` shares.
+
+    A local prime count of 1 at the anchor proves the graph prime, so the
+    graph is returned as its one factor without any coloring.  Let
+    G = G1 ⊠ G2 be thin and x a backbone vertex.  Then N[x] is
+    N[x1] ⊠ N[x2], and the S-classes of a strong product are products of
+    S-classes, so the quotient of N[x] is Q1 ⊠ Q2.  Neither Qi is trivial:
+    if N[xi] were a clique on two or more vertices, then for any other yi
+    in it N[xi] would lie strictly inside N[yi], Gi being thin, so N[x]
+    would lie strictly inside N[(yi, xj)] and x would not be on the
+    backbone.  So the count at any backbone vertex is at least the global
+    one.  Two consequences: a graph whose anchor count is 1 is returned as
+    its own factor even where another backbone count is 2 or more and the
+    covering walk would break with ColoringError; and on that exit only the
+    anchor's ball is checked against ``size_cap``, since no other ball is
+    factored.
     """
     require_thin_connected(graph, "recognition")
     x = backbone(graph)[0] if anchor is None else anchor
+    if x not in backbone(graph):
+        raise GraphError(f"anchor {x} is not a backbone vertex")
+    cache = NeighborhoodCache(graph, size_cap)
+    if cache.get(x).prime_count == 1:
+        return ordered_factorization([graph], None)
     try:
-        partial = color_fibers_from(NeighborhoodCache(graph, size_cap), x)
+        partial = color_fibers_from(cache, x)
     except ColoringError as exc:
         raise ColoringError(f"not locally unrefined: {exc}") from exc
     comp_of, comps_of, _ = fiber_components(graph, partial.colors, len(partial.uf.parent))

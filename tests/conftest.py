@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from strongpfd import Graph, path_graph, random_product_instance, strong_product
+from strongpfd import (
+    Graph,
+    ProductInstance,
+    path_graph,
+    random_product_instance,
+    strong_product,
+)
 
 
 def house_graph() -> Graph:
@@ -29,15 +35,22 @@ def neighborhood_blind_product():
     return strong_product([path_graph(3), house_graph()])
 
 
-def recovery_corpus() -> list[Graph]:
-    """The 200 seeded two-factor instances of the acceptance suite."""
+def recovery_instances() -> list[ProductInstance]:
+    """The 200 seeded two-factor instances of the acceptance suite, with
+    their ground truth."""
     rng = random.Random(20260809)
-    graphs = []
+    instances = []
     for i in range(200):
         sizes = [rng.randint(3, 6), rng.randint(3, 6)]
         prob = rng.uniform(0.35, 0.6)
-        graphs.append(random_product_instance(sizes, seed=100000 + i, edge_prob=prob).graph)
-    return graphs
+        instances.append(random_product_instance(sizes, seed=100000 + i, edge_prob=prob))
+    return instances
+
+
+def recovery_corpus() -> list[Graph]:
+    """The graphs of the 200 seeded two-factor instances of the acceptance
+    suite."""
+    return [instance.graph for instance in recovery_instances()]
 
 
 @pytest.fixture(scope="session")

@@ -216,7 +216,8 @@ def test_sweep_of_a_fully_colored_graph_adds_nothing(p3xp3, monkeypatch):
 @pytest.mark.parametrize("edge", [(14, 22), (5, 21)], ids=["edge-added", "edge-removed"])
 def test_sweep_completes_the_skeleton_of_a_perturbed_product(edge, monkeypatch):
     # one edge toggled in a seeded 5x5 product gives a prime graph whose
-    # neighborhoods leave a few product edges uncolored; the sweep colors them
+    # neighborhoods leave a few product edges uncolored; the sweep colors them,
+    # in the skeleton assembly and in the anchored coloring alike
     base = random_product_instance([5, 5], seed=985715, edge_prob=0.6).graph
     graph = Graph(base.vertex_count, sorted(set(base.edges()) ^ {edge}))
     added = []
@@ -231,8 +232,12 @@ def test_sweep_completes_the_skeleton_of_a_perturbed_product(edge, monkeypatch):
     report = recognize(graph)
     assert report.in_upsilon and len(report.extracted_factors) == 1
     assert set(report.coloring.cartesian_edges) == set(graph.edges())
-    assert pfd_fast(graph).prime_count == 1
+    color_fibers_from(NeighborhoodCache(graph), backbone(graph)[0])
     assert len(added) == 2 and min(added) > 0
+    # the anchor's neighborhood is prime, so pfd_fast returns the input
+    # without coloring, let alone sweeping
+    assert pfd_fast(graph).factors == (graph,)
+    assert len(added) == 2
 
 
 def test_coloring_is_deterministic():

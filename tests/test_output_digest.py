@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from strongpfd import random_connected_graph, twisted_instance
+from strongpfd import random_connected_graph, random_thin_graph, twisted_instance
 
 from conftest import neighborhood_blind_product, recovery_corpus
 from digest_outputs import call, outcome
@@ -33,6 +33,21 @@ def criterion_11_inputs(count: int = 200):
     return graphs
 
 
+PRIME_ORDERS = (13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def dense_prime_inputs(count: int = 20):
+    """``count`` seeded thin graphs of prime order 13 to 41 and edge
+    probability 0.35 to 0.65, prime because their order is."""
+    rng = random.Random(41)
+    return [
+        random_thin_graph(
+            PRIME_ORDERS[i % len(PRIME_ORDERS)], rng.uniform(0.35, 0.65), seed=900000 + i
+        )
+        for i in range(count)
+    ]
+
+
 def digest(kind: str, graphs) -> str:
     outcomes = [outcome(kind, call(kind, graph)) for graph in graphs]
     return hashlib.blake2b("\n".join(outcomes).encode(), digest_size=16).hexdigest()
@@ -42,6 +57,7 @@ GROUPS = {
     "recovery": recovery_corpus,
     "criterion_11": criterion_11_inputs,
     "fixtures": lambda: [twisted_instance(), neighborhood_blind_product()],
+    "dense_prime": dense_prime_inputs,
 }
 
 PINNED = {
@@ -51,6 +67,7 @@ PINNED = {
     ("criterion_11", "factor_exact"): "f94a40e86c548d8f6fc430cbef6fd9fb",
     ("fixtures", "recognize"): "bdb01b3074f1ca8bbb5a8eb5a2da9862",
     ("fixtures", "pfd_fast"): "09a5da4bf5add1c9625c0579ac26016f",
+    ("dense_prime", "pfd_fast"): "b949ad6915cb8cb3adccc54ef49a9751",
 }
 
 
