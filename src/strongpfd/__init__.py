@@ -12,7 +12,6 @@ from .graph import (
 )
 from .products import (
     Coordinatization,
-    Fiber,
     cartesian_edge_set,
     cartesian_index,
     cartesian_product,
@@ -21,13 +20,9 @@ from .products import (
 from .sclasses import (
     NotThinError,
     QuotientResult,
-    SPartition,
     backbone,
     is_thin,
     quotient,
-    relative_s_partition,
-    s1_witness,
-    s_class_size,
 )
 from .isomorphism import canonical_form, find_isomorphism, is_isomorphic
 from .factorize import (
@@ -42,17 +37,14 @@ from .factorize import (
 )
 from .coloring import (
     ColoringError,
-    CoveringSequence,
     PartialProductColoring,
     UnionFind,
-    backbone_bfs,
     color_fibers_from,
 )
 from .skeleton import (
     ColoredSkeleton,
     SkeletonError,
     build_skeleton,
-    find_square,
     merge_parallel_colors,
     n2_sweep,
     product_coordinates,

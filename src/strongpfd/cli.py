@@ -19,7 +19,7 @@ from .graph import Graph, GraphError
 from .factorize import NeighborhoodCache, factor_exact
 from .oracle import GenerationError, random_product_instance
 from .recognize import pfd_fast, recognize
-from .sclasses import backbone, is_thin, quotient, relative_s_partition, require_thin_connected
+from .sclasses import backbone, is_thin, quotient, require_thin_connected
 from .skeleton import SkeletonError, build_skeleton
 
 
@@ -51,14 +51,15 @@ def _load(args: argparse.Namespace) -> Graph:
 
 
 def _thin_report(graph: Graph) -> dict:
-    part = relative_s_partition(graph, range(graph.vertex_count))
+    if graph.vertex_count == 0:
+        raise GraphError("a thinness report needs a nonempty graph")
     try:
         members = list(backbone(graph))
     except GraphError:  # disconnected or not thin: there is no backbone
         members = []
     return {
         "thin": is_thin(graph),
-        "s_classes": [list(cls) for cls in part.classes],
+        "s_classes": [list(cls) for cls in quotient(graph).class_members],
         "backbone": members,
     }
 

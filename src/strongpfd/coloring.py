@@ -9,7 +9,9 @@ neighbor has as many local factors as the anchor and lifts that edge.  From
 an anchor on the backbone, each local factor of the anchor's neighborhood
 opens one color, and a restricted BFS walks backbone vertices along
 same-colored product edges, coloring each visited neighborhood's lifted
-edges of the continued factor.  A final sweep colors fiber edges that no
+edges of the continued factor; the walk keeps only each vertex's BFS
+parent, through which the color continues, and runs only inside
+``color_fibers_from``.  A final sweep colors fiber edges that no
 neighborhood could identify directly but that are pinched between two
 same-colored edges.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import Edge, Graph, GraphError, VertexSet, edge_key
+from .graph import Edge, Graph, GraphError, edge_key
 from .factorize import NeighborhoodCache, NeighborhoodFactorization
 from .sclasses import backbone, require_thin_connected
 
@@ -107,16 +109,6 @@ class PartialProductColoring:
             )
 
 
-@dataclass(frozen=True)
-class CoveringSequence:
-    """Backbone BFS order covering one fiber, with recorded parents."""
-
-    anchor: int
-    local_color: int
-    vertices: VertexSet
-    parents: dict[int, int]
-
-
 def color_continuation(
     cache: NeighborhoodCache, origin: NeighborhoodFactorization, parent: int, v: int
 ) -> tuple[NeighborhoodFactorization, int]:
@@ -148,7 +140,7 @@ def _bfs_one_color(
     raw_color: int,
     cache: NeighborhoodCache,
     coloring: PartialProductColoring,
-) -> CoveringSequence:
+) -> None:
     """Run the color-restricted backbone BFS for one local color of the anchor.
 
     Colors the anchor's lifted edges of that color, then walks backbone
@@ -161,14 +153,12 @@ def _bfs_one_color(
     nf_anchor = cache.get(anchor)
     parents: dict[int, int] = {}
     visited: set[int] = set()
-    sequence = []
     queue = deque([anchor])
     while queue:
         v = queue.popleft()
         if v in visited:
             continue
         visited.add(v)
-        sequence.append(v)
         if v == anchor:
             nf, continuation = nf_anchor, local_color
         else:
@@ -184,7 +174,6 @@ def _bfs_one_color(
             ):
                 parents.setdefault(w, v)
                 queue.append(w)
-    return CoveringSequence(anchor, local_color, tuple(sequence), parents)
 
 
 def completion_sweep(
@@ -251,22 +240,3 @@ def color_fibers_from(cache: NeighborhoodCache, anchor: int) -> PartialProductCo
         _bfs_one_color(anchor, local_color, coloring.new_color(), cache, coloring)
     completion_sweep(graph, coloring)
     return coloring
-
-
-def backbone_bfs(cache: NeighborhoodCache, anchor: int, local_color: int) -> CoveringSequence:
-    """The covering BFS of ``cache.graph`` for one local color, exposed on
-    its own.
-
-    Runs against a throwaway coloring; the sequence lists the backbone
-    vertices of the anchor's fiber in visiting order.
-    """
-    if anchor not in backbone(cache.graph):
-        raise GraphError(f"anchor {anchor} is not a backbone vertex")
-    nf = cache.get(anchor)
-    if not (0 <= local_color < nf.prime_count):
-        raise GraphError(
-            f"local color {local_color} out of range for anchor {anchor} "
-            f"({nf.prime_count} local factors)"
-        )
-    coloring = PartialProductColoring()
-    return _bfs_one_color(anchor, local_color, coloring.new_color(), cache, coloring)

@@ -113,11 +113,6 @@ class Graph:
         self._check_vertex(v)
         return len(self._adj[v])
 
-    def max_degree(self) -> int:
-        if self._n == 0:
-            return 0
-        return max(len(s) for s in self._adj)
-
     def edges(self) -> Iterator[Edge]:
         for u in range(self._n):
             for v in self._sorted[u]:
@@ -225,13 +220,6 @@ class Graph:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         return dist
-
-    def distance(self, u: int, v: int) -> int:
-        """Shortest-path distance; raises if v is unreachable from u."""
-        d = self.distances_from(u)[v]
-        if d < 0:
-            raise DisconnectedError(f"vertex {v} unreachable from {u}")
-        return d
 
     def is_connected(self) -> bool:
         return self._connected

@@ -9,7 +9,6 @@ ranges.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 from .graph import Edge, Graph, GraphError, edge_key
@@ -120,8 +119,6 @@ def save_graph(graph: Graph, path: str | Path, fmt: str | None = None) -> None:
 
 # -- DOT emission -----------------------------------------------------------
 
-_DOT_EDGE = re.compile(r"^\s*(\d+)\s*--\s*(\d+)\s*(?:\[.*?colorclass=\"(\d+)\".*?\])?\s*;?\s*$")
-
 _PALETTE = [
     "black", "red", "blue", "forestgreen", "darkorange", "purple",
     "deeppink", "teal", "saddlebrown", "gray40",
@@ -142,13 +139,3 @@ def write_dot(graph: Graph, edge_colors: dict[Edge, int] | None = None, name: st
             out.append(f'  {u} -- {v} [colorclass="{color}", color="{dot_color}"];')
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def parse_dot_edge_colors(text: str) -> dict[Edge, int]:
-    """Recover the edge -> color-class map from DOT text written by write_dot."""
-    colors: dict[Edge, int] = {}
-    for line in text.splitlines():
-        m = _DOT_EDGE.match(line)
-        if m and m.group(3) is not None:
-            colors[edge_key(int(m.group(1)), int(m.group(2)))] = int(m.group(3))
-    return colors

@@ -1,4 +1,4 @@
-"""Strong and Cartesian graph products, coordinatizations, fibers.
+"""Strong and Cartesian graph products and their coordinatizations.
 
 A coordinatization assigns every vertex of a product a tuple of factor
 vertices.  Constructed products use row-major ranking: the last factor's
@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graph import Graph, GraphError, VertexSet
+from .graph import Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -38,33 +38,8 @@ class Coordinatization:
     def factor_count(self) -> int:
         return len(self.factor_sizes)
 
-    def projection(self, v: int, i: int) -> int:
-        """i-th coordinate of vertex v."""
-        if not (0 <= i < self.factor_count):
-            raise GraphError(f"factor index {i} out of range")
-        return self.coords[v][i]
-
     def vertex_at(self, coord: tuple[int, ...]) -> int:
         return self._index[coord]
-
-    def fiber_through(self, x: int, i: int) -> "Fiber":
-        """All vertices agreeing with x on every coordinate except i."""
-        if not (0 <= i < self.factor_count):
-            raise GraphError(f"factor index {i} out of range")
-        anchor = self.coords[x]
-        members = [
-            v
-            for v, c in enumerate(self.coords)
-            if all(c[j] == anchor[j] for j in range(self.factor_count) if j != i)
-        ]
-        return Fiber(factor_index=i, anchor=x, vertices=tuple(members))
-
-
-@dataclass(frozen=True)
-class Fiber:
-    factor_index: int
-    anchor: int
-    vertices: VertexSet
 
 
 def _product_base(factors: Sequence[Graph]) -> tuple[tuple[int, ...], list[tuple[int, ...]], dict]:

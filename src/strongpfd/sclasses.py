@@ -1,23 +1,21 @@
 """Neighborhood-equivalence machinery: relative classes, thinness, quotient,
-backbone, witnesses for the singleton-class edge condition, and the validity
-gate of the backbone pipeline.
+backbone, and the validity gate of the backbone pipeline.
 
 Two vertices are equivalent relative to a vertex subset H when their closed
 neighborhoods intersected with H coincide.  The backbone is the set of
 vertices whose closed neighborhood is strictly maximal; on thin connected
 graphs it induces a connected dominating set.  Thinness and the backbone
 are read off the ``Graph``, which finds both in one pass over its
-adjacency sets, so neither builds the host's n-bit closed masks; the
-witness helpers ``s_class_size`` and ``s1_witness`` read their classes
-through the public ``relative_s_partition``, so nothing here reads them.
+adjacency sets, so neither builds the host's n-bit closed masks.
 
 ``relative_quotient`` is the one quotient routine: it splits a vertex set
 into its relative classes by keys in the set's own positions, read once off
 each member's adjacency set, and returns the quotient's own closed masks,
 which fix the quotient as a labelled graph, without building any graph.  No
 key is wider than the set, whatever the host's size.  ``quotient`` is that
-routine over all vertices, and ``quotient_graph`` builds the graph's rows
-straight from the masks, which it keeps as the graph's ``closed_masks``.
+routine over all vertices and the one public door to the classes;
+``quotient_graph`` builds the graph's rows straight from the masks, which
+it keeps as the graph's ``closed_masks``.
 
 ``require_thin_connected`` is the one validity gate of the pipeline, whose
 backbone is defined only on nonempty, connected, thin graphs; both facts are
@@ -27,27 +25,14 @@ The backbone itself is memoized there too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable
 
 from .graph import DisconnectedError, Graph, GraphError, VertexSet
 
 
 class NotThinError(GraphError):
     """Operation requires a thin graph (all global classes singletons)."""
-
-
-@dataclass(frozen=True)
-class SPartition:
-    """Partition of ``host`` by the fingerprint N[x] intersected with host."""
-
-    host: VertexSet
-    classes: tuple[VertexSet, ...]
-    class_index: dict[int, int] = field(compare=False)
-
-    def class_of(self, v: int) -> VertexSet:
-        return self.classes[self.class_index[v]]
 
 
 @dataclass(frozen=True)
@@ -112,33 +97,6 @@ def quotient_graph(masks: tuple[int, ...]) -> Graph:
     return Graph.from_closed_masks(masks)
 
 
-def relative_s_partition(graph: Graph, host: Iterable[int]) -> SPartition:
-    """Group the vertices of ``host`` by their closed neighborhood within it.
-
-    Raises GraphError on an empty host or one naming a vertex not in
-    ``graph``.
-    """
-    members = tuple(sorted(set(host)))
-    if not members:
-        raise GraphError("relative partition of an empty host set")
-    # the sorted ends bound every other id
-    graph._check_vertex(members[0])
-    graph._check_vertex(members[-1])
-    positions, _, _ = relative_quotient(graph, members)
-    classes = tuple(tuple(members[p] for p in cls) for cls in positions)
-    class_index = {v: i for i, cls in enumerate(classes) for v in cls}
-    return SPartition(host=members, classes=classes, class_index=class_index)
-
-
-def s_class_size(graph: Graph, z: int, x: int) -> int:
-    """Size of the class of x relative to the closed neighborhood of z."""
-    graph._check_vertex(x)
-    partition = relative_s_partition(graph, graph.closed_neighborhood(z))
-    if x not in partition.class_index:
-        raise GraphError(f"vertex {x} is not in the closed neighborhood of {z}")
-    return len(partition.class_of(x))
-
-
 def is_thin(graph: Graph) -> bool:
     """True iff no two vertices share a closed neighborhood (memoized)."""
     return graph.thin
@@ -173,22 +131,3 @@ def backbone(graph: Graph) -> VertexSet:
     """
     require_thin_connected(graph, "backbone")
     return graph.maximal_vertices
-
-
-def s1_witness(graph: Graph, u: int, v: int) -> int | None:
-    """Witness z with u, v in N[z] and a singleton class at u or v, if any.
-
-    Backbone vertices are searched first in ascending order, then the rest,
-    so a backbone witness is returned whenever one exists.
-    """
-    if not graph.adjacent(u, v):
-        raise GraphError(f"({u}, {v}) is not an edge")
-    if not is_thin(graph):
-        raise NotThinError("the singleton-class condition is defined on thin graphs")
-    bset = set(backbone(graph))
-    common = set(graph.closed_neighborhood(u)).intersection(graph.closed_neighborhood(v))
-    for z in sorted(common & bset) + sorted(common - bset):
-        partition = relative_s_partition(graph, graph.closed_neighborhood(z))
-        if len(partition.class_of(u)) == 1 or len(partition.class_of(v)) == 1:
-            return z
-    return None

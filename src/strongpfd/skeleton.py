@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .graph import Edge, Graph, GraphError, edge_key
+from .graph import Edge, Graph, edge_key
 from .coloring import (
     STAGE_COMPLETION,
     STAGE_LIFT,
@@ -83,25 +83,6 @@ class ColoredSkeleton:
         }
 
 
-def find_square(graph: Graph, e: Edge, f: Edge) -> tuple[int, int, int, int] | None:
-    """The unique diagonal-free 4-cycle through two incident edges, if any.
-
-    Returns (u, p, d, q) walking the cycle, where u is the shared endpoint;
-    None when no such square exists or it is not unique.  Diagonals are
-    checked against the edges of ``graph`` itself, so pass the skeleton
-    subgraph when searching within identified product edges.
-    """
-    shared = set(e) & set(f)
-    if len(shared) != 1:
-        raise GraphError(f"edges {e} and {f} are not incident at one vertex")
-    u = shared.pop()
-    p = e[0] if e[1] == u else e[1]
-    q = f[0] if f[1] == u else f[1]
-    adj = graph.adjacency_set
-    d = _far_corner(u, q, adj(u), adj(p), adj(q))
-    return None if d is None else (u, p, d, q)
-
-
 def _far_corner(
     u: int, q: int, near_u: frozenset[int], near_p: frozenset[int], near_q: frozenset[int]
 ) -> int | None:
@@ -150,20 +131,17 @@ def merge_parallel_colors(graph: Graph, coloring: PartialProductColoring) -> int
 def n2_sweep(
     coloring: PartialProductColoring,
     cache: NeighborhoodCache,
-    targets: list[int] | None = None,
+    targets: list[int],
 ) -> dict[int, int]:
     """Identify product edges inside 2-neighborhoods of under-colored vertices.
 
-    For each target vertex (default: every vertex of ``cache.graph`` with an
-    uncolored incident edge), the 2-neighborhood is factored through the
-    cache, under its size cap and quotient memo; the center's class is a
-    singleton in a thin graph, so every product edge at the center is
-    identified and gets a fresh raw color.  Returns the per-vertex prime
-    counts observed.
+    For each target vertex of ``cache.graph``, the 2-neighborhood is
+    factored through the cache, under its size cap and quotient memo; the
+    center's class is a singleton in a thin graph, so every product edge at
+    the center is identified and gets a fresh raw color.  Returns the
+    per-vertex prime counts observed.
     """
     edge_color, stage_of = coloring.colors, coloring.stages
-    if targets is None:
-        targets = _undercolored_vertices(cache.graph, edge_color)
     counts: dict[int, int] = {}
     fresh: dict[tuple[int, int], int] = {}
     for x in sorted(targets):

@@ -6,11 +6,17 @@ import pytest
 
 from strongpfd import (
     Graph,
+    GraphError,
+    NotThinError,
     ProductInstance,
+    backbone,
+    is_thin,
     path_graph,
     random_product_instance,
     strong_product,
 )
+from strongpfd.graph import VertexSet
+from strongpfd.sclasses import relative_quotient
 
 
 def house_graph() -> Graph:
@@ -27,6 +33,38 @@ def wheel_graph(rim: int = 5) -> Graph:
     edges = [(i, (i + 1) % rim) for i in range(rim)]
     edges += [(i, rim) for i in range(rim)]
     return Graph(rim + 1, edges)
+
+
+def relative_classes(graph: Graph, host) -> list[VertexSet]:
+    """The classes of the vertex set ``host`` relative to itself, as
+    ascending vertex ids, read through ``relative_quotient``."""
+    members = tuple(sorted(host))
+    positions, _, _ = relative_quotient(graph, members)
+    return [tuple(members[p] for p in cls) for cls in positions]
+
+
+def s_class_size(graph: Graph, z: int, x: int) -> int:
+    """Size of the class of x relative to the closed neighborhood of z."""
+    classes = relative_classes(graph, graph.closed_neighborhood(z))
+    return next(len(cls) for cls in classes if x in cls)
+
+
+def s1_witness(graph: Graph, u: int, v: int) -> int | None:
+    """Witness z with u, v in N[z] and a singleton class at u or v, if any.
+
+    Backbone vertices are searched first in ascending order, then the rest,
+    so a backbone witness is returned whenever one exists.
+    """
+    if not graph.adjacent(u, v):
+        raise GraphError(f"({u}, {v}) is not an edge")
+    if not is_thin(graph):
+        raise NotThinError("the singleton-class condition is defined on thin graphs")
+    bset = set(backbone(graph))
+    common = set(graph.closed_neighborhood(u)).intersection(graph.closed_neighborhood(v))
+    for z in sorted(common & bset) + sorted(common - bset):
+        if s_class_size(graph, z, u) == 1 or s_class_size(graph, z, v) == 1:
+            return z
+    return None
 
 
 def neighborhood_blind_product():

@@ -31,7 +31,6 @@ from strongpfd import (
     random_product_instance,
     random_thin_graph,
     recognize,
-    s_class_size,
     strong_product,
     twisted_instance,
 )
@@ -39,7 +38,7 @@ from strongpfd.cli import main as cli_main
 from strongpfd.coloring import STAGE_N2
 from strongpfd.io import save_graph
 
-from conftest import house_graph
+from conftest import house_graph, s_class_size
 
 
 def report(num: int, name: str, detail: str = "") -> None:
@@ -147,8 +146,8 @@ def test_criterion_04_distance_law():
         for _ in range(20):
             u, v = rng.randrange(n), rng.randrange(n)
             cu, cv = coords.coords[u], coords.coords[v]
-            expected = max(f1.distance(cu[0], cv[0]), f2.distance(cu[1], cv[1]))
-            assert inst.graph.distance(u, v) == expected
+            expected = max(f1.distances_from(cu[0])[cv[0]], f2.distances_from(cu[1])[cv[1]])
+            assert inst.graph.distances_from(u)[v] == expected
             draws += 1
     report(4, "product distance is the max over factors", f"{draws} draws")
 

@@ -7,7 +7,7 @@ import pytest
 
 from strongpfd import Graph, complete_graph, path_graph, strong_product, twisted_instance
 from strongpfd.cli import main
-from strongpfd.io import graph_to_dict, parse_dot_edge_colors, save_graph
+from strongpfd.io import graph_to_dict, load_graph, save_graph, write_dot
 
 from conftest import house_graph
 
@@ -102,6 +102,15 @@ def test_disconnected_input_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_thin_refuses_an_empty_graph(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    assert main(["check-thin", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_backbone_and_check_thin_schema(tmp_path, capsys):
     path = write_product(tmp_path)
     assert main(["check-thin", "--input", str(path)]) == 0
@@ -123,10 +132,8 @@ def test_skeleton_json_and_dot(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["n_colors"] == 2
     assert len(data["cartesian_edges"]) == 12
-    recovered = parse_dot_edge_colors(dot_path.read_text())
-    assert recovered == {
-        (u, v): c for u, v, c in map(tuple, data["cartesian_edges"])
-    }
+    colors = {(u, v): c for u, v, c in data["cartesian_edges"]}
+    assert dot_path.read_text() == write_dot(load_graph(path), colors)
 
 
 def test_factor_fast_path(tmp_path, capsys):

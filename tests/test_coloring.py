@@ -8,10 +8,8 @@ import pytest
 from strongpfd import (
     ColoringError,
     Graph,
-    GraphError,
     NeighborhoodCache,
     backbone,
-    backbone_bfs,
     cartesian_index,
     color_fibers_from,
     cycle_graph,
@@ -33,6 +31,15 @@ from strongpfd.skeleton import fiber_components
 from conftest import neighborhood_blind_product, wheel_graph
 
 
+def covering_walk(graph, anchor):
+    """The backbone vertices that the covering BFS of the anchor's local
+    color 0 visits: the centers whose neighborhoods it factored."""
+    cache = NeighborhoodCache(graph)
+    coloring = PartialProductColoring()
+    coloring_module._bfs_one_color(anchor, 0, coloring.new_color(), cache, coloring)
+    return set(cache.entries)
+
+
 def test_covering_sequence_on_prime_graphs_covers_backbone():
     rng = random.Random(4)
     found = 0
@@ -44,10 +51,10 @@ def test_covering_sequence_on_prime_graphs_covers_backbone():
             continue
         found += 1
         members = backbone(g)
-        seq = backbone_bfs(NeighborhoodCache(g), members[0], 0)
-        assert set(seq.vertices) == set(members)
+        visited = covering_walk(g, members[0])
+        assert visited == set(members)
         covered = set()
-        for w in seq.vertices:
+        for w in visited:
             covered.update(g.closed_neighborhood(w))
         assert covered == set(g.vertices())
     assert found == 6
@@ -56,19 +63,8 @@ def test_covering_sequence_on_prime_graphs_covers_backbone():
 def test_covering_sequence_single_vertex_backbones(p3xp3):
     graph, coords = p3xp3
     center = coords.vertex_at((1, 1))
-    seq = backbone_bfs(NeighborhoodCache(graph), center, 0)
-    assert seq.vertices == (center,)
-    w5 = wheel_graph(5)
-    seq = backbone_bfs(NeighborhoodCache(w5), 5, 0)
-    assert seq.vertices == (5,)
-
-
-def test_backbone_bfs_validates_anchor_and_color(p3xp3):
-    graph, _ = p3xp3
-    with pytest.raises(GraphError):
-        backbone_bfs(NeighborhoodCache(graph), 0, 0)  # corner is not backbone
-    with pytest.raises(GraphError):
-        backbone_bfs(NeighborhoodCache(graph), 4, 5)
+    assert covering_walk(graph, center) == {center}
+    assert covering_walk(wheel_graph(5), 5) == {5}
 
 
 def test_color_fibers_p3_product(p3xp3):

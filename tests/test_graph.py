@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongpfd import (
-    DisconnectedError,
     Graph,
     GraphError,
     complete_graph,
@@ -96,25 +95,17 @@ def test_induced_subgraph_empty_rejected():
 
 def test_distance_basics():
     p4 = path_graph(4)
-    assert p4.distance(0, 0) == 0
-    assert p4.distance(0, 3) == 3
-    assert p4.distance(3, 0) == 3
-
-
-def test_distance_unreachable_raises():
-    g = Graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedError):
-        g.distance(0, 3)
+    assert p4.distances_from(0) == [0, 1, 2, 3]
+    assert p4.distances_from(3)[0] == 3
+    assert Graph(4, [(0, 1), (2, 3)]).distances_from(0) == [0, 1, -1, -1]
 
 
 def test_connectivity_and_degrees():
     assert Graph(1).is_connected()
-    assert Graph(1).max_degree() == 0
     two_edges = Graph(4, [(0, 1), (2, 3)])
     assert not two_edges.is_connected()
     c5 = cycle_graph(5)
     assert c5.is_connected()
-    assert c5.max_degree() == 2
     assert c5.degree(0) == 2
 
 
@@ -144,7 +135,8 @@ def test_random_graph_invariants(seed, n):
         assert ball1 <= ball2
     if g.is_connected() and n >= 3:
         a, b, c = rng.sample(range(n), 3)
-        assert g.distance(a, c) <= g.distance(a, b) + g.distance(b, c)
+        dist_a, dist_b = g.distances_from(a), g.distances_from(b)
+        assert dist_a[c] <= dist_a[b] + dist_b[c]
 
 
 def test_distance_on_product_is_max_of_factor_distances():
@@ -154,8 +146,8 @@ def test_distance_on_product_is_max_of_factor_distances():
     for _ in range(50):
         u, v = rng.randrange(20), rng.randrange(20)
         cu, cv = coords.coords[u], coords.coords[v]
-        expected = max(p4.distance(cu[0], cv[0]), c5.distance(cu[1], cv[1]))
-        assert graph.distance(u, v) == expected
+        expected = max(p4.distances_from(cu[0])[cv[0]], c5.distances_from(cu[1])[cv[1]])
+        assert graph.distances_from(u)[v] == expected
 
 
 @st.composite

@@ -224,16 +224,11 @@ def top_level_callers(source: str, name: str) -> list[str]:
 
 def test_only_the_neighborhood_cache_builds_quotients():
     # every region's quotient is read, capped, memoized and factored in one
-    # place; the whole-graph quotient and the public relative partition are
-    # the only other readers of the relative classes, and only the public
-    # whole-graph quotient wraps its result in a QuotientResult
+    # place; the whole-graph quotient is the only other reader of the
+    # relative classes, and the only builder of a QuotientResult
     cache = ("factorize.py", "NeighborhoodCache")
     expected = {
-        "relative_quotient": {
-            cache,
-            ("sclasses.py", "quotient"),
-            ("sclasses.py", "relative_s_partition"),
-        },
+        "relative_quotient": {cache, ("sclasses.py", "quotient")},
         "quotient_graph": {cache, ("sclasses.py", "quotient")},
         "QuotientResult": {("sclasses.py", "quotient")},
     }

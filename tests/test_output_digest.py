@@ -16,7 +16,9 @@ import random
 
 import pytest
 
-from strongpfd import random_connected_graph, random_thin_graph, twisted_instance
+from strongpfd import Graph, random_connected_graph, random_thin_graph, twisted_instance
+from strongpfd.cli import main
+from strongpfd.io import save_graph
 
 from conftest import neighborhood_blind_product, recovery_corpus
 from digest_outputs import call, outcome
@@ -48,9 +50,12 @@ def dense_prime_inputs(count: int = 20):
     ]
 
 
+def blake(text: str) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
 def digest(kind: str, graphs) -> str:
-    outcomes = [outcome(kind, call(kind, graph)) for graph in graphs]
-    return hashlib.blake2b("\n".join(outcomes).encode(), digest_size=16).hexdigest()
+    return blake("\n".join(outcome(kind, call(kind, graph)) for graph in graphs))
 
 
 GROUPS = {
@@ -74,3 +79,22 @@ PINNED = {
 @pytest.mark.parametrize("group,kind", sorted(PINNED), ids="-".join)
 def test_outputs_match_the_pinned_digests(group, kind):
     assert digest(kind, GROUPS[group]()) == PINNED[group, kind]
+
+
+#: the digest of ``strongpfd check-thin``'s stdout over the criterion-11
+#: inputs, non-thin ones included, then a thin and a non-thin disconnected graph
+CHECK_THIN_PINNED = "e7804030d19f4cd844fbb8252e6a7ec4"
+
+
+def test_check_thin_output_matches_its_pinned_digest(tmp_path, capsys):
+    graphs = criterion_11_inputs() + [
+        Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+        Graph(4, [(0, 1), (2, 3)]),
+    ]
+    path = tmp_path / "graph.txt"
+    outputs = []
+    for graph in graphs:
+        save_graph(graph, path)
+        assert main(["check-thin", "--input", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert blake("".join(outputs)) == CHECK_THIN_PINNED

@@ -80,41 +80,24 @@ def test_empty_factor_list_rejected():
 def test_projection_and_vertex_at(p3xp3):
     _, coords = p3xp3
     v = coords.vertex_at((2, 1))
-    assert coords.projection(v, 0) == 2
-    assert coords.projection(v, 1) == 1
+    assert coords.coords[v] == (2, 1)
     for u in range(9):
         assert coords.vertex_at(coords.coords[u]) == u
-    with pytest.raises(GraphError):
-        coords.projection(v, 2)
 
 
 def test_projection_single_factor_identity():
     g = path_graph(4)
     _, coords = strong_product([g])
-    for v in range(4):
-        assert coords.projection(v, 0) == v
+    assert coords.coords == tuple((v,) for v in range(4))
 
 
 def test_fiber_through_corner(p3xp3):
+    # the vertices that share the corner's second coordinate induce the first factor
     graph, coords = p3xp3
-    corner = coords.vertex_at((0, 0))
-    fiber = coords.fiber_through(corner, 0)
-    assert len(fiber.vertices) == 3
-    sub, _ = graph.induced_subgraph(fiber.vertices)
+    fiber = [v for v in graph.vertices() if coords.coords[v][1] == 0]
+    assert len(fiber) == 3
+    sub, _ = graph.induced_subgraph(fiber)
     assert is_isomorphic(sub, path_graph(3))
-
-
-def test_fiber_single_factor_is_everything():
-    g = cycle_graph(5)
-    _, coords = strong_product([g])
-    assert coords.fiber_through(2, 0).vertices == tuple(range(5))
-
-
-def test_fiber_membership_is_an_equivalence(p3xp3):
-    _, coords = p3xp3
-    f = coords.fiber_through(0, 1)
-    for member in f.vertices:
-        assert coords.fiber_through(member, 1).vertices == f.vertices
 
 
 def test_cartesian_index_examples(p3xp3):
@@ -144,8 +127,8 @@ def test_distance_law_on_random_factors():
             u = rng.randrange(graph.vertex_count)
             v = rng.randrange(graph.vertex_count)
             cu, cv = coords.coords[u], coords.coords[v]
-            assert graph.distance(u, v) == max(
-                f1.distance(cu[0], cv[0]), f2.distance(cu[1], cv[1])
+            assert graph.distances_from(u)[v] == max(
+                f1.distances_from(cu[0])[cv[0]], f2.distances_from(cu[1])[cv[1]]
             )
 
 
@@ -179,7 +162,7 @@ def test_associativity_up_to_isomorphism():
 def test_cartesian_edges_restricted_to_fiber_give_factor(p3xp3):
     graph, coords = p3xp3
     cart = cartesian_edge_set(graph, coords)
-    fiber = coords.fiber_through(0, 1).vertices
+    fiber = [v for v in graph.vertices() if coords.coords[v][0] == 0]
     inside = [e for e in cart if e[0] in fiber and e[1] in fiber]
     restricted = Graph(graph.vertex_count, inside)
     sub, _ = restricted.induced_subgraph(fiber)

@@ -35,7 +35,6 @@ from strongpfd import (
     path_graph,
     quotient,
     recognize,
-    relative_s_partition,
     strong_product,
 )
 from strongpfd import skeleton
@@ -257,7 +256,7 @@ def test_relative_partitions_match_the_subgraph_path():
         n = graph.vertex_count
         for _ in range(5):
             host = sorted(rng.sample(range(n), rng.randint(1, n)))
-            part = relative_s_partition(graph, host)
+            positions, _, _ = relative_quotient(graph, tuple(host))
             sub, _ = graph.induced_subgraph(host)
             _, _, classes = legacy_quotient(sub)
-            assert part.classes == tuple(tuple(host[p] for p in cls) for cls in classes), label
+            assert positions == classes, label

@@ -15,14 +15,18 @@ from strongpfd import (
     is_thin,
     path_graph,
     quotient,
-    relative_s_partition,
-    s1_witness,
-    s_class_size,
     strong_product,
 )
 from strongpfd.oracle import random_thin_graph
 
-from conftest import house_graph, neighborhood_blind_product, wheel_graph
+from conftest import (
+    house_graph,
+    neighborhood_blind_product,
+    relative_classes,
+    s1_witness,
+    s_class_size,
+    wheel_graph,
+)
 
 
 def visible_twin_graph():
@@ -33,48 +37,19 @@ def visible_twin_graph():
 
 def test_relative_partition_of_thin_graph_is_discrete():
     g = path_graph(4)
-    part = relative_s_partition(g, g.vertices())
-    assert all(len(cls) == 1 for cls in part.classes)
+    assert all(len(cls) == 1 for cls in relative_classes(g, g.vertices()))
 
 
 def test_relative_partition_complete_graph_single_class():
     g = complete_graph(3)
-    part = relative_s_partition(g, g.vertices())
-    assert part.classes == ((0, 1, 2),)
+    assert relative_classes(g, g.vertices()) == [(0, 1, 2)]
 
 
 def test_relative_partition_inside_apex_neighborhood():
     g = visible_twin_graph()
     assert is_thin(g)
-    part = relative_s_partition(g, g.closed_neighborhood(0))
-    assert set(part.classes) == {(0,), (1, 2), (3,)}
-    assert part.class_of(1) == (1, 2)
-
-
-def test_relative_partition_empty_host_rejected():
-    with pytest.raises(GraphError):
-        relative_s_partition(path_graph(3), [])
-
-
-def test_relative_partition_rejects_a_vertex_past_the_end(p3xp3):
-    graph, _ = p3xp3
-    with pytest.raises(GraphError, match="invalid vertex id 9 for n=9"):
-        relative_s_partition(graph, [9])
-
-
-def test_relative_partition_rejects_a_negative_vertex(p3xp3):
-    graph, _ = p3xp3
-    with pytest.raises(GraphError, match="invalid vertex id -1 for n=9"):
-        relative_s_partition(graph, [-1, 0])
-
-
-def test_s_class_size_rejects_a_negative_vertex(p3xp3):
-    # a negative id used to read vertex 8 through Python's negative indexing
-    graph, _ = p3xp3
-    with pytest.raises(GraphError, match="invalid vertex id -1 for n=9"):
-        s_class_size(graph, -1, 8)
-    with pytest.raises(GraphError, match="invalid vertex id -1 for n=9"):
-        s_class_size(graph, 8, -1)
+    assert relative_classes(g, g.closed_neighborhood(0)) == [(0,), (1, 2), (3,)]
+    assert s_class_size(g, 0, 1) == 2
 
 
 def test_is_thin_examples(p3xp3):

@@ -13,10 +13,8 @@ from strongpfd import (
     UnionFind,
     build_skeleton,
     cartesian_edge_set,
-    cartesian_product,
     complete_graph,
     cycle_graph,
-    find_square,
     merge_parallel_colors,
     path_graph,
     strong_product,
@@ -37,32 +35,20 @@ def test_union_find_basics():
     assert uf.find(ids[2]) != uf.find(ids[0])
 
 
-def test_find_square_in_c4():
+def test_merge_needs_a_diagonal_free_square():
+    # C4 is one such square: each edge merges with its opposite edge
     c4 = cycle_graph(4)
-    square = find_square(c4, (0, 1), (0, 3))
-    assert square is not None
-    u, p, d, q = square
-    assert {u, p, d, q} == {0, 1, 2, 3}
-
-
-def test_find_square_blocked_by_diagonals():
-    assert find_square(complete_graph(4), (0, 1), (0, 2)) is None
-
-
-def test_find_square_in_grid_corner():
-    grid, coords = cartesian_product([path_graph(3), path_graph(3)])
-    a = coords.vertex_at((0, 0))
-    right = coords.vertex_at((0, 1))
-    down = coords.vertex_at((1, 0))
-    square = find_square(grid, (a, right), (a, down))
-    assert square is not None
-    assert square[2] == coords.vertex_at((1, 1))
-
-
-def test_find_square_requires_incident_edges():
-    grid, _ = cartesian_product([path_graph(3), path_graph(3)])
-    with pytest.raises(GraphError):
-        find_square(grid, (0, 1), (4, 5))
+    coloring = PartialProductColoring()
+    coloring.colors = {edge: coloring.new_color() for edge in c4.edges()}
+    merge_parallel_colors(c4, coloring)
+    root = {edge: coloring.uf.find(c) for edge, c in coloring.colors.items()}
+    assert len(set(root.values())) == 2
+    assert root[0, 1] == root[2, 3] and root[0, 3] == root[1, 2]
+    # in K4 the diagonals block every square
+    k4 = complete_graph(4)
+    coloring = PartialProductColoring()
+    coloring.colors = {edge: coloring.new_color() for edge in k4.edges()}
+    assert merge_parallel_colors(k4, coloring) == 0
 
 
 def test_merge_parallel_colors_on_grid_coloring(p3xp3):
@@ -215,4 +201,4 @@ def test_n2_sweep_respects_size_cap():
 
     graph, _ = neighborhood_blind_product()
     with pytest.raises(FactorSizeError, match="^quotient of the 2-neighborhood of 0 has"):
-        n2_sweep(PartialProductColoring(), NeighborhoodCache(graph, 6))
+        n2_sweep(PartialProductColoring(), NeighborhoodCache(graph, 6), targets=[0])
