@@ -38,17 +38,20 @@ enclosing cache's ``on`` and shares the memo.  Within one call each
 labelled quotient is factored once.
 
 The memo keeps, per quotient, only what is read of it: the prime count,
-each quotient vertex's coordinate row and the Cartesian edges.  A coloring
-stage keeps, per center, the local prime count and the lifted edges
-(``factor_neighborhood``); route 2 reads each member's local coordinate
-row straight off the ball's entry and lifts nothing.  A miss costs one
-split search and one verification and builds no public result type: it
-reads the plain factors and rows of ``_factor_verified``, left in the
-order the split search found them.  ``factor_exact`` is the one door that
-checks its input, and ``ordered_factorization`` is the one order and the
-one builder of the public results, those of ``factor_exact``,
-``pfd_fast`` and ``oracle_pfd``.  A one-factor result under identity
-coordinates is verified by graph equality.
+each quotient vertex's coordinate row and, for a quotient that is not
+prime, the Cartesian edges; a prime quotient's are all its edges, with
+index 0, and are read off its masks (``FactoredQuotient.cartesian``).
+A coloring stage keeps, per center, the local prime count and the lifted
+edges (``factor_neighborhood``), or only the count (``count``); route 2
+reads each member's local coordinate row straight off the ball's entry and
+lifts nothing.  A miss costs one split search and one verification and
+builds no public result type: it reads the plain factors and rows of
+``_factor_verified``, left in the order the split search found them.
+``factor_exact`` is the one door that checks its input, and
+``ordered_factorization`` is the one order and the one builder of the
+public results, those of ``factor_exact``, ``pfd_fast`` and
+``oracle_pfd``.  A one-factor result under identity coordinates is
+verified by graph equality.
 """
 
 from __future__ import annotations
@@ -58,7 +61,16 @@ from dataclasses import dataclass, field
 from itertools import accumulate, combinations, product
 from typing import Iterable, Sequence
 
-from .graph import DisconnectedError, Edge, Graph, GraphError, VertexSet, complete_graph, edge_key
+from .graph import (
+    DisconnectedError,
+    Edge,
+    Graph,
+    GraphError,
+    VertexSet,
+    complete_graph,
+    edge_key,
+    mask_bits,
+)
 from .isomorphism import canonical_form
 from .products import Coordinatization, strong_product
 from .sclasses import NotThinError, backbone, is_thin, quotient, quotient_graph, relative_quotient
@@ -600,16 +612,40 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
 @dataclass(frozen=True)
 class FactoredQuotient:
     """What the memo keeps of one factored quotient: its number of prime
-    factors, each quotient vertex's coordinate row, and its Cartesian edges
-    as (qa, qb, factor index) in the order of the quotient's edges.
+    factors, each quotient vertex's coordinate row, its Cartesian edges as
+    (qa, qb, factor index) in the order of the quotient's edges, and its
+    closed masks, the memo key the entry is stored under.
 
     The quotient graph and its factorization are dropped once these are
-    read off; a prime quotient's one coordinate changes along every edge.
+    read off.  A prime quotient keeps no edge list (``cartesian_edges`` is
+    empty): its one coordinate changes along every edge, so every quotient
+    edge is Cartesian with index 0, and ``cartesian`` reads them off the
+    masks, which the memo holds as the key anyway.
     """
 
     prime_count: int
     rows: tuple[tuple[int, ...], ...]
     cartesian_edges: tuple[tuple[int, int, int], ...]
+    masks: tuple[int, ...]
+
+    def cartesian(self, at: int | None = None) -> Sequence[tuple[int, int, int]]:
+        """The Cartesian edges in the order of the quotient's edges, or only
+        those at quotient vertex ``at``, whose far ends then ascend; a prime
+        quotient's are all its edges, with index 0."""
+        if self.prime_count > 1:
+            edges = self.cartesian_edges
+            return edges if at is None else [e for e in edges if at in (e[0], e[1])]
+        if at is not None:
+            return [(min(at, q), max(at, q), 0) for q in mask_bits(self.masks[at] ^ 1 << at)]
+        return [
+            (qa, qb, 0) for qa, m in enumerate(self.masks) for qb in mask_bits(m >> qa + 1 << qa + 1)
+        ]
+
+
+#: A factored ball, as ``NeighborhoodCache.factor_ball`` returns it: the
+#: members, their classes (as positions), each position's class, and the
+#: memo entry of its quotient.
+Ball = tuple[VertexSet, tuple[VertexSet, ...], tuple[int, ...], FactoredQuotient]
 
 
 @dataclass(frozen=True)
@@ -637,22 +673,28 @@ class NeighborhoodCache:
     graph, to its ``FactoredQuotient``: the prime count, the coordinate
     rows and the Cartesian edges, read off on the miss that built and
     factored it; the quotient graph and its factorization die with the
-    miss.  On bounded-degree products most neighborhoods have
-    labelled-equal quotients, so each distinct one is built and factored
-    once, and a hit builds no graph at all.  The memo is shared by every
-    cache that ``on`` opens from this one, on the graphs of the split
-    searches below it, so within one public call each labelled quotient is
-    factored once: the key fixes the quotient, its factorization is
-    deterministic, and only verified results are stored.  ``entries``
-    holds, per center that ``get`` was asked for, its local prime count and
-    the edges lifted through that neighborhood's own classes and host ids;
-    nothing else of the neighborhood is kept.
+    miss, and a prime quotient keeps no edge list at all.  On
+    bounded-degree products most neighborhoods have labelled-equal
+    quotients, so each distinct one is built and factored once, and a hit
+    builds no graph at all.  The memo is shared by every cache that ``on``
+    opens from this one, on the graphs of the split searches below it, so
+    within one public call each labelled quotient is factored once: the key
+    fixes the quotient, its factorization is deterministic, and only
+    verified results are stored.
+
+    ``count`` reads a center's local prime count off its factored 1-ball
+    without lifting anything, and keeps the ball in ``balls`` until ``get``
+    lifts it, so no ball is classified twice.  ``entries`` holds, per
+    center that ``get`` was asked for, its local prime count and the edges
+    lifted through that neighborhood's own classes and host ids; nothing
+    else of the neighborhood is kept.
     """
 
     graph: Graph
     size_cap: int | None = None
     entries: dict[int, NeighborhoodFactorization] = field(default_factory=dict)
     quotients: dict[tuple[int, ...], FactoredQuotient] = field(default_factory=dict)
+    balls: dict[int, Ball] = field(default_factory=dict)
 
     def on(self, graph: Graph) -> NeighborhoodCache:
         """A cache on ``graph`` without a size cap that shares this cache's
@@ -665,9 +707,18 @@ class NeighborhoodCache:
             nf = self.entries[v] = factor_neighborhood(self, v)
         return nf
 
-    def factor_ball(
-        self, center: int, radius: int
-    ) -> tuple[VertexSet, tuple[VertexSet, ...], tuple[int, ...], FactoredQuotient]:
+    def count(self, v: int) -> int:
+        """The local prime count of N[v], read off its factored 1-ball with
+        no lifting; the ball is kept in ``balls`` for ``get`` to lift."""
+        nf = self.entries.get(v)
+        if nf is not None:
+            return nf.prime_count
+        ball = self.balls.get(v)
+        if ball is None:
+            ball = self.balls[v] = self.factor_ball(v, 1)
+        return ball[3].prime_count
+
+    def factor_ball(self, center: int, radius: int) -> Ball:
         """The vertices within ``radius`` of ``center``, their classes (as
         positions), each position's class, and the memo entry of its
         quotient.
@@ -687,16 +738,14 @@ class NeighborhoodCache:
         if entry is None:
             qgraph = quotient_graph(masks)
             factors, rows = _factor_verified(qgraph, self)
-            if len(factors) < 2:
-                found = [(qa, qb, 0) for qa, qb in qgraph.edges()]
-            else:
-                found = []
+            found = []
+            if len(factors) > 1:
                 for qa, qb in qgraph.edges():
                     changed = [i for i, (x, y) in enumerate(zip(rows[qa], rows[qb])) if x != y]
                     if len(changed) == 1:
                         found.append((qa, qb, changed[0]))
             entry = self.quotients[masks] = FactoredQuotient(
-                len(factors), tuple(rows), tuple(found)
+                len(factors), tuple(rows), tuple(found), masks
             )
         return members, classes, class_map, entry
 
@@ -706,16 +755,17 @@ def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactori
     identifiable product edges.
 
     The lifting always goes through this neighborhood's own classes and
-    host ids, also when the quotient came from the memo.  Classes ascend
-    with their least member, so an edge between two singleton classes is
-    keyed as it comes.
+    host ids, also when the quotient came from the memo; a ball that
+    ``count`` already read is taken, not read again.  Classes ascend with
+    their least member, so an edge between two singleton classes is keyed
+    as it comes.
     """
     if not is_thin(cache.graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
-    members, classes, _, entry = cache.factor_ball(v, 1)
+    members, classes, _, entry = cache.balls.pop(v, None) or cache.factor_ball(v, 1)
     single = [members[cls[0]] if len(cls) == 1 else None for cls in classes]
     lifted = {}
-    for qa, qb, idx in entry.cartesian_edges:
+    for qa, qb, idx in entry.cartesian():
         ha, hb = single[qa], single[qb]
         if ha is not None and hb is not None:
             lifted[ha, hb] = idx

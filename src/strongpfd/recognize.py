@@ -107,7 +107,7 @@ def recognize(graph: Graph, size_cap: int | None = None) -> RecognitionReport:
         diagnostics = [str(exc)]
         for v in backbone(graph):
             try:
-                counts[v] = cache.get(v).prime_count
+                counts[v] = cache.count(v)
             except FactorSizeError as inner:
                 diagnostics.append(f"neighborhood of {v} not decomposable: {inner}")
         return RecognitionReport(
@@ -165,7 +165,9 @@ def pfd_fast(
     ``factorize.ordered_factorization``, which ``factor_exact`` shares.
 
     A local prime count of 1 at the anchor proves the graph prime, so the
-    graph is returned as its one factor without any coloring.  Let
+    graph is returned as its one factor without any coloring; the count is
+    read off the anchor's factored ball, which is lifted only when the
+    coloring runs.  Let
     G = G1 ⊠ G2 be thin and x a backbone vertex.  Then N[x] is
     N[x1] ⊠ N[x2], and the S-classes of a strong product are products of
     S-classes, so the quotient of N[x] is Q1 ⊠ Q2.  Neither Qi is trivial:
@@ -184,7 +186,7 @@ def pfd_fast(
     if x not in backbone(graph):
         raise GraphError(f"anchor {x} is not a backbone vertex")
     cache = NeighborhoodCache(graph, size_cap)
-    if cache.get(x).prime_count == 1:
+    if cache.count(x) == 1:
         return ordered_factorization([graph], None)
     try:
         partial = color_fibers_from(cache, x)

@@ -13,8 +13,18 @@ All stages work on one ``PartialProductColoring``: each (center, local
 factor) pair opens one raw color in its union-find, a lifted edge joins the
 raw colors of all centers that lift it, and a diagonal-free square joins the
 colors of its opposite edges.  Lifted edges between backbone vertices pass
-the same continuation check as the anchored coloring of ``pfd_fast``.  The
-stitched coloring is verified before any square is merged: when it reads
+the same continuation check as the anchored coloring of ``pfd_fast``.
+
+The local prime counts are read before anything is lifted.  A prime
+quotient keeps no edge list in the memo: its one coordinate changes along
+every edge, so all its edges are Cartesian with index 0, and the lifting
+and the N2 sweep read them off the quotient's closed masks.  When every
+backbone count is 1, the stitch provably gives one color on the union of
+the lifted edges: a backbone center is a singleton class of its ball, so
+every continuation check passes and adjacent backbone centers share their
+edge, and the backbone induces a connected subgraph.  That union is then
+stamped with one color and no ball is lifted (``_stitch_lifted_edges``).
+The stitched coloring is verified before any square is merged: when it reads
 as a product coloring, every edge already changes exactly its own color's
 coordinate, so the unique-square property of the Cartesian skeleton leaves
 the merge nothing to unite, and it is skipped on that verdict alone.  The
@@ -43,7 +53,7 @@ from .coloring import (
     color_continuation,
     completion_sweep,
 )
-from .factorize import rebuilds_strong_product
+from .factorize import FactorSizeError, rebuilds_strong_product
 from .sclasses import backbone, require_thin_connected
 
 
@@ -152,10 +162,8 @@ def n2_sweep(
             raise SkeletonError(
                 f"2-neighborhood class of {x} is not a singleton; host graph is not thin"
             )
-        # edges come sorted, so the far ends of those at qx ascend
-        for qa, qb, idx in entry.cartesian_edges:
-            if qx not in (qa, qb):
-                continue
+        # the far ends of the Cartesian edges at qx ascend
+        for qa, qb, idx in entry.cartesian(qx):
             for hy in classes[qb if qa == qx else qa]:
                 edge = edge_key(x, members[hy])
                 if edge in edge_color:
@@ -188,12 +196,80 @@ def _stitch_lifted_edges(
     """Color the lifted edges of every backbone neighborhood in one pass and
     return the local prime counts.
 
-    Each local factor of center v opens one raw color; an edge takes the raw
-    color of the first center that lifts it, and each later center unions
-    every distinct (earlier raw color, own raw color) pair of its lifted
-    edges once.  A lifted edge between two backbone vertices must pass the
-    continuation check into the far neighborhood, and no two local factors
-    of one center may share a class.
+    The counts are read first, off each backbone ball with no lifting
+    (``NeighborhoodCache.count``).  When every count is 1 the stitched
+    coloring is one color on the union of the lifted edges, so that union
+    is stamped with one raw color (``_stitch_one_color``).  Any other count,
+    or a FactorSizeError while they are read, sends the general loop
+    (``_stitch_each_center``) over the balls already read, so no ball is
+    classified twice and an error is raised where that loop meets it.
+
+    Why one color when every count is 1.  A prime quotient lifts every
+    edge at a singleton class with index 0, and a backbone center is a
+    singleton class of its own ball, so it lifts every edge at itself.  So
+    every continuation check passes, each center's lifted edges join its
+    one raw color, and two adjacent backbone centers both lift the edge
+    between them, which joins their raw colors.  The backbone B(G) of a
+    thin connected graph induces a connected subgraph: each vertex u has
+    N[u] inside N[b] for some b in B(G), as containment is a partial order
+    on the closed neighborhoods of a thin graph.  Replace each vertex u_i
+    of a path between two backbone vertices by such a b_i; since u_i lies
+    in N[u_(i+1)], which lies inside N[b_(i+1)], b_(i+1) lies in N[u_i]
+    and hence in N[b_i], so consecutive b_i are equal or adjacent and the
+    b_i form a walk in <B(G)>.  So all raw colors are one, and the general
+    loop would color that same union with one color.
+    """
+    anchors = backbone(cache.graph)
+    try:
+        prime = all(cache.count(v) == 1 for v in anchors)
+    except FactorSizeError:
+        prime = False
+    if prime:
+        _stitch_one_color(cache, coloring)
+        return dict.fromkeys(anchors, 1)
+    return _stitch_each_center(cache, coloring)
+
+
+def _stitch_one_color(cache: NeighborhoodCache, coloring: PartialProductColoring) -> None:
+    """Stamp the union of the lifted edges of the backbone balls, every one
+    of them prime, with one raw color and ``STAGE_LIFT``.
+
+    A prime ball lifts exactly its edges at a singleton class.  A center is
+    a singleton class of its own ball, so the union holds every edge at a
+    backbone vertex, and beyond those only a singleton member a off the
+    backbone adds anything: its neighbors inside the ball.  Each edge of the
+    union is stamped once; no lifted-edge dict is built per center and no
+    host-wide mask is read.  The balls were read by ``count`` and are
+    dropped here; a ball lifted before is read again.
+    """
+    anchors = backbone(cache.graph)
+    on_backbone = frozenset(anchors)
+    rows = cache.graph.adjacency_sets
+    near = {v: rows[v] for v in anchors}
+    for v in anchors:
+        members, classes, _, _ = cache.balls.pop(v, None) or cache.factor_ball(v, 1)
+        for cls in classes:
+            a = members[cls[0]]
+            if len(cls) == 1 and a not in on_backbone:
+                near[a] = near.get(a, frozenset()) | rows[a].intersection(members)
+    lifted = {(a, b) if a < b else (b, a) for a, ends in near.items() for b in ends}
+    color = coloring.new_color()
+    coloring.colors.update(dict.fromkeys(lifted, color))
+    coloring.stages.update(dict.fromkeys(lifted, STAGE_LIFT))
+
+
+def _stitch_each_center(
+    cache: NeighborhoodCache, coloring: PartialProductColoring
+) -> dict[int, int]:
+    """The general stitch: lift every backbone neighborhood and color its
+    lifted edges, and return the local prime counts.
+
+    Each local factor of center v opens one raw color; an edge takes the
+    raw color of the first center that lifts it, and each later center
+    unions every distinct (earlier raw color, own raw color) pair of its
+    lifted edges once.  A lifted edge between two backbone vertices must
+    pass the continuation check into the far neighborhood, and no two local
+    factors of one center may share a class.
     """
     graph = cache.graph
     anchors = backbone(graph)

@@ -15,15 +15,15 @@ its outcomes in order and how many there are; ``factor_exact`` gets one
 line for its thin inputs and one for the others, plus, for each of the
 two, a line for the factor multisets (sorted canonical forms), which a
 change of factor order or of factor labels leaves as they are.  Then,
-per workload and
-entry point, how many quotients the neighborhood memo factored (its
-misses), how many factorizations repeated a labelled graph that the same
-public call had already factored (its repeats), how often
+per workload and entry point, how many quotients the neighborhood memo
+factored (its misses), how many factorizations repeated a labelled graph
+that the same public call had already factored (its repeats), how often
 ``skeleton.merge_parallel_colors`` ran and how many unions those calls
 made, how often ``skeleton.product_coordinates`` ran and how many of
-those calls verified, and how often ``coloring.completion_sweep`` ran and
-how many edges those calls added.  Run it at two commits and compare the
-lines; pytest does not collect this file.
+those calls verified, how often ``coloring.completion_sweep`` ran and how
+many edges those calls added, and how many neighborhoods
+``factorize.factor_neighborhood`` lifted (its lifts).  Run it at two
+commits and compare the lines; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -162,15 +162,36 @@ def count_sweeps() -> dict[str, int]:
     return counter
 
 
+def count_lifts() -> dict[str, int]:
+    """Count the calls of ``factorize.factor_neighborhood``, each of which
+    lifts one neighborhood's edges, under ``"lifts"``."""
+    counter = {"lifts": 0}
+    lift = factorize.factor_neighborhood
+
+    def counted(cache, v):
+        counter["lifts"] += 1
+        return lift(cache, v)
+
+    factorize.factor_neighborhood = counted
+    return counter
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     rows: dict[str, list[str]] = {row: [] for row in ROWS}
     repeats, factored = count_repeats()
-    counters = (count_misses(), repeats, count_merges(), count_verdicts(), count_sweeps())
+    counters = (
+        count_misses(),
+        repeats,
+        count_merges(),
+        count_verdicts(),
+        count_sweeps(),
+        count_lifts(),
+    )
     # per (source, entry point): misses, repeats, merge calls, unions,
-    # checks, ok checks, sweeps, edges added
+    # checks, ok checks, sweeps, edges added, lifts
     totals: dict[tuple[str, str], list[int]] = {}
 
     def snapshot() -> list[int]:
@@ -201,12 +222,14 @@ def main(argv: list[str]) -> int:
     for row, outcomes in rows.items():
         digest = hashlib.blake2b("\n".join(outcomes).encode(), digest_size=16).hexdigest()
         print(f"{row} {digest} outcomes={len(outcomes)}")
-    for (source, kind), (count, repeated, calls, unions, checks, ok, sweeps, added) in totals.items():
+    for (source, kind), counts in totals.items():
+        count, repeated, calls, unions, checks, ok, sweeps, added, lifts = counts
         print(f"misses {source} {kind} {count}")
         print(f"repeats {source} {kind} {repeated}")
         print(f"merges {source} {kind} calls={calls} unions={unions}")
         print(f"verdicts {source} {kind} calls={checks} ok={ok}")
         print(f"sweeps {source} {kind} calls={sweeps} added={added}")
+        print(f"lifts {source} {kind} {lifts}")
     return 0
 
 

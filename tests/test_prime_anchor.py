@@ -171,7 +171,7 @@ def test_a_prime_backbone_neighborhood_means_a_prime_graph():
 @pytest.mark.parametrize("seed", [3, 8])
 def test_pfd_fast_factors_one_neighborhood_of_a_dense_prime_graph(seed, monkeypatch):
     graph = random_thin_graph(41, 0.5, seed)
-    calls = {"factored": 0, "colored": 0, "swept": 0}
+    calls = {"factored": 0, "lifted": 0, "colored": 0, "swept": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -181,9 +181,12 @@ def test_pfd_fast_factors_one_neighborhood_of_a_dense_prime_graph(seed, monkeypa
         return wrapper
 
     monkeypatch.setattr(
+        NeighborhoodCache, "factor_ball", counted("factored", NeighborhoodCache.factor_ball)
+    )
+    monkeypatch.setattr(
         factorize_module,
         "factor_neighborhood",
-        counted("factored", factorize_module.factor_neighborhood),
+        counted("lifted", factorize_module.factor_neighborhood),
     )
     monkeypatch.setattr(
         recognize_module, "color_fibers_from", counted("colored", recognize_module.color_fibers_from)
@@ -192,4 +195,5 @@ def test_pfd_fast_factors_one_neighborhood_of_a_dense_prime_graph(seed, monkeypa
     monkeypatch.setattr(coloring_module, "completion_sweep", sweep)
     monkeypatch.setattr(skeleton_module, "completion_sweep", sweep)
     assert pfd_fast(graph).factors == (graph,)
-    assert calls == {"factored": 1, "colored": 0, "swept": 0}
+    # one ball is factored, for its count alone, and none is lifted
+    assert calls == {"factored": 1, "lifted": 0, "colored": 0, "swept": 0}

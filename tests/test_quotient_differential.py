@@ -8,7 +8,10 @@ That path is copied here so later refactors of the package cannot move the
 reference; each neighborhood must give the same classes, quotient graph,
 coordinate rows, prime count, Cartesian edges and lifted edges both ways.
 The memo keeps no quotient graph, so the quotient is rebuilt from the
-ball's key masks.  Neighborhood factorizations are no longer put in
+ball's key masks.  A prime quotient keeps no Cartesian edges in the memo,
+as all of its edges are, with index 0; its entry is expanded to them
+before it is compared, and the edges the entry reads off its masks must
+equal the expanded list.  Neighborhood factorizations are no longer put in
 canonical factor order, so the local factors may differ from the frozen
 order by one permutation, applied alike to the coordinate columns, the
 Cartesian indices and the lifted indices.
@@ -112,6 +115,16 @@ def legacy_lifted(members, classes, edges):
 # -- comparisons ------------------------------------------------------------------
 
 
+def expanded_edges(entry, qgraph: Graph) -> tuple:
+    """The memo entry's Cartesian edges, a prime entry's empty list
+    expanded to every edge of its quotient ``qgraph`` with index 0."""
+    if entry.prime_count > 1:
+        return entry.cartesian_edges
+    assert entry.cartesian_edges == ()
+    return tuple((qa, qb, 0) for qa, qb in qgraph.edges())
+
+
+
 def column_permutation(rows, legacy: LocalFactorization) -> list[int]:
     """pi with column j of ``rows`` equal to column pi[j] of ``legacy``'s
     coordinates.  The columns of a bijection onto a product of two or more
@@ -141,7 +154,12 @@ def assert_same_neighborhood(nf, cache: NeighborhoodCache, label) -> None:
     assert entry.rows == tuple(tuple(row[i] for i in pi) for row in fact.coords.coords), label
     assert entry.prime_count == nf.prime_count == fact.prime_count, label
     local = {i: j for j, i in enumerate(pi)}
-    assert entry.cartesian_edges == tuple((qa, qb, local[i]) for qa, qb, i in edges), label
+    cartesian = expanded_edges(entry, qgraph)
+    assert cartesian == tuple((qa, qb, local[i]) for qa, qb, i in edges), label
+    assert tuple(entry.cartesian()) == cartesian, label
+    for q in range(len(classes)):
+        at_q = tuple(e for e in cartesian if q in e[:2])
+        assert tuple(entry.cartesian(q)) == at_q, label
     expected = legacy_lifted(members, classes, edges)
     assert list(nf.lifted.items()) == [(e, local[i]) for e, i in expected.items()], label
 
@@ -232,7 +250,12 @@ def test_n2_quotients_match_the_subgraph_path(k, monkeypatch):
             assert quotient_graph(relative_quotient(graph, found)[2]) == qgraph, (k, x)
             assert entry.rows == fact.coords.coords, (k, x)
             assert entry.prime_count == fact.prime_count, (k, x)
-            assert entry.cartesian_edges == edges, (k, x)
+            assert expanded_edges(entry, qgraph) == edges, (k, x)
+            assert tuple(entry.cartesian()) == edges, (k, x)
+            # the sweep reads the edges at x's class, whose far ends ascend
+            qx = class_map[found.index(x)]
+            at_x = tuple(e for e in edges if qx in e[:2])
+            assert tuple(entry.cartesian(qx)) == at_x, (k, x)
 
 
 def non_thin_graphs() -> list[Graph]:

@@ -145,13 +145,13 @@ def test_mismatched_local_counts_still_rejected(p3xp3):
 
 def test_assembly_cost_is_one_factorization_per_backbone_vertex(monkeypatch):
     graph, _ = strong_product([path_graph(30), path_graph(3)])
-    calls = {"factor_neighborhood": [], "completion_sweep": 0, "color_fibers_from": 0}
-    factor_neighborhood = factorize.factor_neighborhood
+    calls = {"factor_ball": [], "completion_sweep": 0, "color_fibers_from": 0}
+    factor_ball = NeighborhoodCache.factor_ball
     completion_sweep = skeleton.completion_sweep
 
-    def counted_factor(cache, v):
-        calls["factor_neighborhood"].append(v)
-        return factor_neighborhood(cache, v)
+    def counted_ball(self, center, radius):
+        calls["factor_ball"].append((center, radius))
+        return factor_ball(self, center, radius)
 
     def counted_sweep(*args, **kwargs):
         calls["completion_sweep"] += 1
@@ -161,20 +161,31 @@ def test_assembly_cost_is_one_factorization_per_backbone_vertex(monkeypatch):
         calls["color_fibers_from"] += 1
         raise AssertionError("per-anchor coloring must not run")
 
-    monkeypatch.setattr(factorize, "factor_neighborhood", counted_factor)
+    monkeypatch.setattr(NeighborhoodCache, "factor_ball", counted_ball)
     monkeypatch.setattr(skeleton, "completion_sweep", counted_sweep)
     monkeypatch.setattr(coloring, "color_fibers_from", no_anchor_coloring)
     monkeypatch.setattr(skeleton, "color_fibers_from", no_anchor_coloring, raising=False)
-    sk = build_skeleton(NeighborhoodCache(graph))
+    cache = NeighborhoodCache(graph)
+    sk = build_skeleton(cache)
     assert not sk.n2_ran
     assert sk.n_colors == 2
-    assert sorted(calls["factor_neighborhood"]) == list(backbone(graph))
+    # one radius-1 ball per backbone vertex, read once for its count and
+    # its lifting alike, and no 2-ball
+    assert sorted(calls["factor_ball"]) == [(v, 1) for v in backbone(graph)]
+    assert sorted(cache.entries) == list(backbone(graph))
     assert calls["completion_sweep"] == 1
     assert calls["color_fibers_from"] == 0
 
 
+def dense_product() -> Graph:
+    """The strong product of two seeded dense thin graphs, on 35 vertices
+    with edge density 0.47: every backbone count is 2, so the stitch runs
+    its general loop."""
+    return strong_product([random_thin_graph(5, 0.6, 1), random_thin_graph(7, 0.6, 101)])[0]
+
+
 def test_stitch_unions_each_color_pair_once_per_center():
-    _, graph = dense_graphs()[1]
+    graph = dense_product()
     cache = NeighborhoodCache(graph)
     state = PartialProductColoring()
     calls = []
@@ -185,7 +196,9 @@ def test_stitch_unions_each_color_pair_once_per_center():
         return union(a, b)
 
     state.uf.union = counted
-    skeleton._stitch_lifted_edges(cache, state)
+    counts = skeleton._stitch_lifted_edges(cache, state)
+    assert set(counts.values()) == {2}
+    assert sorted(cache.entries) == list(backbone(graph))
     # replay the stitch edge by edge: raw colors open in backbone order, an
     # edge keeps the first raw color that reaches it, and every later lift
     # of it joins that color with the new one
