@@ -1,5 +1,6 @@
-"""Edge-coloring state, color continuation and the completion sweep, shared
-by the anchored fiber coloring of ``pfd_fast`` and the skeleton assembly.
+"""Edge-coloring state and color continuation, shared by the anchored fiber
+coloring of ``pfd_fast`` and the skeleton assembly, and the completion sweep
+of the skeleton assembly.
 
 ``PartialProductColoring`` is the one coloring state of both: each colored
 edge's raw color and the stage that found it, where raw colors are ids of
@@ -11,9 +12,10 @@ opens one color, and a restricted BFS walks backbone vertices along
 same-colored product edges, coloring each visited neighborhood's lifted
 edges of the continued factor; the walk keeps only each vertex's BFS
 parent, through which the color continues, and runs only inside
-``color_fibers_from``.  A final sweep colors fiber edges that no
-neighborhood could identify directly but that are pinched between two
-same-colored edges.
+``color_fibers_from``.  The skeleton assembly finishes with a sweep that
+colors fiber edges no neighborhood could identify directly but that are
+pinched between two same-colored edges; the anchored coloring ends at its
+covering walks, since that sweep cannot change the fibers it reads.
 
 Every stage takes the graph's ``NeighborhoodCache``, which brings the graph,
 the size cap and the quotient memo; it is defined in ``factorize``, whose
@@ -185,8 +187,13 @@ def completion_sweep(
     and (z, w) of color c.  Runs to a fixpoint over every color at once;
     returns how many edges were added, at once 0 when every edge of the
     graph is colored already.  Seeds go in sorted edge order, which decides
-    the color of an edge pinched in two.  ``pfd_fast`` and ``build_skeleton``
-    both finish their coloring with this one sweep.
+    the color of an edge pinched in two.  ``build_skeleton`` finishes its
+    coloring with this sweep, and so does each of its N2 rounds.
+
+    The sweep never changes the components of any color: it colors (v, w)
+    with c only when both ends are joined by c-colored edges to one z, so v
+    and w already lie in one c-component.  Nor can its ``assign`` conflict,
+    as it only colors uncolored edges.
     """
     colors = coloring.colors
     if len(colors) == graph.edge_count:
@@ -224,11 +231,13 @@ def color_fibers_from(cache: NeighborhoodCache, anchor: int) -> PartialProductCo
     color per local factor.
 
     Follows the anchored coloring procedure: factor the anchor neighborhood,
-    open one color per local factor, run the color-restricted backbone BFS
-    of each, and finish with one completion sweep over all colors, as
-    ``build_skeleton`` does.  Raises ColoringError when the continuation or
-    the local factor counts break down, which means the graph is not
-    locally unrefined.
+    open one color per local factor and run the color-restricted backbone
+    BFS of each.  The covering walks fix the fibers through the anchor, so
+    no completion sweep follows: a swept edge joins two vertices already in
+    one fiber of its color, so it changes no color's components, and it is
+    an uncolored edge, so it raises no conflict (``completion_sweep``).
+    Raises ColoringError when the continuation or the local factor counts
+    break down, which means the graph is not locally unrefined.
     """
     graph = cache.graph
     require_thin_connected(graph, "fiber coloring")
@@ -238,5 +247,4 @@ def color_fibers_from(cache: NeighborhoodCache, anchor: int) -> PartialProductCo
     coloring = PartialProductColoring()
     for local_color in range(cache.get(anchor).prime_count):
         _bfs_one_color(anchor, local_color, coloring.new_color(), cache, coloring)
-    completion_sweep(graph, coloring)
     return coloring

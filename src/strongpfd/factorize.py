@@ -42,11 +42,13 @@ each quotient vertex's coordinate row and, for a quotient that is not
 prime, the Cartesian edges; a prime quotient's are all its edges, with
 index 0, and are read off its masks (``FactoredQuotient.cartesian``).
 A coloring stage keeps, per center, the local prime count and the lifted
-edges (``factor_neighborhood``), or only the count (``count``); route 2
-reads each member's local coordinate row straight off the ball's entry and
-lifts nothing.  A miss costs one split search and one verification and
-builds no public result type: it reads the plain factors and rows of
-``_factor_verified``, left in the order the split search found them.
+edges (``factor_neighborhood``), or only the count (``count``); the N2
+sweep lifts its 2-neighborhoods through ``factor_neighborhood`` too.
+Route 2 reads each member's local coordinate row straight off the ball's
+entry and lifts nothing.  A miss costs one split search and one
+verification and builds no public result type: it reads the plain factors
+and rows of ``_factor_verified``, left in the order the split search found
+them.
 ``factor_exact`` is the one door that checks its input, and
 ``ordered_factorization`` is the one order and the one builder of the
 public results, those of ``factor_exact``, ``pfd_fast`` and
@@ -628,15 +630,11 @@ class FactoredQuotient:
     cartesian_edges: tuple[tuple[int, int, int], ...]
     masks: tuple[int, ...]
 
-    def cartesian(self, at: int | None = None) -> Sequence[tuple[int, int, int]]:
-        """The Cartesian edges in the order of the quotient's edges, or only
-        those at quotient vertex ``at``, whose far ends then ascend; a prime
+    def cartesian(self) -> Sequence[tuple[int, int, int]]:
+        """The Cartesian edges in the order of the quotient's edges; a prime
         quotient's are all its edges, with index 0."""
         if self.prime_count > 1:
-            edges = self.cartesian_edges
-            return edges if at is None else [e for e in edges if at in (e[0], e[1])]
-        if at is not None:
-            return [(min(at, q), max(at, q), 0) for q in mask_bits(self.masks[at] ^ 1 << at)]
+            return self.cartesian_edges
         return [
             (qa, qb, 0) for qa, m in enumerate(self.masks) for qb in mask_bits(m >> qa + 1 << qa + 1)
         ]
@@ -750,19 +748,25 @@ class NeighborhoodCache:
         return members, classes, class_map, entry
 
 
-def factor_neighborhood(cache: NeighborhoodCache, v: int) -> NeighborhoodFactorization:
-    """Factor the quotient of <N[v]> through ``cache`` and lift its
-    identifiable product edges.
+def factor_neighborhood(
+    cache: NeighborhoodCache, v: int, radius: int = 1
+) -> NeighborhoodFactorization:
+    """Factor the quotient of the ball of ``radius`` around v through
+    ``cache`` and lift its identifiable product edges: radius 1 for the
+    neighborhoods of the coloring stages, 2 for the N2 sweep.
 
-    The lifting always goes through this neighborhood's own classes and
-    host ids, also when the quotient came from the memo; a ball that
-    ``count`` already read is taken, not read again.  Classes ascend with
-    their least member, so an edge between two singleton classes is keyed
-    as it comes.
+    The lifting always goes through this ball's own classes and host ids,
+    also when the quotient came from the memo; a 1-ball that ``count``
+    already read is taken, not read again.  Classes ascend with their least
+    member, so an edge between two singleton classes is keyed as it comes.
+    In a thin host, v is a singleton class of its 2-ball: a class mate u
+    of v lies in N[v], so N[u] lies inside the ball and equals N[v].  So
+    every Cartesian edge at v lifts, to every member of its far class.
     """
     if not is_thin(cache.graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
-    members, classes, _, entry = cache.balls.pop(v, None) or cache.factor_ball(v, 1)
+    staged = cache.balls.pop(v, None) if radius == 1 else None
+    members, classes, _, entry = staged or cache.factor_ball(v, radius)
     single = [members[cls[0]] if len(cls) == 1 else None for cls in classes]
     lifted = {}
     for qa, qb, idx in entry.cartesian():

@@ -7,9 +7,11 @@ builds the coloring and runs that product check, whose diagnostics the
 report lists once each.  A report keeps its factors in color order.  The
 single-anchor fast path returns the graph as its one prime factor when the
 anchor's neighborhood is prime, which proves the graph prime; otherwise it
-extracts the prime factors directly from one backbone coloring, finished
-by the same completion sweep as the skeleton.  Either way it returns them
-in the factor order of ``factor_exact``.
+reads the prime factors off the fibers through the anchor of one backbone
+coloring, which its covering walks already fix, so it runs no completion
+sweep.  Either way it returns them in the factor order of
+``factor_exact``.  ``verify_product`` checks a user's coloring, a plain
+dict whose keys must be edges of the graph, against given factors.
 """
 
 from __future__ import annotations
@@ -65,16 +67,17 @@ def verify_product(
 
     A plain dict may use any color labels; they are renumbered densely in
     ascending order.  A plain dict with a key that is not an edge of
-    ``graph`` colors no product, so it fails.  ``factors`` are matched to
-    the coloring's fibers as a multiset up to isomorphism, so their order
-    does not matter.
+    ``graph``, given as a pair of vertex ids in either order, colors no
+    product, so it fails.  ``factors`` are matched to the coloring's fibers
+    as a multiset up to isomorphism, so their order does not matter.
     """
     if isinstance(coloring, ColoredSkeleton):
         edge_color = coloring.edge_color
         n_colors = coloring.n_colors
     else:
         n, rows = graph.vertex_count, graph.adjacency_sets
-        if not all(0 <= u < n and v in rows[u] for u, v in coloring):
+        pairs = [key for key in coloring if type(key) is tuple and list(map(type, key)) == [int, int]]
+        if len(pairs) < len(coloring) or not all(0 <= u < n and v in rows[u] for u, v in pairs):
             return False
         dense = {c: i for i, c in enumerate(sorted(set(coloring.values())))}
         edge_color = {edge: dense[c] for edge, c in coloring.items()}
@@ -163,6 +166,10 @@ def pfd_fast(
     ``recognize`` to decide membership first).  The result carries no
     coordinates, only the factor graphs, in the one factor order of
     ``factorize.ordered_factorization``, which ``factor_exact`` shares.
+    The factors are the fibers through the anchor as the covering walks of
+    ``color_fibers_from`` leave them: the completion sweep of the skeleton
+    only joins two vertices already in one fiber of the edge's color, so
+    it could not change them, and none runs.
 
     A local prime count of 1 at the anchor proves the graph prime, so the
     graph is returned as its one factor without any coloring; the count is

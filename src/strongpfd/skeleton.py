@@ -18,9 +18,10 @@ the same continuation check as the anchored coloring of ``pfd_fast``.
 The local prime counts are read before anything is lifted.  A prime
 quotient keeps no edge list in the memo: its one coordinate changes along
 every edge, so all its edges are Cartesian with index 0, and the lifting
-and the N2 sweep read them off the quotient's closed masks.  When every
-backbone count is 1, the stitch provably gives one color on the union of
-the lifted edges: a backbone center is a singleton class of its ball, so
+reads them off the quotient's closed masks; the N2 sweep lifts its
+2-neighborhoods by the same rule, through ``factor_neighborhood``.  When
+every backbone count is 1, the stitch provably gives one color on the union
+of the lifted edges: a backbone center is a singleton class of its ball, so
 every continuation check passes and adjacent backbone centers share their
 edge, and the backbone induces a connected subgraph.  That union is then
 stamped with one color and no ball is lifted (``_stitch_lifted_edges``).
@@ -53,7 +54,7 @@ from .coloring import (
     color_continuation,
     completion_sweep,
 )
-from .factorize import FactorSizeError, rebuilds_strong_product
+from .factorize import FactorSizeError, factor_neighborhood, rebuilds_strong_product
 from .sclasses import backbone, require_thin_connected
 
 
@@ -145,34 +146,26 @@ def n2_sweep(
 ) -> dict[int, int]:
     """Identify product edges inside 2-neighborhoods of under-colored vertices.
 
-    For each target vertex of ``cache.graph``, the 2-neighborhood is
-    factored through the cache, under its size cap and quotient memo; the
-    center's class is a singleton in a thin graph, so every product edge at
-    the center is identified and gets a fresh raw color.  Returns the
-    per-vertex prime counts observed.
+    For each target vertex x of ``cache.graph``, the 2-neighborhood is
+    factored and lifted through ``factor_neighborhood``, under the cache's
+    size cap and quotient memo, which refuses a host that is not thin
+    (NotThinError).  x is a singleton class of its 2-ball, so every product
+    edge at x is lifted; each one not yet colored gets a fresh raw color per
+    local factor of x.  Returns the per-vertex prime counts observed.
     """
     edge_color, stage_of = coloring.colors, coloring.stages
     counts: dict[int, int] = {}
-    fresh: dict[tuple[int, int], int] = {}
     for x in sorted(targets):
-        members, classes, class_map, entry = cache.factor_ball(x, 2)
-        counts[x] = entry.prime_count
-        qx = class_map[members.index(x)]
-        if len(classes[qx]) != 1:
-            raise SkeletonError(
-                f"2-neighborhood class of {x} is not a singleton; host graph is not thin"
-            )
-        # the far ends of the Cartesian edges at qx ascend
-        for qa, qb, idx in entry.cartesian(qx):
-            for hy in classes[qb if qa == qx else qa]:
-                edge = edge_key(x, members[hy])
-                if edge in edge_color:
-                    continue
-                key = (x, idx)
-                color = fresh.get(key)
-                if color is None:
-                    color = fresh[key] = coloring.new_color()
-                edge_color[edge] = color
+        nf = factor_neighborhood(cache, x, 2)
+        counts[x] = nf.prime_count
+        fresh: dict[int, int] = {}
+        for w in cache.graph.neighbors(x):
+            edge = edge_key(x, w)
+            idx = nf.lifted.get(edge)
+            if idx is not None and edge not in edge_color:
+                if idx not in fresh:
+                    fresh[idx] = coloring.new_color()
+                edge_color[edge] = fresh[idx]
                 stage_of[edge] = STAGE_N2
     return counts
 

@@ -21,8 +21,9 @@ that the same public call had already factored (its repeats), how often
 ``skeleton.merge_parallel_colors`` ran and how many unions those calls
 made, how often ``skeleton.product_coordinates`` ran and how many of
 those calls verified, how often ``coloring.completion_sweep`` ran and how
-many edges those calls added, and how many neighborhoods
-``factorize.factor_neighborhood`` lifted (its lifts).  Run it at two
+many edges those calls added, and how many balls
+``factorize.factor_neighborhood`` lifted (its lifts), 1-neighborhoods and
+the 2-neighborhoods of the N2 sweep alike.  Run it at two
 commits and compare the lines; pytest does not collect this file.
 """
 
@@ -163,16 +164,17 @@ def count_sweeps() -> dict[str, int]:
 
 
 def count_lifts() -> dict[str, int]:
-    """Count the calls of ``factorize.factor_neighborhood``, each of which
-    lifts one neighborhood's edges, under ``"lifts"``."""
+    """Count the calls of ``factorize.factor_neighborhood``, through both its
+    ``factorize`` and its ``skeleton`` binding, each of which lifts one
+    ball's edges, under ``"lifts"``."""
     counter = {"lifts": 0}
     lift = factorize.factor_neighborhood
 
-    def counted(cache, v):
+    def counted(cache, v, radius=1):
         counter["lifts"] += 1
-        return lift(cache, v)
+        return lift(cache, v, radius)
 
-    factorize.factor_neighborhood = counted
+    factorize.factor_neighborhood = skeleton.factor_neighborhood = counted
     return counter
 
 

@@ -2,9 +2,11 @@
 differential tests.
 
 This is the assembly ``build_skeleton`` used before it stitched lifted edges
-in one pass: it runs ``color_fibers_from`` from every backbone anchor and
-unions the per-anchor colors through shared edges.  ``legacy_recognize``
-wraps it the way ``recognize`` did, recomputing the product verification.
+in one pass: it runs ``color_fibers_from`` from every backbone anchor,
+finishes each coloring with a ``completion_sweep`` as that function then
+did, and unions the per-anchor colors through shared edges.
+``legacy_recognize`` wraps it the way ``recognize`` did, recomputing the
+product verification.
 Only public strongpfd functions are called; the private helpers it needs
 are copied here so later refactors of the package cannot move the
 reference.
@@ -114,6 +116,7 @@ def legacy_build_skeleton(
             partial = color_fibers_from(cache, anchor)
         except ColoringError as exc:
             raise SkeletonError(str(exc)) from exc
+        completion_sweep(graph, partial)
         raw_to_global = [coloring.new_color() for _ in partial.uf.parent]
         for edge, raw in partial.colors.items():
             color = raw_to_global[raw]

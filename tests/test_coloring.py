@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -10,6 +11,7 @@ from strongpfd import (
     Graph,
     NeighborhoodCache,
     backbone,
+    build_skeleton,
     cartesian_index,
     color_fibers_from,
     cycle_graph,
@@ -28,7 +30,8 @@ from strongpfd.graph import edge_key
 from strongpfd.oracle import random_thin_graph
 from strongpfd.skeleton import fiber_components
 
-from conftest import neighborhood_blind_product, wheel_graph
+from conftest import neighborhood_blind_product, recovery_corpus, wheel_graph
+from test_quotient_differential import dense_graphs
 
 
 def covering_walk(graph, anchor):
@@ -171,20 +174,23 @@ def test_extend_is_idempotent_after_run(p3xp3):
     assert coloring.colors == before
 
 
-def test_fiber_coloring_ends_in_one_sweep_over_all_colors(monkeypatch):
-    # every covering walk runs first, then the one sweep that the skeleton
-    # assembly runs too
+def test_pfd_fast_ends_at_its_covering_walks(monkeypatch):
+    # the covering walks fix the fibers through the anchor, so no sweep runs
     graph, _ = strong_product([path_graph(4), cycle_graph(5)])
-    opened = []
+    swept = []
     sweep = coloring_module.completion_sweep
 
-    def recorded(graph, coloring, *args):
-        opened.append(len(coloring.uf.parent))
-        return sweep(graph, coloring, *args)
+    def recorded(*args, **kwargs):
+        swept.append(args)
+        return sweep(*args, **kwargs)
 
     monkeypatch.setattr(coloring_module, "completion_sweep", recorded)
-    color_fibers_from(NeighborhoodCache(graph), min(backbone(graph)))
-    assert opened == [2]
+    monkeypatch.setattr(skeleton_module, "completion_sweep", recorded)
+    factors = pfd_fast(graph).factors
+    assert [f.vertex_count for f in factors] == [4, 5]
+    assert is_isomorphic(factors[0], path_graph(4))
+    assert is_isomorphic(factors[1], cycle_graph(5))
+    assert swept == []
 
 
 def test_sweep_of_a_fully_colored_graph_adds_nothing(p3xp3, monkeypatch):
@@ -209,13 +215,28 @@ def test_sweep_of_a_fully_colored_graph_adds_nothing(p3xp3, monkeypatch):
     assert coloring.stages == stages
 
 
-@pytest.mark.parametrize("edge", [(14, 22), (5, 21)], ids=["edge-added", "edge-removed"])
-def test_sweep_completes_the_skeleton_of_a_perturbed_product(edge, monkeypatch):
-    # one edge toggled in a seeded 5x5 product gives a prime graph whose
-    # neighborhoods leave a few product edges uncolored; the sweep colors them,
-    # in the skeleton assembly and in the anchored coloring alike
+PERTURBATIONS = {"edge-added": (14, 22), "edge-removed": (5, 21)}
+
+
+def perturbed_product(edge) -> Graph:
+    """A seeded 5x5 product with ``edge`` toggled: a prime graph whose
+    neighborhoods leave a few product edges uncolored."""
     base = random_product_instance([5, 5], seed=985715, edge_prob=0.6).graph
-    graph = Graph(base.vertex_count, sorted(set(base.edges()) ^ {edge}))
+    return Graph(base.vertex_count, sorted(set(base.edges()) ^ {edge}))
+
+
+def anchor_fibers(graph, coloring, anchor):
+    """The fiber of each raw color through the anchor."""
+    comp_of, comps_of, _ = fiber_components(graph, coloring.colors, len(coloring.uf.parent))
+    return [comps[comp[anchor]] for comp, comps in zip(comp_of, comps_of)]
+
+
+@pytest.mark.parametrize("edge", PERTURBATIONS.values(), ids=PERTURBATIONS.keys())
+def test_sweep_completes_the_skeleton_of_a_perturbed_product(edge, monkeypatch):
+    # the sweep colors the edges no neighborhood lifts, in the skeleton
+    # assembly, and in the anchored coloring when it is swept explicitly;
+    # there it moves no fiber through the anchor
+    graph = perturbed_product(edge)
     added = []
     sweep = coloring_module.completion_sweep
 
@@ -228,12 +249,45 @@ def test_sweep_completes_the_skeleton_of_a_perturbed_product(edge, monkeypatch):
     report = recognize(graph)
     assert report.in_upsilon and len(report.extracted_factors) == 1
     assert set(report.coloring.cartesian_edges) == set(graph.edges())
-    color_fibers_from(NeighborhoodCache(graph), backbone(graph)[0])
-    assert len(added) == 2 and min(added) > 0
+    assert len(added) == 1 and added[0] > 0
+    anchor = backbone(graph)[0]
+    anchored = color_fibers_from(NeighborhoodCache(graph), anchor)
+    fibers = anchor_fibers(graph, anchored, anchor)
+    assert completion_sweep(graph, anchored) > 0
+    assert anchor_fibers(graph, anchored, anchor) == fibers
     # the anchor's neighborhood is prime, so pfd_fast returns the input
     # without coloring, let alone sweeping
     assert pfd_fast(graph).factors == (graph,)
-    assert len(added) == 2
+    assert len(added) == 1
+
+
+def test_the_sweep_moves_no_fiber(monkeypatch):
+    # why pfd_fast ends at its covering walks: the sweep colors an edge only
+    # when a vertex joins both its ends by edges of its color, so every
+    # color keeps its fibers, in each anchored and each stitched coloring
+    graphs = [(i, g) for i, g in enumerate(recovery_corpus())] + dense_graphs()
+    graphs += [(label, perturbed_product(edge)) for label, edge in PERTURBATIONS.items()]
+    added = {"anchored": 0, "stitched": 0}
+
+    def checked(kind, graph, coloring, *args, **kwargs):
+        colors = len(coloring.uf.parent)
+        fibers = fiber_components(graph, coloring.colors, colors)[:2]
+        count = completion_sweep(graph, coloring, *args, **kwargs)
+        assert fiber_components(graph, coloring.colors, colors)[:2] == fibers, (label, kind)
+        added[kind] += count
+        return count
+
+    monkeypatch.setattr(skeleton_module, "completion_sweep", partial(checked, "stitched"))
+    for label, graph in graphs:
+        cache = NeighborhoodCache(graph)
+        for anchor in backbone(graph):
+            try:
+                anchored = color_fibers_from(cache, anchor)
+            except ColoringError:
+                continue
+            checked("anchored", graph, anchored)
+        build_skeleton(cache)
+    assert added["anchored"] > 0 and added["stitched"] > 0
 
 
 def test_coloring_is_deterministic():

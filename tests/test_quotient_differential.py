@@ -28,6 +28,8 @@ from strongpfd import (
     Graph,
     LocalFactorization,
     NeighborhoodCache,
+    NotThinError,
+    PartialProductColoring,
     canonical_form,
     cartesian_index,
     complete_graph,
@@ -35,6 +37,7 @@ from strongpfd import (
     edge_key,
     factor_exact,
     factor_neighborhood,
+    is_thin,
     path_graph,
     quotient,
     recognize,
@@ -157,9 +160,6 @@ def assert_same_neighborhood(nf, cache: NeighborhoodCache, label) -> None:
     cartesian = expanded_edges(entry, qgraph)
     assert cartesian == tuple((qa, qb, local[i]) for qa, qb, i in edges), label
     assert tuple(entry.cartesian()) == cartesian, label
-    for q in range(len(classes)):
-        at_q = tuple(e for e in cartesian if q in e[:2])
-        assert tuple(entry.cartesian(q)) == at_q, label
     expected = legacy_lifted(members, classes, edges)
     assert list(nf.lifted.items()) == [(e, local[i]) for e, i in expected.items()], label
 
@@ -242,6 +242,7 @@ def test_n2_quotients_match_the_subgraph_path(k, monkeypatch):
     assert targets
     shared = NeighborhoodCache(graph)
     for x in targets:
+        shared.count(x)  # stages x's 1-ball, which a 2-ball lift must leave
         members = graph.n_neighborhood(x, 2)
         qgraph, old_map, old_classes, fact, edges = legacy_neighborhood(graph, members)
         for cache in (NeighborhoodCache(graph), shared):
@@ -252,10 +253,18 @@ def test_n2_quotients_match_the_subgraph_path(k, monkeypatch):
             assert entry.prime_count == fact.prime_count, (k, x)
             assert expanded_edges(entry, qgraph) == edges, (k, x)
             assert tuple(entry.cartesian()) == edges, (k, x)
-            # the sweep reads the edges at x's class, whose far ends ascend
-            qx = class_map[found.index(x)]
-            at_x = tuple(e for e in edges if qx in e[:2])
-            assert tuple(entry.cartesian(qx)) == at_x, (k, x)
+            # the sweep reads the edges lifted at x, here with all the others
+            lifted = factor_neighborhood(cache, x, 2).lifted
+            expected = legacy_lifted(members, old_classes, edges)
+            assert any(x in edge for edge in expected), (k, x)
+            assert list(lifted.items()) == list(expected.items()), (k, x)
+
+
+def test_n2_sweep_refuses_a_host_that_is_not_thin():
+    for graph in non_thin_graphs():
+        if graph.vertex_count and not is_thin(graph):
+            with pytest.raises(NotThinError):
+                skeleton.n2_sweep(PartialProductColoring(), NeighborhoodCache(graph), targets=[0])
 
 
 def non_thin_graphs() -> list[Graph]:

@@ -239,8 +239,9 @@ def test_verify_product_rejects_a_key_outside_the_graph():
     factors = [path_graph(3), path_graph(2)]
     truth = {e: cartesian_index(graph, coords, *e) for e in cartesian_edge_set(graph, coords)}
     assert verify_product(factors, truth, graph)
-    # a vertex past the end, a negative id, and a pair that is no edge
-    for key in ((0, 99), (-1, 0), (0, 5)):
+    # a vertex past the end, a negative id, a pair that is no edge, and keys
+    # that are no pair of vertex ids
+    for key in ((0, 99), (-1, 0), (0, 5), (0, 1, 2), (0,), 5, ("a", 1), (1.0, 0)):
         assert not verify_product(factors, {key: 0}, graph), key
         assert not verify_product(factors, {**truth, key: 0}, graph), key
 
