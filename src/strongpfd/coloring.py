@@ -3,17 +3,19 @@ coloring of ``pfd_fast`` and the skeleton assembly, and the completion sweep
 of the skeleton assembly.
 
 ``PartialProductColoring`` is the one coloring state of both: each colored
-edge's raw color and the stage that found it, where raw colors are ids of
-one union-find.  A color enters a backbone neighbor's neighborhood through
-the edge from its parent; ``color_continuation`` is the one check that the
-neighbor has as many local factors as the anchor and lifts that edge.  From
-an anchor on the backbone, each local factor of the anchor's neighborhood
-opens one color, and a restricted BFS walks backbone vertices along
-same-colored product edges, coloring each visited neighborhood's lifted
-edges of the continued factor; the walk keeps only each vertex's BFS
-parent, through which the color continues, and runs only inside
-``color_fibers_from``.  The skeleton assembly finishes with a sweep that
-colors fiber edges no neighborhood could identify directly but that are
+edge's raw color, where raw colors are ids of one union-find.  It keeps no
+stage per edge: no write replaces or removes a colored edge, so the order of
+the colors is the order the edges were colored, from which the skeleton
+assembly reads each edge's stage.  A color enters a backbone neighbor's
+neighborhood through the edge from its parent; ``color_continuation`` is the
+one check that the neighbor has as many local factors as the anchor and
+lifts that edge.  From an anchor on the backbone, each local factor of the
+anchor's neighborhood opens one color, and a restricted BFS walks backbone
+vertices along same-colored product edges, coloring each visited
+neighborhood's lifted edges of the continued factor; the walk keeps only
+each vertex's BFS parent, through which the color continues, and runs only
+inside ``color_fibers_from``.  The skeleton assembly finishes with a sweep
+that colors fiber edges no neighborhood could identify directly but that are
 pinched between two same-colored edges; the anchored coloring ends at its
 covering walks, since that sweep cannot change the fibers it reads.
 
@@ -36,6 +38,8 @@ from .sclasses import backbone, require_thin_connected
 # stages that take it live.
 NeighborhoodCache.__module__ = __name__
 
+# the stages of a skeleton edge, which ``build_skeleton`` reads off the order
+# in which the edges were colored
 STAGE_LIFT = "S1-local"
 STAGE_COMPLETION = "completion"
 STAGE_N2 = "N2-sweep"
@@ -86,24 +90,25 @@ class UnionFind:
 
 @dataclass
 class PartialProductColoring:
-    """Edge colors discovered so far, with the stage that found each edge.
+    """Edge colors discovered so far, in the order the edges were colored.
 
     Raw colors are ids of ``uf``, opened by ``new_color``; a union makes two
-    raw colors one, so an edge's color is the root of its raw color.
+    raw colors one, so an edge's color is the root of its raw color.  A
+    colored edge keeps its place: ``assign`` adds an edge or leaves an equal
+    color, and every other writer adds only uncolored edges or rebuilds the
+    dict in its order.
     """
 
     colors: dict[Edge, int] = field(default_factory=dict)
-    stages: dict[Edge, str] = field(default_factory=dict)
     uf: UnionFind = field(default_factory=UnionFind)
 
     def new_color(self) -> int:
         return self.uf.add()
 
-    def assign(self, edge: Edge, color: int, stage: str) -> None:
+    def assign(self, edge: Edge, color: int) -> None:
         existing = self.colors.get(edge)
         if existing is None:
             self.colors[edge] = color
-            self.stages[edge] = stage
         elif existing != color:
             raise ColoringError(
                 f"edge {edge} assigned conflicting colors {existing} and {color}; "
@@ -167,7 +172,7 @@ def _bfs_one_color(
             nf, continuation = color_continuation(cache, nf_anchor, parents[v], v)
         for edge, idx in nf.lifted.items():
             if idx == continuation:
-                coloring.assign(edge, raw_color, STAGE_LIFT)
+                coloring.assign(edge, raw_color)
         for w in graph.neighbors(v):
             if (
                 w in backbone_set
@@ -178,9 +183,7 @@ def _bfs_one_color(
                 queue.append(w)
 
 
-def completion_sweep(
-    graph: Graph, coloring: PartialProductColoring, stage: str = STAGE_COMPLETION
-) -> int:
+def completion_sweep(graph: Graph, coloring: PartialProductColoring) -> int:
     """Color uncolored edges pinched between two same-colored edges.
 
     An edge (v, w) joins color c when some z carries colored edges (z, v)
@@ -192,8 +195,9 @@ def completion_sweep(
 
     The sweep never changes the components of any color: it colors (v, w)
     with c only when both ends are joined by c-colored edges to one z, so v
-    and w already lie in one c-component.  Nor can its ``assign`` conflict,
-    as it only colors uncolored edges.
+    and w already lie in one c-component.  Nor can it conflict with a color
+    already given, as it only colors uncolored edges, so it writes each
+    color straight into ``coloring.colors``, after the edges colored before.
     """
     colors = coloring.colors
     if len(colors) == graph.edge_count:
@@ -218,7 +222,7 @@ def completion_sweep(
                 edge = edge_key(other, w)
                 if edge in colors or w not in near:
                     continue
-                coloring.assign(edge, c, stage)
+                colors[edge] = c
                 incident[other][c].append(w)
                 incident[w].setdefault(c, []).append(other)
                 worklist.append((edge, c))

@@ -356,7 +356,10 @@ def _split_via_containment(graph: Graph):
     In a thin product with a universal vertex, the set of vertices whose
     closed neighborhood lies inside N[u] is, for suitable u, exactly one
     fiber through one vertex; trying all pairs of such down-sets covers
-    every factorization.
+    every factorization.  The down-sets of a thin graph are distinct, so a
+    pair recurs only in the other order, and ``_try_extension`` is
+    exhaustive, so a pair fails in both orders or in neither; the retry of
+    a failed pair changes no result.
     """
     n = graph.vertex_count
     masks = graph.closed_masks
@@ -365,7 +368,6 @@ def _split_via_containment(graph: Graph):
         # only a member of N[u] can have its closed neighborhood inside N[u]
         mu = masks[u]
         down.append(frozenset([u, *(v for v in graph.neighbors(u) if masks[v] | mu == mu)]))
-    tried: set[frozenset[frozenset[int]]] = set()
     for u1 in range(n):
         p1 = down[u1]
         if len(p1) < 2 or n % len(p1):
@@ -377,10 +379,6 @@ def _split_via_containment(graph: Graph):
             inter = p1 & p2
             if len(inter) != 1:
                 continue
-            key = frozenset((p1, p2))
-            if key in tried:
-                continue
-            tried.add(key)
             v0 = next(iter(inter))
             phi = _try_extension(graph, sorted(p2), sorted(p1), v0)
             if phi is not None:

@@ -75,12 +75,7 @@ class Graph:
         ``masks`` becomes the graph's ``closed_masks``.  The masks must be
         symmetric and hold each vertex's own bit; they are not checked.
         """
-        span = range(len(masks))
-        # mask_bits, inline: a call per row costs a tenth of the build
-        rows = tuple(
-            tuple(compress(span, bin(m ^ 1 << v)[:1:-1].encode().translate(_BIT_BYTES)))
-            for v, m in enumerate(masks)
-        )
+        rows = tuple(tuple(mask_bits(m ^ 1 << v)) for v, m in enumerate(masks))
         graph = cls.__new__(cls)
         graph._n = len(masks)
         graph._adj = tuple(map(frozenset, rows))

@@ -105,16 +105,13 @@ def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
     raise GraphError(f"unknown graph format {fmt!r}")
 
 
-def save_graph(graph: Graph, path: str | Path, fmt: str | None = None) -> None:
+def save_graph(graph: Graph, path: str | Path) -> None:
+    """Save a graph to ``path``: JSON for a ``.json`` suffix, else an edge list."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "edgelist"
-    if fmt == "json":
+    if path.suffix.lower() == ".json":
         path.write_text(json.dumps(graph_to_dict(graph), sort_keys=True) + "\n")
-    elif fmt == "edgelist":
-        path.write_text(dumps_edgelist(graph))
     else:
-        raise GraphError(f"unknown graph format {fmt!r}")
+        path.write_text(dumps_edgelist(graph))
 
 
 # -- DOT emission -----------------------------------------------------------
@@ -125,9 +122,10 @@ _PALETTE = [
 ]
 
 
-def write_dot(graph: Graph, edge_colors: dict[Edge, int] | None = None, name: str = "G") -> str:
-    """Render the graph in DOT syntax, tagging colored edges with ``colorclass``."""
-    out = [f"graph {name} {{"]
+def write_dot(graph: Graph, edge_colors: dict[Edge, int] | None = None) -> str:
+    """Render the graph in DOT syntax as ``graph G``, tagging colored edges
+    with ``colorclass``."""
+    out = ["graph G {"]
     for v in graph.vertices():
         out.append(f"  {v};")
     for u, v in graph.edges():

@@ -123,13 +123,14 @@ def _oracle_pfd(graph: Graph) -> tuple[list[Graph], list[tuple[int, ...]]]:
     return factors_a + factors_b, coords  # type: ignore[return-value]
 
 
-def oracle_pfd(graph: Graph, cap: int = ORACLE_CAP) -> LocalFactorization:
-    """Ground-truth prime factorization by exhaustive subset-pair search."""
+def oracle_pfd(graph: Graph) -> LocalFactorization:
+    """Ground-truth prime factorization by exhaustive subset-pair search, of
+    at most ``ORACLE_CAP`` vertices."""
     n = graph.vertex_count
     if n == 0:
         raise GraphError("cannot factor an empty graph")
-    if n > cap:
-        raise GraphError(f"oracle is capped at {cap} vertices, got {n}")
+    if n > ORACLE_CAP:
+        raise GraphError(f"oracle is capped at {ORACLE_CAP} vertices, got {n}")
     if not graph.is_connected():
         raise DisconnectedError("prime factorization requires a connected graph")
     factors, rows = _oracle_pfd(graph)

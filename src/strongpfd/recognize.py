@@ -65,24 +65,24 @@ def verify_product(
     """Check that the coloring coordinatizes the graph as the product of
     ``factors``, edge-exactly.
 
-    A plain dict may use any color labels; they are renumbered densely in
-    ascending order.  A plain dict with a key that is not an edge of
-    ``graph``, given as a pair of vertex ids in either order, colors no
-    product, so it fails.  ``factors`` are matched to the coloring's fibers
-    as a multiset up to isomorphism, so their order does not matter.
+    A skeleton is read through its ``edge_color``, and both forms take one
+    path.  The color labels may be any; they are renumbered densely in
+    ascending order, which leaves a skeleton's colors as they are.  A key
+    that is not an edge of ``graph``, given as a pair of vertex ids in
+    either order, colors no product, so it fails; a skeleton built on
+    another graph may have such keys.  ``factors`` are matched to the
+    coloring's fibers as a multiset up to isomorphism, so their order does
+    not matter.
     """
     if isinstance(coloring, ColoredSkeleton):
-        edge_color = coloring.edge_color
-        n_colors = coloring.n_colors
-    else:
-        n, rows = graph.vertex_count, graph.adjacency_sets
-        pairs = [key for key in coloring if type(key) is tuple and list(map(type, key)) == [int, int]]
-        if len(pairs) < len(coloring) or not all(0 <= u < n and v in rows[u] for u, v in pairs):
-            return False
-        dense = {c: i for i, c in enumerate(sorted(set(coloring.values())))}
-        edge_color = {edge: dense[c] for edge, c in coloring.items()}
-        n_colors = len(dense)
-    ok, _, ref_factors, _ = product_coordinates(graph, edge_color, n_colors)
+        coloring = coloring.edge_color
+    n, rows = graph.vertex_count, graph.adjacency_sets
+    pairs = [key for key in coloring if type(key) is tuple and list(map(type, key)) == [int, int]]
+    if len(pairs) < len(coloring) or not all(0 <= u < n and v in rows[u] for u, v in pairs):
+        return False
+    dense = {c: i for i, c in enumerate(sorted(set(coloring.values())))}
+    edge_color = {edge: dense[c] for edge, c in coloring.items()}
+    ok, _, ref_factors, _ = product_coordinates(graph, edge_color, len(dense))
     if not ok:
         return False
     assert ref_factors is not None

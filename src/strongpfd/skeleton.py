@@ -13,7 +13,9 @@ All stages work on one ``PartialProductColoring``: each (center, local
 factor) pair opens one raw color in its union-find, a lifted edge joins the
 raw colors of all centers that lift it, and a diagonal-free square joins the
 colors of its opposite edges.  Lifted edges between backbone vertices pass
-the same continuation check as the anchored coloring of ``pfd_fast``.
+the same continuation check as the anchored coloring of ``pfd_fast``.  The
+state stores no stage per edge; ``build_skeleton`` reads each edge's stage
+off the order in which the edges were colored.
 
 The local prime counts are read before anything is lifted.  A prime
 quotient keeps no edge list in the memo: its one coordinate changes along
@@ -153,7 +155,7 @@ def n2_sweep(
     edge at x is lifted; each one not yet colored gets a fresh raw color per
     local factor of x.  Returns the per-vertex prime counts observed.
     """
-    edge_color, stage_of = coloring.colors, coloring.stages
+    edge_color = coloring.colors
     counts: dict[int, int] = {}
     for x in sorted(targets):
         nf = factor_neighborhood(cache, x, 2)
@@ -166,7 +168,6 @@ def n2_sweep(
                 if idx not in fresh:
                     fresh[idx] = coloring.new_color()
                 edge_color[edge] = fresh[idx]
-                stage_of[edge] = STAGE_N2
     return counts
 
 
@@ -225,7 +226,7 @@ def _stitch_lifted_edges(
 
 def _stitch_one_color(cache: NeighborhoodCache, coloring: PartialProductColoring) -> None:
     """Stamp the union of the lifted edges of the backbone balls, every one
-    of them prime, with one raw color and ``STAGE_LIFT``.
+    of them prime, with one raw color.
 
     A prime ball lifts exactly its edges at a singleton class.  A center is
     a singleton class of its own ball, so the union holds every edge at a
@@ -248,7 +249,6 @@ def _stitch_one_color(cache: NeighborhoodCache, coloring: PartialProductColoring
     lifted = {(a, b) if a < b else (b, a) for a, ends in near.items() for b in ends}
     color = coloring.new_color()
     coloring.colors.update(dict.fromkeys(lifted, color))
-    coloring.stages.update(dict.fromkeys(lifted, STAGE_LIFT))
 
 
 def _stitch_each_center(
@@ -258,16 +258,15 @@ def _stitch_each_center(
     lifted edges, and return the local prime counts.
 
     Each local factor of center v opens one raw color; an edge takes the
-    raw color of the first center that lifts it, and each later center
-    unions every distinct (earlier raw color, own raw color) pair of its
-    lifted edges once.  A lifted edge between two backbone vertices must
-    pass the continuation check into the far neighborhood, and no two local
-    factors of one center may share a class.
+    raw color of the first center that lifts it, and each later center that
+    lifts it unions that raw color with its own.  A lifted edge between two
+    backbone vertices must pass the continuation check into the far
+    neighborhood, and no two local factors of one center may share a class.
     """
     graph = cache.graph
     anchors = backbone(graph)
     backbone_set = frozenset(anchors)
-    edge_color, stage_of = coloring.colors, coloring.stages
+    edge_color = coloring.colors
     find, union, new_color = coloring.uf.find, coloring.uf.union, coloring.new_color
     counts: dict[int, int] = {}
     opened: dict[int, list[int]] = {}
@@ -279,18 +278,11 @@ def _stitch_each_center(
         for w in sorted(steps, key=lambda w: lifted[edge_key(v, w)]):
             color_continuation(cache, nf, v, w)
         raw = opened[v] = [new_color() for _ in range(count)]
-        # many lifted edges join the same two raw colors; each distinct pair
-        # is unioned once, in the order it first appears
-        joins: dict[tuple[int, int], None] = {}
         for edge, idx in lifted.items():
             color = raw[idx]
             first = edge_color.setdefault(edge, color)
-            if first == color:
-                stage_of[edge] = STAGE_LIFT
-            else:
-                joins[first, color] = None
-        for first, color in joins:
-            union(first, color)
+            if first != color:
+                union(first, color)
     for v, raw in opened.items():
         if len({find(c) for c in raw}) != len(raw):
             raise SkeletonError(
@@ -310,6 +302,18 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
     only when that coloring does not already verify (``_settle``).  When
     the result is still not a product coloring, the 2-neighborhood sweep
     runs, and each of its rounds ends in the same verify-then-merge step.
+
+    Each edge's stage is read off its place in ``coloring.colors``, given
+    the two lengths recorded after the stitch and after the first sweep:
+    the edges before the first mark are lifted, those up to the second are
+    completed, and later ones are found by the N2 sweep.  This is exact
+    because every write to the colors adds a key or leaves an equal one:
+    ``assign`` adds an edge or raises, the general stitch uses
+    ``setdefault``, the one-color stitch fills a fresh coloring, the N2
+    sweep and ``completion_sweep`` color only uncolored edges, and the
+    resolution to roots below rebuilds the dict in its order.  So an edge
+    keeps the place where it was first colored, and the stages run in
+    order.
     """
     graph = cache.graph
     require_thin_connected(graph, "skeleton construction")
@@ -317,7 +321,9 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
     counts = _stitch_lifted_edges(cache, coloring)
     find = coloring.uf.find
     coloring.colors = {edge: find(c) for edge, c in coloring.colors.items()}
+    lifted = len(coloring.colors)
     completion_sweep(graph, coloring)
+    completed = len(coloring.colors)
     final, n_colors, verification = _settle(graph, coloring)
     n2_ran = not verification[0]
 
@@ -336,7 +342,7 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
         swept.update(targets)
         if targets:
             n2_counts.update(n2_sweep(coloring, cache, targets=targets))
-            completion_sweep(graph, coloring, stage=STAGE_N2)
+            completion_sweep(graph, coloring)
             final, n_colors, verification = _settle(graph, coloring)
         if verification[0]:
             break
@@ -345,7 +351,10 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
         graph=graph,
         edge_color=final,
         n_colors=n_colors,
-        stage_of=dict(coloring.stages),
+        stage_of={
+            edge: STAGE_LIFT if i < lifted else STAGE_COMPLETION if i < completed else STAGE_N2
+            for i, edge in enumerate(coloring.colors)
+        },
         local_prime_counts=counts,
         n2_prime_counts=n2_counts,
         n2_ran=n2_ran,

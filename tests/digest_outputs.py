@@ -153,8 +153,8 @@ def count_sweeps() -> dict[str, int]:
     counter = {"calls": 0, "added": 0}
     sweep = coloring.completion_sweep
 
-    def counted(graph, partial, stage=coloring.STAGE_COMPLETION):
-        added = sweep(graph, partial, stage)
+    def counted(graph, partial):
+        added = sweep(graph, partial)
         counter["calls"] += 1
         counter["added"] += added
         return added

@@ -4,7 +4,11 @@ differential tests.
 This is the assembly ``build_skeleton`` used before it stitched lifted edges
 in one pass: it runs ``color_fibers_from`` from every backbone anchor,
 finishes each coloring with a ``completion_sweep`` as that function then
-did, and unions the per-anchor colors through shared edges.
+did, and unions the per-anchor colors through shared edges.  An edge's
+stage is read off the order in which a coloring colored it: an anchor's
+lifted edges come before those its sweep adds, each edge keeps the least
+stage any anchor gave it, and the edges an N2 round adds are marked after
+that round.
 ``legacy_recognize`` wraps it the way ``recognize`` did, recomputing the
 product verification.
 Only public strongpfd functions are called; the private helpers it needs
@@ -109,16 +113,18 @@ def legacy_build_skeleton(
     if cache is None:
         cache = NeighborhoodCache(graph, size_cap)
     coloring = PartialProductColoring()
-    uf, edge_color, stage_of = coloring.uf, coloring.colors, coloring.stages
+    uf, edge_color = coloring.uf, coloring.colors
+    stage_of = {}
 
     for anchor in anchors:
         try:
             partial = color_fibers_from(cache, anchor)
         except ColoringError as exc:
             raise SkeletonError(str(exc)) from exc
+        lifted = len(partial.colors)
         completion_sweep(graph, partial)
         raw_to_global = [coloring.new_color() for _ in partial.uf.parent]
-        for edge, raw in partial.colors.items():
+        for i, (edge, raw) in enumerate(partial.colors.items()):
             color = raw_to_global[raw]
             existing = edge_color.get(edge)
             if existing is None:
@@ -126,7 +132,7 @@ def legacy_build_skeleton(
             else:
                 uf.union(existing, color)
             old = stage_of.get(edge)
-            stage = partial.stages[edge]
+            stage = STAGE_LIFT if i < lifted else STAGE_COMPLETION
             if old is None or _STAGE_RANK[stage] < _STAGE_RANK[old]:
                 stage_of[edge] = stage
 
@@ -150,7 +156,8 @@ def legacy_build_skeleton(
             n2_counts.update(
                 n2_sweep(coloring, cache, targets=targets)
             )
-            completion_sweep(graph, coloring, stage=STAGE_N2)
+            completion_sweep(graph, coloring)
+            stage_of.update((edge, STAGE_N2) for edge in edge_color if edge not in stage_of)
             merge_parallel_colors(graph, coloring)
             final, n_colors = _renumber(edge_color, uf)
         ok, _, _, diag = product_coordinates(graph, final, n_colors)

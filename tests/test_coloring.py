@@ -25,7 +25,7 @@ from strongpfd import (
 )
 from strongpfd import coloring as coloring_module
 from strongpfd import skeleton as skeleton_module
-from strongpfd.coloring import STAGE_LIFT, PartialProductColoring, completion_sweep
+from strongpfd.coloring import PartialProductColoring, completion_sweep
 from strongpfd.graph import edge_key
 from strongpfd.oracle import random_thin_graph
 from strongpfd.skeleton import fiber_components
@@ -199,8 +199,8 @@ def test_sweep_of_a_fully_colored_graph_adds_nothing(p3xp3, monkeypatch):
     coloring = PartialProductColoring()
     color = coloring.new_color()
     for edge in graph.edges():
-        coloring.assign(edge, color, STAGE_LIFT)
-    colors, stages = dict(coloring.colors), dict(coloring.stages)
+        coloring.assign(edge, color)
+    colors = dict(coloring.colors)
 
     def unread(self, v):
         raise AssertionError(f"adjacency set of {v} read")
@@ -212,7 +212,6 @@ def test_sweep_of_a_fully_colored_graph_adds_nothing(p3xp3, monkeypatch):
     monkeypatch.setattr(Graph, "adjacency_sets", property(unread_all))
     assert completion_sweep(graph, coloring) == 0
     assert coloring.colors == colors
-    assert coloring.stages == stages
 
 
 PERTURBATIONS = {"edge-added": (14, 22), "edge-removed": (5, 21)}
@@ -296,7 +295,6 @@ def test_coloring_is_deterministic():
     a = color_fibers_from(NeighborhoodCache(graph), anchor)
     b = color_fibers_from(NeighborhoodCache(graph), anchor)
     assert a.colors == b.colors
-    assert a.stages == b.stages
     assert a.uf.parent == b.uf.parent
 
 

@@ -1,7 +1,7 @@
 """Package imports stay at module level, only the public exact factorizer
 orders its factors and only its ordering helper builds a result, the edge
-coloring has one state and one continuation check, neighborhood quotients
-are factored only through
+coloring has one state, of colors and a union-find alone, and one
+continuation check, neighborhood quotients are factored only through
 ``NeighborhoodCache``, which alone holds the size cap and the quotient memo,
 only the public entry points open one from scratch, and the exact
 factorizer recurses only where its depth stays small, the isomorphism
@@ -15,9 +15,12 @@ the dependency order between the modules acyclic and visible.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import strongpfd
+from strongpfd.coloring import PartialProductColoring, completion_sweep
 
 PACKAGE = Path(strongpfd.__file__).resolve().parent
 
@@ -138,6 +141,13 @@ def test_only_the_coloring_state_holds_a_union_find():
     assert functions_referencing(package_sources()["coloring.py"], "UnionFind") == [
         "PartialProductColoring"
     ]
+
+
+def test_the_coloring_state_keeps_no_stage():
+    # an edge's stage is read off the order in which it was colored, so the
+    # state stores none and the sweep takes no stage to write
+    assert [f.name for f in dataclasses.fields(PartialProductColoring)] == ["colors", "uf"]
+    assert list(inspect.signature(completion_sweep).parameters) == ["graph", "coloring"]
 
 
 def parameters_named(source: str, *names: str) -> list[str]:

@@ -28,7 +28,13 @@ from strongpfd import (
     strong_product,
 )
 from strongpfd import skeleton
-from strongpfd.coloring import STAGE_N2, PartialProductColoring, completion_sweep
+from strongpfd.coloring import (
+    STAGE_COMPLETION,
+    STAGE_LIFT,
+    STAGE_N2,
+    PartialProductColoring,
+    completion_sweep,
+)
 
 from conftest import house_graph, recovery_corpus
 
@@ -41,7 +47,9 @@ def always_merge_skeleton(cache: NeighborhoodCache) -> skeleton.ColoredSkeleton:
     counts = skeleton._stitch_lifted_edges(cache, coloring)
     find = coloring.uf.find
     coloring.colors = {edge: find(c) for edge, c in coloring.colors.items()}
+    lifted = len(coloring.colors)
     completion_sweep(graph, coloring)
+    completed = len(coloring.colors)
     skeleton.merge_parallel_colors(graph, coloring)
     final, n_colors = skeleton._renumber(coloring)
     verification = skeleton.product_coordinates(graph, final, n_colors)
@@ -57,7 +65,7 @@ def always_merge_skeleton(cache: NeighborhoodCache) -> skeleton.ColoredSkeleton:
         swept.update(targets)
         if targets:
             n2_counts.update(skeleton.n2_sweep(coloring, cache, targets=targets))
-            completion_sweep(graph, coloring, stage=STAGE_N2)
+            completion_sweep(graph, coloring)
             skeleton.merge_parallel_colors(graph, coloring)
             final, n_colors = skeleton._renumber(coloring)
         verification = skeleton.product_coordinates(graph, final, n_colors)
@@ -68,7 +76,10 @@ def always_merge_skeleton(cache: NeighborhoodCache) -> skeleton.ColoredSkeleton:
         graph=graph,
         edge_color=final,
         n_colors=n_colors,
-        stage_of=dict(coloring.stages),
+        stage_of={
+            edge: STAGE_LIFT if i < lifted else STAGE_COMPLETION if i < completed else STAGE_N2
+            for i, edge in enumerate(coloring.colors)
+        },
         local_prime_counts=counts,
         n2_prime_counts=n2_counts,
         n2_ran=n2_ran,

@@ -14,6 +14,7 @@ import math
 import random
 import time
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +25,12 @@ from strongpfd import (
     factor_exact,
     is_thin,
     oracle_pfd,
+    path_graph,
     random_connected_graph,
     strong_product,
 )
 from strongpfd.cli import main
-from strongpfd.factorize import reconstructs
+from strongpfd.factorize import rebuilds_strong_product, reconstructs
 from strongpfd.io import save_graph
 
 COMPOSITE_ORDERS = (4, 6, 8, 9, 10, 12, 14, 15, 16)
@@ -138,6 +140,31 @@ def test_a_prime_result_is_the_input_itself():
         if len(result.factors) == 1:
             assert result.factors[0] is graph, label
             assert result.coords.coords == tuple((v,) for v in range(graph.vertex_count)), label
+
+
+def with_a_twin(graph: Graph, v: int) -> Graph:
+    """``graph`` with one more vertex, a twin of v: adjacent to v and to
+    each neighbor of v."""
+    n = graph.vertex_count
+    return Graph(n + 1, [*graph.edges(), (v, n), *((w, n) for w in graph.neighbors(v))])
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (1, 1)], ids=["corner", "center"])
+def test_a_doubled_class_links_the_coordinates_of_its_quotient(cell):
+    # one class of P3 x P3 blown up to two twins: the quotient is P3 x P3,
+    # and its class sizes are a product of no two functions of one
+    # coordinate each, so both coordinates make one prime factor, the
+    # input itself; times K2 or P3 it stays one factor of the product
+    square, cells = strong_product([path_graph(3), path_graph(3)])
+    graph = with_a_twin(square, cells.vertex_at(cell))
+    assert graph.vertex_count == 10 and not is_thin(graph)
+    assert factor_exact(graph, size_cap=None).factors == (graph,)
+    assert len(oracle_pfd(graph).factors) == 1
+    for other in (complete_graph(2), path_graph(3)):
+        product = strong_product([graph, other])[0]
+        result = factor_exact(product, size_cap=None)
+        assert factor_multiset(result.factors) == factor_multiset([graph, other])
+        assert rebuilds_strong_product(product, result.coords.coords, result.factors)
 
 
 def test_near_products_of_24_vertices_factor_in_bounded_time():

@@ -246,6 +246,16 @@ def test_verify_product_rejects_a_key_outside_the_graph():
         assert not verify_product(factors, {**truth, key: 0}, graph), key
 
 
+def test_verify_product_rejects_a_skeleton_of_another_graph():
+    # a skeleton takes the key check of a plain dict: the skeleton of
+    # P4 x P3 has edges on vertices 9-11, which P3 x P3 lacks
+    report = recognize(strong_product([path_graph(4), path_graph(3)])[0])
+    graph, _ = strong_product([path_graph(3), path_graph(3)])
+    assert not verify_product(report.extracted_factors, report.coloring, graph)
+    assert not verify_product(report.extracted_factors, report.coloring.edge_color, graph)
+    assert verify_product(report.extracted_factors, report.coloring, report.coloring.graph)
+
+
 def test_verify_product_accepts_any_color_labels():
     graph, _ = strong_product([path_graph(3), path_graph(4)])
     skeleton = recognize(graph).coloring
