@@ -38,7 +38,6 @@ from .factorize import (
 from .coloring import (
     ColoringError,
     PartialProductColoring,
-    UnionFind,
     color_fibers_from,
 )
 from .skeleton import (

@@ -3,7 +3,8 @@ coloring of ``pfd_fast`` and the skeleton assembly, and the completion sweep
 of the skeleton assembly.
 
 ``PartialProductColoring`` is the one coloring state of both: each colored
-edge's raw color, where raw colors are ids of one union-find.  It keeps no
+edge's raw color, and the parent list of the union-find over raw colors,
+which the state finds and unites itself.  It keeps no
 stage per edge: no write replaces or removes a colored edge, so the order of
 the colors is the order the edges were colored, from which the skeleton
 assembly reads each edge's stage.  A color enters a backbone neighbor's
@@ -57,53 +58,39 @@ class ColoringError(SkeletonError):
     """
 
 
-class UnionFind:
-    """Disjoint sets over dense integer ids, path compression + union by size."""
-
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.size: list[int] = []
-
-    def add(self) -> int:
-        self.parent.append(len(self.parent))
-        self.size.append(1)
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 @dataclass
 class PartialProductColoring:
-    """Edge colors discovered so far, in the order the edges were colored.
+    """Edge colors discovered so far, in the order the edges were colored,
+    and the parent list of the raw colors.
 
-    Raw colors are ids of ``uf``, opened by ``new_color``; a union makes two
-    raw colors one, so an edge's color is the root of its raw color.  A
-    colored edge keeps its place: ``assign`` adds an edge or leaves an equal
-    color, and every other writer adds only uncolored edges or rebuilds the
-    dict in its order.
+    Raw colors are ids opened by ``new_color``; ``union`` makes two raw
+    colors one, so an edge's color is the root of its raw color, which
+    ``find`` returns.  A colored edge keeps its place: ``assign`` adds an
+    edge or leaves an equal color, and every other writer adds only
+    uncolored edges or rebuilds the dict in its order.
     """
 
     colors: dict[Edge, int] = field(default_factory=dict)
-    uf: UnionFind = field(default_factory=UnionFind)
+    parent: list[int] = field(default_factory=list)
 
     def new_color(self) -> int:
-        return self.uf.add()
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
+
+    def find(self, c: int) -> int:
+        parent = self.parent
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Put b's root under a's; False when they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        self.parent[rb] = ra
+        return ra != rb
 
     def assign(self, edge: Edge, color: int) -> None:
         existing = self.colors.get(edge)
@@ -158,14 +145,10 @@ def _bfs_one_color(
     backbone_set = frozenset(backbone(graph))
     colors = coloring.colors
     nf_anchor = cache.get(anchor)
-    parents: dict[int, int] = {}
-    visited: set[int] = set()
+    parents = {anchor: anchor}
     queue = deque([anchor])
     while queue:
         v = queue.popleft()
-        if v in visited:
-            continue
-        visited.add(v)
         if v == anchor:
             nf, continuation = nf_anchor, local_color
         else:
@@ -176,10 +159,10 @@ def _bfs_one_color(
         for w in graph.neighbors(v):
             if (
                 w in backbone_set
-                and w not in visited
+                and w not in parents
                 and colors.get(edge_key(v, w)) == raw_color
             ):
-                parents.setdefault(w, v)
+                parents[w] = v
                 queue.append(w)
 
 

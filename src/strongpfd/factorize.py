@@ -37,10 +37,12 @@ or under a quotient, opens its cache on its own graph through the
 enclosing cache's ``on`` and shares the memo.  Within one call each
 labelled quotient is factored once.
 
-The memo keeps, per quotient, only what is read of it: the prime count,
-each quotient vertex's coordinate row and, for a quotient that is not
-prime, the Cartesian edges; a prime quotient's are all its edges, with
-index 0, and are read off its masks (``FactoredQuotient.cartesian``).
+The memo keeps, per quotient, each quotient vertex's coordinate row and
+the quotient's closed masks, its key.  The prime count is the length of a
+row, and the Cartesian edges, the quotient edges whose ends' rows differ in
+exactly one coordinate, are walked off the masks when the entry is first
+lifted (``FactoredQuotient.cartesian``), so no entry keeps an edge list
+until then.
 A coloring stage keeps, per center, the local prime count and the lifted
 edges (``factor_neighborhood``), or only the count (``count``); the N2
 sweep lifts its 2-neighborhoods through ``factor_neighborhood`` too.
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, combinations, product
 from typing import Iterable, Sequence
 
@@ -71,7 +74,6 @@ from .graph import (
     VertexSet,
     complete_graph,
     edge_key,
-    mask_bits,
 )
 from .isomorphism import canonical_form
 from .products import Coordinatization, strong_product
@@ -611,31 +613,45 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
 
 @dataclass(frozen=True)
 class FactoredQuotient:
-    """What the memo keeps of one factored quotient: its number of prime
-    factors, each quotient vertex's coordinate row, its Cartesian edges as
-    (qa, qb, factor index) in the order of the quotient's edges, and its
-    closed masks, the memo key the entry is stored under.
+    """What the memo keeps of one factored quotient: each quotient vertex's
+    coordinate row and its closed masks, the memo key the entry is stored
+    under.
 
-    The quotient graph and its factorization are dropped once these are
-    read off.  A prime quotient keeps no edge list (``cartesian_edges`` is
-    empty): its one coordinate changes along every edge, so every quotient
-    edge is Cartesian with index 0, and ``cartesian`` reads them off the
-    masks, which the memo holds as the key anyway.
+    The quotient graph and its factorization are dropped once the rows are
+    read off, and the prime count and the Cartesian edges are read off the
+    two fields.  No entry keeps an edge list until it is first lifted: an
+    edge is Cartesian exactly when its ends' rows differ in one coordinate,
+    so ``cartesian`` walks the quotient's edges off the masks once and
+    keeps the result.  A prime quotient's rows are (v,), so every one of its
+    edges is Cartesian with index 0.
     """
 
-    prime_count: int
     rows: tuple[tuple[int, ...], ...]
-    cartesian_edges: tuple[tuple[int, int, int], ...]
     masks: tuple[int, ...]
 
-    def cartesian(self) -> Sequence[tuple[int, int, int]]:
-        """The Cartesian edges in the order of the quotient's edges; a prime
-        quotient's are all its edges, with index 0."""
-        if self.prime_count > 1:
-            return self.cartesian_edges
-        return [
-            (qa, qb, 0) for qa, m in enumerate(self.masks) for qb in mask_bits(m >> qa + 1 << qa + 1)
-        ]
+    @property
+    def prime_count(self) -> int:
+        return len(self.rows[0])
+
+    @cached_property
+    def cartesian(self) -> tuple[tuple[int, int, int], ...]:
+        """The Cartesian edges as (qa, qb, factor index), qa < qb, in
+        ascending order."""
+        rows = self.rows
+        found = []
+        for qa, m in enumerate(self.masks):
+            ra = rows[qa]
+            # qa's later neighbors, lowest first; on these small masks the
+            # bit loop costs less than a ``mask_bits`` call per vertex
+            later = m >> qa + 1 << qa + 1
+            while later:
+                low = later & -later
+                later ^= low
+                qb = low.bit_length() - 1
+                changed = [i for i, (x, y) in enumerate(zip(ra, rows[qb])) if x != y]
+                if len(changed) == 1:
+                    found.append((qa, qb, changed[0]))
+        return tuple(found)
 
 
 #: A factored ball, as ``NeighborhoodCache.factor_ball`` returns it: the
@@ -666,31 +682,31 @@ class NeighborhoodCache:
     under one size cap and the quotient memo of one public call.
 
     ``quotients`` maps a quotient's ``closed_masks``, which fix the labelled
-    graph, to its ``FactoredQuotient``: the prime count, the coordinate
-    rows and the Cartesian edges, read off on the miss that built and
-    factored it; the quotient graph and its factorization die with the
-    miss, and a prime quotient keeps no edge list at all.  On
-    bounded-degree products most neighborhoods have labelled-equal
-    quotients, so each distinct one is built and factored once, and a hit
-    builds no graph at all.  The memo is shared by every cache that ``on``
-    opens from this one, on the graphs of the split searches below it, so
-    within one public call each labelled quotient is factored once: the key
-    fixes the quotient, its factorization is deterministic, and only
-    verified results are stored.
+    graph, to its ``FactoredQuotient``: the coordinate rows, read off on
+    the miss that built and factored it, and the masks; the quotient graph
+    and its factorization die with the miss, and no entry keeps an edge
+    list until it is first lifted.  On bounded-degree products most
+    neighborhoods have labelled-equal quotients, so each distinct one is
+    built and factored once, and a hit builds no graph at all.  The memo is
+    shared by every cache that ``on`` opens from this one, on the graphs of
+    the split searches below it, so within one public call each labelled
+    quotient is factored once: the key fixes the quotient, its
+    factorization is deterministic, and only verified results are stored.
 
     ``count`` reads a center's local prime count off its factored 1-ball
     without lifting anything, and keeps the ball in ``balls`` until ``get``
     lifts it, so no ball is classified twice.  ``entries`` holds, per
     center that ``get`` was asked for, its local prime count and the edges
     lifted through that neighborhood's own classes and host ids; nothing
-    else of the neighborhood is kept.
+    else of the neighborhood is kept.  Both start empty: only the memo is
+    passed in, by ``on``.
     """
 
     graph: Graph
     size_cap: int | None = None
-    entries: dict[int, NeighborhoodFactorization] = field(default_factory=dict)
     quotients: dict[tuple[int, ...], FactoredQuotient] = field(default_factory=dict)
-    balls: dict[int, Ball] = field(default_factory=dict)
+    entries: dict[int, NeighborhoodFactorization] = field(init=False, default_factory=dict)
+    balls: dict[int, Ball] = field(init=False, default_factory=dict)
 
     def on(self, graph: Graph) -> NeighborhoodCache:
         """A cache on ``graph`` without a size cap that shares this cache's
@@ -732,17 +748,8 @@ class NeighborhoodCache:
             )
         entry = self.quotients.get(masks)
         if entry is None:
-            qgraph = quotient_graph(masks)
-            factors, rows = _factor_verified(qgraph, self)
-            found = []
-            if len(factors) > 1:
-                for qa, qb in qgraph.edges():
-                    changed = [i for i, (x, y) in enumerate(zip(rows[qa], rows[qb])) if x != y]
-                    if len(changed) == 1:
-                        found.append((qa, qb, changed[0]))
-            entry = self.quotients[masks] = FactoredQuotient(
-                len(factors), tuple(rows), tuple(found), masks
-            )
+            _, rows = _factor_verified(quotient_graph(masks), self)
+            entry = self.quotients[masks] = FactoredQuotient(tuple(rows), masks)
         return members, classes, class_map, entry
 
 
@@ -767,7 +774,7 @@ def factor_neighborhood(
     members, classes, _, entry = staged or cache.factor_ball(v, radius)
     single = [members[cls[0]] if len(cls) == 1 else None for cls in classes]
     lifted = {}
-    for qa, qb, idx in entry.cartesian():
+    for qa, qb, idx in entry.cartesian:
         ha, hb = single[qa], single[qb]
         if ha is not None and hb is not None:
             lifted[ha, hb] = idx

@@ -122,14 +122,14 @@ _PALETTE = [
 ]
 
 
-def write_dot(graph: Graph, edge_colors: dict[Edge, int] | None = None) -> str:
+def write_dot(graph: Graph, edge_colors: dict[Edge, int]) -> str:
     """Render the graph in DOT syntax as ``graph G``, tagging colored edges
     with ``colorclass``."""
     out = ["graph G {"]
     for v in graph.vertices():
         out.append(f"  {v};")
     for u, v in graph.edges():
-        color = None if edge_colors is None else edge_colors.get(edge_key(u, v))
+        color = edge_colors.get(edge_key(u, v))
         if color is None:
             out.append(f"  {u} -- {v};")
         else:

@@ -25,6 +25,8 @@ from .products import Coordinatization, strong_product
 from .sclasses import is_thin
 
 ORACLE_CAP = 16
+# the rejection sampler's budget of draws per graph
+MAX_TRIES = 20000
 
 
 class GenerationError(RuntimeError):
@@ -140,7 +142,7 @@ def oracle_pfd(graph: Graph) -> LocalFactorization:
 # -- seeded generators ---------------------------------------------------------
 
 
-def _sample_graph(n: int, edge_prob: float, seed: int, max_tries: int, thin: bool) -> Graph:
+def _sample_graph(n: int, edge_prob: float, seed: int, thin: bool) -> Graph:
     """Seeded G(n, p) by rejection sampling until connected (and thin).
 
     Edges are sampled over ascending vertex pairs from Python's Mersenne
@@ -148,28 +150,24 @@ def _sample_graph(n: int, edge_prob: float, seed: int, max_tries: int, thin: boo
     """
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         graph = Graph(n, [e for e in pairs if rng.random() < edge_prob])
         if graph.is_connected() and (not thin or is_thin(graph)):
             return graph
     raise GenerationError(
-        f"no {'thin ' if thin else ''}connected graph found in {max_tries} tries "
+        f"no {'thin ' if thin else ''}connected graph found in {MAX_TRIES} tries "
         f"(n={n}, p={edge_prob}, seed={seed})"
     )
 
 
-def random_connected_graph(
-    n: int, edge_prob: float, seed: int, max_tries: int = 20000
-) -> Graph:
+def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Seeded G(n, p) conditioned on connectivity."""
     if n < 1:
         raise GraphError("need at least one vertex")
-    return _sample_graph(n, edge_prob, seed, max_tries, thin=False)
+    return _sample_graph(n, edge_prob, seed, thin=False)
 
 
-def random_thin_graph(
-    n: int, edge_prob: float, seed: int, max_tries: int = 20000
-) -> Graph:
+def random_thin_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Seeded connected thin graph by rejection sampling.
 
     On two or more vertices, p <= 0 (or NaN) gives no edge and p >= 1 the
@@ -180,7 +178,7 @@ def random_thin_graph(
         raise GraphError("thin sampling needs at least two vertices")
     if not 0 < edge_prob < 1:
         raise GraphError(f"thin sampling needs 0 < edge probability < 1, got {edge_prob}")
-    return _sample_graph(n, edge_prob, seed, max_tries, thin=True)
+    return _sample_graph(n, edge_prob, seed, thin=True)
 
 
 def random_product_instance(

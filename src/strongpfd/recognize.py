@@ -66,13 +66,14 @@ def verify_product(
     ``factors``, edge-exactly.
 
     A skeleton is read through its ``edge_color``, and both forms take one
-    path.  The color labels may be any; they are renumbered densely in
-    ascending order, which leaves a skeleton's colors as they are.  A key
-    that is not an edge of ``graph``, given as a pair of vertex ids in
-    either order, colors no product, so it fails; a skeleton built on
-    another graph may have such keys.  ``factors`` are matched to the
-    coloring's fibers as a multiset up to isomorphism, so their order does
-    not matter.
+    path.  The color labels may be any hashable values; they are numbered
+    densely in order of first appearance over the sorted edge keys, which
+    leaves a skeleton's colors as they are, since it numbers its colors in
+    order of their least edge.  A key that is not an edge of ``graph``,
+    given as a pair of vertex ids in either order, colors no product, so it
+    fails; a skeleton built on another graph may have such keys.
+    ``factors`` are matched to the coloring's fibers as a multiset up to
+    isomorphism, so their order does not matter.
     """
     if isinstance(coloring, ColoredSkeleton):
         coloring = coloring.edge_color
@@ -80,7 +81,9 @@ def verify_product(
     pairs = [key for key in coloring if type(key) is tuple and list(map(type, key)) == [int, int]]
     if len(pairs) < len(coloring) or not all(0 <= u < n and v in rows[u] for u, v in pairs):
         return False
-    dense = {c: i for i, c in enumerate(sorted(set(coloring.values())))}
+    dense: dict = {}
+    for edge in sorted(coloring):
+        dense.setdefault(coloring[edge], len(dense))
     edge_color = {edge: dense[c] for edge, c in coloring.items()}
     ok, _, ref_factors, _ = product_coordinates(graph, edge_color, len(dense))
     if not ok:
@@ -199,7 +202,7 @@ def pfd_fast(
         partial = color_fibers_from(cache, x)
     except ColoringError as exc:
         raise ColoringError(f"not locally unrefined: {exc}") from exc
-    comp_of, comps_of, _ = fiber_components(graph, partial.colors, len(partial.uf.parent))
+    comp_of, comps_of, _ = fiber_components(graph, partial.colors, len(partial.parent))
     factors = [
         graph.induced_subgraph(comps[comp[x]])[0] for comp, comps in zip(comp_of, comps_of)
     ]

@@ -10,18 +10,19 @@ neighborhoods and the 2-neighborhoods of the sweep are factored through it,
 under its one size cap and quotient memo, so a cap overflow anywhere raises
 the same FactorSizeError.  Every backbone neighborhood is factored once.
 All stages work on one ``PartialProductColoring``: each (center, local
-factor) pair opens one raw color in its union-find, a lifted edge joins the
+factor) pair opens one raw color in its parent list, a lifted edge joins the
 raw colors of all centers that lift it, and a diagonal-free square joins the
 colors of its opposite edges.  Lifted edges between backbone vertices pass
 the same continuation check as the anchored coloring of ``pfd_fast``.  The
 state stores no stage per edge; ``build_skeleton`` reads each edge's stage
 off the order in which the edges were colored.
 
-The local prime counts are read before anything is lifted.  A prime
-quotient keeps no edge list in the memo: its one coordinate changes along
-every edge, so all its edges are Cartesian with index 0, and the lifting
-reads them off the quotient's closed masks; the N2 sweep lifts its
-2-neighborhoods by the same rule, through ``factor_neighborhood``.  When
+The local prime counts are read before anything is lifted, off the memo
+entries' coordinate rows.  An entry walks its Cartesian edges, those whose
+ends' rows differ in one coordinate, off the quotient's closed masks when
+it is first lifted, so a prime quotient's are all its edges with index 0;
+the N2 sweep lifts its 2-neighborhoods by the same rule, through
+``factor_neighborhood``.  When
 every backbone count is 1, the stitch provably gives one color on the union
 of the lifted edges: a backbone center is a singleton class of its ball, so
 every continuation check passes and adjacent backbone centers share their
@@ -120,7 +121,7 @@ def merge_parallel_colors(graph: Graph, coloring: PartialProductColoring) -> int
     pair is read off the skeleton, which the call does not change.
     """
     edge_color = coloring.colors
-    find, union = coloring.uf.find, coloring.uf.union
+    find, union = coloring.find, coloring.union
     if len({find(c) for c in set(edge_color.values())}) < 2:
         return 0
     skeleton = Graph(graph.vertex_count, edge_color.keys())
@@ -173,7 +174,7 @@ def n2_sweep(
 
 def _renumber(coloring: PartialProductColoring) -> tuple[dict[Edge, int], int]:
     """Dense final colors: the roots numbered in order of their least edge."""
-    edge_color, find = coloring.colors, coloring.uf.find
+    edge_color, find = coloring.colors, coloring.find
     final: dict[Edge, int] = {}
     relabel: dict[int, int] = {}
     for edge in sorted(edge_color):
@@ -267,7 +268,7 @@ def _stitch_each_center(
     anchors = backbone(graph)
     backbone_set = frozenset(anchors)
     edge_color = coloring.colors
-    find, union, new_color = coloring.uf.find, coloring.uf.union, coloring.new_color
+    find, union, new_color = coloring.find, coloring.union, coloring.new_color
     counts: dict[int, int] = {}
     opened: dict[int, list[int]] = {}
     for v in anchors:
@@ -319,7 +320,7 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
     require_thin_connected(graph, "skeleton construction")
     coloring = PartialProductColoring()
     counts = _stitch_lifted_edges(cache, coloring)
-    find = coloring.uf.find
+    find = coloring.find
     coloring.colors = {edge: find(c) for edge, c in coloring.colors.items()}
     lifted = len(coloring.colors)
     completion_sweep(graph, coloring)
@@ -346,7 +347,6 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
             final, n_colors, verification = _settle(graph, coloring)
         if verification[0]:
             break
-    ok, _, _, diag = verification
     return ColoredSkeleton(
         graph=graph,
         edge_color=final,
@@ -358,7 +358,7 @@ def build_skeleton(cache: NeighborhoodCache) -> ColoredSkeleton:
         local_prime_counts=counts,
         n2_prime_counts=n2_counts,
         n2_ran=n2_ran,
-        diagnostics=[] if ok else list(diag),
+        diagnostics=list(verification[3]),
         verification=verification,
     )
 

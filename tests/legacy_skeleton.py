@@ -49,11 +49,11 @@ from strongpfd.coloring import (
 _STAGE_RANK = {STAGE_LIFT: 0, STAGE_COMPLETION: 1, STAGE_N2: 2}
 
 
-def _renumber(edge_color, uf):
+def _renumber(edge_color, coloring):
     final = {}
     relabel = {}
     for edge in sorted(edge_color):
-        root = uf.find(edge_color[edge])
+        root = coloring.find(edge_color[edge])
         if root not in relabel:
             relabel[root] = len(relabel)
         final[edge] = relabel[root]
@@ -113,7 +113,7 @@ def legacy_build_skeleton(
     if cache is None:
         cache = NeighborhoodCache(graph, size_cap)
     coloring = PartialProductColoring()
-    uf, edge_color = coloring.uf, coloring.colors
+    edge_color = coloring.colors
     stage_of = {}
 
     for anchor in anchors:
@@ -123,14 +123,14 @@ def legacy_build_skeleton(
             raise SkeletonError(str(exc)) from exc
         lifted = len(partial.colors)
         completion_sweep(graph, partial)
-        raw_to_global = [coloring.new_color() for _ in partial.uf.parent]
+        raw_to_global = [coloring.new_color() for _ in partial.parent]
         for i, (edge, raw) in enumerate(partial.colors.items()):
             color = raw_to_global[raw]
             existing = edge_color.get(edge)
             if existing is None:
                 edge_color[edge] = color
             else:
-                uf.union(existing, color)
+                coloring.union(existing, color)
             old = stage_of.get(edge)
             stage = STAGE_LIFT if i < lifted else STAGE_COMPLETION
             if old is None or _STAGE_RANK[stage] < _STAGE_RANK[old]:
@@ -138,7 +138,7 @@ def legacy_build_skeleton(
 
     merge_parallel_colors(graph, coloring)
     counts = {v: cache.entries[v].prime_count for v in cache.entries}
-    final, n_colors = _renumber(edge_color, uf)
+    final, n_colors = _renumber(edge_color, coloring)
     ok, _, _, diag = product_coordinates(graph, final, n_colors)
     if ok:
         return ColoredSkeleton(graph, final, n_colors, dict(stage_of), counts)
@@ -159,7 +159,7 @@ def legacy_build_skeleton(
             completion_sweep(graph, coloring)
             stage_of.update((edge, STAGE_N2) for edge in edge_color if edge not in stage_of)
             merge_parallel_colors(graph, coloring)
-            final, n_colors = _renumber(edge_color, uf)
+            final, n_colors = _renumber(edge_color, coloring)
         ok, _, _, diag = product_coordinates(graph, final, n_colors)
         if ok:
             break

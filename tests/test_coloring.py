@@ -74,7 +74,7 @@ def test_color_fibers_p3_product(p3xp3):
     graph, coords = p3xp3
     center = coords.vertex_at((1, 1))
     coloring = color_fibers_from(NeighborhoodCache(graph), center)
-    assert len(coloring.uf.parent) == 2
+    assert len(coloring.parent) == 2
     # every colored edge is a ground-truth product edge with consistent label
     label_dir = {}
     for (u, v), raw in coloring.colors.items():
@@ -98,9 +98,9 @@ def test_color_fibers_recovers_both_factors():
     graph, coords = strong_product([path_graph(4), cycle_graph(5)])
     anchor = min(backbone(graph))
     coloring = color_fibers_from(NeighborhoodCache(graph), anchor)
-    comp, comps, _ = fiber_components(graph, coloring.colors, len(coloring.uf.parent))
+    comp, comps, _ = fiber_components(graph, coloring.colors, len(coloring.parent))
     shapes = []
-    for raw in range(len(coloring.uf.parent)):
+    for raw in range(len(coloring.parent)):
         sub, _ = graph.induced_subgraph(comps[raw][comp[raw][anchor]])
         shapes.append(sub)
     assert sorted(s.vertex_count for s in shapes) == [4, 5]
@@ -112,7 +112,7 @@ def test_color_fibers_on_prime_cycle_covers_all_edges():
     g = cycle_graph(7)
     anchor = min(backbone(g))
     coloring = color_fibers_from(NeighborhoodCache(g), anchor)
-    assert len(coloring.uf.parent) == 1
+    assert len(coloring.parent) == 1
     assert set(coloring.colors) == set(g.edges())
 
 
@@ -226,7 +226,7 @@ def perturbed_product(edge) -> Graph:
 
 def anchor_fibers(graph, coloring, anchor):
     """The fiber of each raw color through the anchor."""
-    comp_of, comps_of, _ = fiber_components(graph, coloring.colors, len(coloring.uf.parent))
+    comp_of, comps_of, _ = fiber_components(graph, coloring.colors, len(coloring.parent))
     return [comps[comp[anchor]] for comp, comps in zip(comp_of, comps_of)]
 
 
@@ -269,7 +269,7 @@ def test_the_sweep_moves_no_fiber(monkeypatch):
     added = {"anchored": 0, "stitched": 0}
 
     def checked(kind, graph, coloring, *args, **kwargs):
-        colors = len(coloring.uf.parent)
+        colors = len(coloring.parent)
         fibers = fiber_components(graph, coloring.colors, colors)[:2]
         count = completion_sweep(graph, coloring, *args, **kwargs)
         assert fiber_components(graph, coloring.colors, colors)[:2] == fibers, (label, kind)
@@ -295,7 +295,7 @@ def test_coloring_is_deterministic():
     a = color_fibers_from(NeighborhoodCache(graph), anchor)
     b = color_fibers_from(NeighborhoodCache(graph), anchor)
     assert a.colors == b.colors
-    assert a.uf.parent == b.uf.parent
+    assert a.parent == b.parent
 
 
 def test_anchor_choice_gives_same_partition_where_both_color():

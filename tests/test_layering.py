@@ -129,24 +129,11 @@ def test_the_check_sees_a_message_in_an_f_string():
     assert functions_with_constant(source, "local factors, anchor") == ["h"]
 
 
-def test_only_the_coloring_state_holds_a_union_find():
-    # raw colors are opened and merged through PartialProductColoring alone
-    offenders = {
-        name: owners
-        for name, source in package_sources().items()
-        if (owners := functions_referencing(source, "UnionFind"))
-        and owners != ["PartialProductColoring"]
-    }
-    assert offenders == {}
-    assert functions_referencing(package_sources()["coloring.py"], "UnionFind") == [
-        "PartialProductColoring"
-    ]
-
-
 def test_the_coloring_state_keeps_no_stage():
     # an edge's stage is read off the order in which it was colored, so the
-    # state stores none and the sweep takes no stage to write
-    assert [f.name for f in dataclasses.fields(PartialProductColoring)] == ["colors", "uf"]
+    # state stores none and the sweep takes no stage to write; the raw
+    # colors' union-find is the state's own parent list
+    assert [f.name for f in dataclasses.fields(PartialProductColoring)] == ["colors", "parent"]
     assert list(inspect.signature(completion_sweep).parameters) == ["graph", "coloring"]
 
 

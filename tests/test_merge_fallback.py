@@ -45,7 +45,7 @@ def always_merge_skeleton(cache: NeighborhoodCache) -> skeleton.ColoredSkeleton:
     graph = cache.graph
     coloring = PartialProductColoring()
     counts = skeleton._stitch_lifted_edges(cache, coloring)
-    find = coloring.uf.find
+    find = coloring.find
     coloring.colors = {edge: find(c) for edge, c in coloring.colors.items()}
     lifted = len(coloring.colors)
     completion_sweep(graph, coloring)
@@ -158,7 +158,7 @@ def fixpoint_merge(graph, coloring: PartialProductColoring) -> int:
     """``merge_parallel_colors`` as it was while it repeated its pass over
     the skeleton until a pass united nothing."""
     edge_color = coloring.colors
-    find, union = coloring.uf.find, coloring.uf.union
+    find, union = coloring.find, coloring.union
     if len({find(c) for c in set(edge_color.values())}) < 2:
         return 0
     sk = Graph(graph.vertex_count, edge_color.keys())
@@ -186,9 +186,9 @@ def fixpoint_merge(graph, coloring: PartialProductColoring) -> int:
 
 
 def root_partition(coloring: PartialProductColoring) -> set[frozenset[int]]:
-    find = coloring.uf.find
+    find = coloring.find
     groups: dict[int, set[int]] = {}
-    for c in range(len(coloring.uf.parent)):
+    for c in range(len(coloring.parent)):
         groups.setdefault(find(c), set()).add(c)
     return {frozenset(g) for g in groups.values()}
 

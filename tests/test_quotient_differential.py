@@ -118,16 +118,6 @@ def legacy_lifted(members, classes, edges):
 # -- comparisons ------------------------------------------------------------------
 
 
-def expanded_edges(entry, qgraph: Graph) -> tuple:
-    """The memo entry's Cartesian edges, a prime entry's empty list
-    expanded to every edge of its quotient ``qgraph`` with index 0."""
-    if entry.prime_count > 1:
-        return entry.cartesian_edges
-    assert entry.cartesian_edges == ()
-    return tuple((qa, qb, 0) for qa, qb in qgraph.edges())
-
-
-
 def column_permutation(rows, legacy: LocalFactorization) -> list[int]:
     """pi with column j of ``rows`` equal to column pi[j] of ``legacy``'s
     coordinates.  The columns of a bijection onto a product of two or more
@@ -157,9 +147,8 @@ def assert_same_neighborhood(nf, cache: NeighborhoodCache, label) -> None:
     assert entry.rows == tuple(tuple(row[i] for i in pi) for row in fact.coords.coords), label
     assert entry.prime_count == nf.prime_count == fact.prime_count, label
     local = {i: j for j, i in enumerate(pi)}
-    cartesian = expanded_edges(entry, qgraph)
-    assert cartesian == tuple((qa, qb, local[i]) for qa, qb, i in edges), label
-    assert tuple(entry.cartesian()) == cartesian, label
+    cartesian = tuple((qa, qb, local[i]) for qa, qb, i in edges)
+    assert tuple(entry.cartesian) == cartesian, label
     expected = legacy_lifted(members, classes, edges)
     assert list(nf.lifted.items()) == [(e, local[i]) for e, i in expected.items()], label
 
@@ -251,8 +240,7 @@ def test_n2_quotients_match_the_subgraph_path(k, monkeypatch):
             assert quotient_graph(relative_quotient(graph, found)[2]) == qgraph, (k, x)
             assert entry.rows == fact.coords.coords, (k, x)
             assert entry.prime_count == fact.prime_count, (k, x)
-            assert expanded_edges(entry, qgraph) == edges, (k, x)
-            assert tuple(entry.cartesian()) == edges, (k, x)
+            assert tuple(entry.cartesian) == edges, (k, x)
             # the sweep reads the edges lifted at x, here with all the others
             lifted = factor_neighborhood(cache, x, 2).lifted
             expected = legacy_lifted(members, old_classes, edges)

@@ -178,6 +178,17 @@ def test_factor_exact_builds_one_result(monkeypatch):
     assert made == {"LocalFactorization": 1, "Coordinatization": 1}
 
 
+def test_route_two_entries_keep_no_edge_list(monkeypatch):
+    # the split search reads each ball's coordinate rows alone, so no entry
+    # that factor_exact makes has its Cartesian edges walked
+    memos = record_memos(monkeypatch)
+    graph = strong_product([path_graph(4), path_graph(3)])[0]
+    assert factor_exact(graph).prime_count == 2
+    entries = [entry for memo in memos for entry in memo.values()]
+    assert entries
+    assert [entry for entry in entries if "cartesian" in vars(entry)] == []
+
+
 def test_every_quotient_a_miss_builds_is_nonempty_and_connected(monkeypatch):
     # the verified core checks neither, as factor_exact does for its input:
     # a ball is nonempty and connected, and so is every quotient of it

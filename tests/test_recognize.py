@@ -267,6 +267,14 @@ def test_verify_product_accepts_any_color_labels():
     assert verify_product(factors, spread, graph)
 
 
+def test_verify_product_accepts_labels_of_mixed_types():
+    # labels need only be hashable: an int and a str do not compare
+    graph, _ = strong_product([path_graph(3), path_graph(3)])
+    skeleton = recognize(graph).coloring
+    mixed = {edge: (0, "b")[c] for edge, c in skeleton.edge_color.items()}
+    assert verify_product([path_graph(3), path_graph(3)], mixed, graph)
+
+
 def test_verify_product_ignores_factor_order():
     graph, _ = strong_product([path_graph(3), path_graph(4)])
     skeleton = recognize(graph).coloring

@@ -10,7 +10,6 @@ from strongpfd import (
     NeighborhoodCache,
     NotThinError,
     PartialProductColoring,
-    UnionFind,
     build_skeleton,
     cartesian_edge_set,
     complete_graph,
@@ -27,12 +26,12 @@ from conftest import neighborhood_blind_product
 
 
 def test_union_find_basics():
-    uf = UnionFind()
-    ids = [uf.add() for _ in range(4)]
-    assert uf.union(ids[0], ids[1])
-    assert not uf.union(ids[1], ids[0])
-    assert uf.find(ids[0]) == uf.find(ids[1])
-    assert uf.find(ids[2]) != uf.find(ids[0])
+    coloring = PartialProductColoring()
+    ids = [coloring.new_color() for _ in range(4)]
+    assert coloring.union(ids[0], ids[1])
+    assert not coloring.union(ids[1], ids[0])
+    assert coloring.find(ids[0]) == coloring.find(ids[1])
+    assert coloring.find(ids[2]) != coloring.find(ids[0])
 
 
 def test_merge_needs_a_diagonal_free_square():
@@ -41,7 +40,7 @@ def test_merge_needs_a_diagonal_free_square():
     coloring = PartialProductColoring()
     coloring.colors = {edge: coloring.new_color() for edge in c4.edges()}
     merge_parallel_colors(c4, coloring)
-    root = {edge: coloring.uf.find(c) for edge, c in coloring.colors.items()}
+    root = {edge: coloring.find(c) for edge, c in coloring.colors.items()}
     assert len(set(root.values())) == 2
     assert root[0, 1] == root[2, 3] and root[0, 3] == root[1, 2]
     # in K4 the diagonals block every square
@@ -55,7 +54,7 @@ def test_merge_parallel_colors_on_grid_coloring(p3xp3):
     graph, coords = p3xp3
     # raw coloring: one color per (direction, fiber copy), 4 + 6 raw classes
     coloring = PartialProductColoring()
-    uf, edge_color = coloring.uf, coloring.colors
+    edge_color = coloring.colors
     raw = {}
     for u, v in sorted(cartesian_edge_set(graph, coords)):
         direction = 0 if coords.coords[u][0] != coords.coords[v][0] else 1
@@ -65,13 +64,13 @@ def test_merge_parallel_colors_on_grid_coloring(p3xp3):
             raw[key] = coloring.new_color()
         edge_color[(u, v)] = raw[key]
     merge_parallel_colors(graph, coloring)
-    roots = {uf.find(c) for c in edge_color.values()}
+    roots = {coloring.find(c) for c in edge_color.values()}
     assert len(roots) == 2
     # merged classes match ground-truth directions exactly
     for (u, v), c in edge_color.items():
         direction = 0 if coords.coords[u][0] != coords.coords[v][0] else 1
         for (a, b), c2 in edge_color.items():
-            if uf.find(c) == uf.find(c2):
+            if coloring.find(c) == coloring.find(c2):
                 d2 = 0 if coords.coords[a][0] != coords.coords[b][0] else 1
                 assert d2 == direction
 
@@ -87,17 +86,16 @@ def test_merge_is_idempotent(p3xp3):
 def test_merge_skips_a_single_root_coloring(p3xp3, monkeypatch):
     graph, coords = p3xp3
     coloring = PartialProductColoring()
-    uf = coloring.uf
     ids = [coloring.new_color() for _ in range(3)]
-    uf.union(ids[0], ids[1])
-    uf.union(ids[0], ids[2])
+    coloring.union(ids[0], ids[1])
+    coloring.union(ids[0], ids[2])
     edges = sorted(cartesian_edge_set(graph, coords))
     coloring.colors = {e: ids[i % 3] for i, e in enumerate(edges)}
-    parent = list(uf.parent)
+    parent = list(coloring.parent)
     # three raw colors, one root: nothing can merge, so no skeleton is built
     monkeypatch.setattr(skeleton_module, "Graph", None)
     assert merge_parallel_colors(graph, coloring) == 0
-    assert uf.parent == parent
+    assert coloring.parent == parent
 
 
 def test_skeleton_on_product_matches_ground_truth(p3xp3):

@@ -18,7 +18,6 @@ from strongpfd import (
     NeighborhoodCache,
     PartialProductColoring,
     SkeletonError,
-    UnionFind,
     backbone,
     build_skeleton,
     is_thin,
@@ -189,13 +188,13 @@ def test_stitch_unions_each_relift_with_the_first_color():
     cache = NeighborhoodCache(graph)
     state = PartialProductColoring()
     calls = []
-    union = state.uf.union
+    union = state.union
 
     def counted(a, b):
         calls.append((a, b))
         return union(a, b)
 
-    state.uf.union = counted
+    state.union = counted
     counts = skeleton._stitch_lifted_edges(cache, state)
     assert set(counts.values()) == {2}
     assert sorted(cache.entries) == list(backbone(graph))
@@ -203,10 +202,10 @@ def test_stitch_unions_each_relift_with_the_first_color():
     # edge keeps the first raw color that reaches it, and every later lift
     # of it joins that color with the new one
     first: dict = {}
-    pairs, per_edge = set(), UnionFind()
+    pairs, per_edge = set(), PartialProductColoring()
     for v in backbone(graph):
         nf = cache.get(v)
-        raw = [per_edge.add() for _ in range(nf.prime_count)]
+        raw = [per_edge.new_color() for _ in range(nf.prime_count)]
         for edge, idx in nf.lifted.items():
             color = first.setdefault(edge, raw[idx])
             if color != raw[idx]:
@@ -215,6 +214,6 @@ def test_stitch_unions_each_relift_with_the_first_color():
     assert set(calls) == pairs
     assert state.colors == first
     # one partition of the raw colors: its blocks pair the roots one to one
-    assert len(state.uf.parent) == len(per_edge.parent)
-    blocks = {(state.uf.find(c), per_edge.find(c)) for c in range(len(per_edge.parent))}
+    assert len(state.parent) == len(per_edge.parent)
+    blocks = {(state.find(c), per_edge.find(c)) for c in range(len(per_edge.parent))}
     assert len(blocks) == len({a for a, _ in blocks}) == len({b for _, b in blocks})
