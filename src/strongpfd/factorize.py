@@ -27,15 +27,16 @@ size cap only bounds running time.
 quotient.  The classes of the ball and the key of its quotient come from
 ``sclasses.relative_quotient`` in the ball's own positions, the size cap is
 checked on the quotient, and the quotient graph is built from its masks and
-factored only when the memo has no entry under that key; no subgraph of the
-host is built.  The 1-neighborhoods of the coloring stages, the
-2-neighborhoods of the N2 sweep and the split search of route 2 all take
-this path.  The memo serves one public call: ``recognize``, ``pfd_fast``
-and ``factor_exact`` each open a root cache, and the factorization below
-passes it down, so route 2, inside a memo miss, on the factors of a split
-or under a quotient, opens its cache on its own graph through the
-enclosing cache's ``on`` and shares the memo.  Within one call each
-labelled quotient is factored once.
+factored only when the memo has no entry under that key and the masks do
+not decide it prime; no subgraph of the host is built.  The
+1-neighborhoods of the coloring stages, the 2-neighborhoods of the N2
+sweep and the split search of route 2 all take this path.  The memo
+serves one public call: ``recognize``, ``pfd_fast`` and ``factor_exact``
+each open a root cache, and the factorization below passes it down, so
+route 2, inside a memo miss, on the factors of a split or under a
+quotient, opens its cache on its own graph through the enclosing cache's
+``on`` and shares the memo.  Within one call each labelled quotient is
+factored once.
 
 The memo keeps, per quotient, each quotient vertex's coordinate row and
 the quotient's closed masks, its key.  The prime count is the length of a
@@ -47,7 +48,10 @@ A coloring stage keeps, per center, the local prime count and the lifted
 edges (``factor_neighborhood``), or only the count (``count``); the N2
 sweep lifts its 2-neighborhoods through ``factor_neighborhood`` too.
 Route 2 reads each member's local coordinate row straight off the ball's
-entry and lifts nothing.  A miss costs one split search and one
+entry and lifts nothing.  A miss whose quotient is of prime order, or has
+a universal vertex, as every 1-ball's has, and no two down-sets whose sizes
+multiply to its order, is decided prime on its masks (``_prime_on_masks``)
+and builds no graph.  Any other miss costs one split search and one
 verification and builds no public result type: it reads the plain factors
 and rows of ``_factor_verified``, left in the order the split search found
 them.
@@ -388,6 +392,48 @@ def _split_via_containment(graph: Graph):
     return None
 
 
+def _prime_on_masks(masks: tuple[int, ...]) -> bool:
+    """Whether ``_factor_verified`` returns the quotient with closed
+    neighborhoods ``masks`` as its one factor, as far as the masks decide it
+    with no graph built; False also where only the full path can tell.
+
+    A relative quotient is thin, since two of its vertices with one closed
+    neighborhood would be one class.  So ``_pfd`` on a quotient of order
+    n ≥ 2 returns it whole when n is prime, and otherwise returns what
+    ``_find_split`` finds.  With a universal vertex that is route 1 alone,
+    and ``_split_via_containment`` tries only pairs of distinct down-sets
+    D(u) = {v : N[v] ⊆ N[u]} of sizes at least 2 that multiply to n.  If
+    no two sizes do, it finds no split and the quotient is prime.  Without
+    a universal vertex route 2 runs, which the masks do not decide, and
+    n = 1 has rows ((),), not (0,).  The first pair of sizes that multiply
+    to n ends the count, so a composite quotient pays little before the
+    full path.
+    """
+    n = len(masks)
+    if n < 2:
+        return False
+    if _least_prime_factor(n) == n:
+        return True
+    full = (1 << n) - 1
+    if full not in masks:
+        return False
+    sizes: set[int] = set()
+    for mu in masks:
+        # D(u) is N[u] less the closed neighborhoods of the vertices outside
+        # N[u], by symmetry
+        outside, rest = 0, full ^ mu
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            outside |= masks[low.bit_length() - 1]
+        size = (mu & ~outside).bit_count()
+        if size > 1 and not n % size:
+            if n // size in sizes:
+                return False
+            sizes.add(size)
+    return True
+
+
 # -- candidate route 2: thin graphs without a universal vertex ----------------
 
 
@@ -682,10 +728,13 @@ class NeighborhoodCache:
     under one size cap and the quotient memo of one public call.
 
     ``quotients`` maps a quotient's ``closed_masks``, which fix the labelled
-    graph, to its ``FactoredQuotient``: the coordinate rows, read off on
-    the miss that built and factored it, and the masks; the quotient graph
-    and its factorization die with the miss, and no entry keeps an edge
-    list until it is first lifted.  On bounded-degree products most
+    graph, to its ``FactoredQuotient``: the coordinate rows and the masks.
+    A miss whose quotient is of prime order, or has a universal vertex and
+    no two down-sets whose sizes multiply to its order, writes identity
+    rows decided on the masks alone, with no graph, split search or product
+    check (``_prime_on_masks``); any other miss builds and factors the
+    quotient, whose graph and factorization die with it.  No entry keeps an
+    edge list until it is first lifted.  On bounded-degree products most
     neighborhoods have labelled-equal quotients, so each distinct one is
     built and factored once, and a hit builds no graph at all.  The memo is
     shared by every cache that ``on`` opens from this one, on the graphs of
@@ -748,7 +797,10 @@ class NeighborhoodCache:
             )
         entry = self.quotients.get(masks)
         if entry is None:
-            _, rows = _factor_verified(quotient_graph(masks), self)
+            if _prime_on_masks(masks):
+                rows = [(q,) for q in range(len(masks))]
+            else:
+                _, rows = _factor_verified(quotient_graph(masks), self)
             entry = self.quotients[masks] = FactoredQuotient(tuple(rows), masks)
         return members, classes, class_map, entry
 

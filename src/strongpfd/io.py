@@ -89,9 +89,13 @@ def graph_from_dict(data: dict) -> Graph:
 
 
 def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
-    """Load a graph from ``path``; format inferred from the suffix unless given."""
+    """Load a graph from ``path``; format inferred from the suffix unless
+    given.  Both formats are UTF-8 text; other bytes raise GraphError."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path} is not UTF-8 text: {exc}") from exc
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "edgelist"
     if fmt == "json":

@@ -15,9 +15,10 @@ its outcomes in order and how many there are; ``factor_exact`` gets one
 line for its thin inputs and one for the others, plus, for each of the
 two, a line for the factor multisets (sorted canonical forms), which a
 change of factor order or of factor labels leaves as they are.  Then,
-per workload and entry point, how many quotients the neighborhood memo
-factored (its misses), how many factorizations repeated a labelled graph
-that the same public call had already factored (its repeats), how often
+per workload and entry point, how many entries the neighborhood memo
+wrote (its misses, decided on the quotient's masks or factored), how many
+factorizations repeated a labelled graph that the same public call had
+already factored (its repeats), how often
 ``skeleton.merge_parallel_colors`` ran and how many unions those calls
 made, how often ``skeleton.product_coordinates`` ran and how many of
 those calls verified, how often ``coloring.completion_sweep`` ran and how
@@ -81,17 +82,18 @@ def multiset(result) -> str:
 
 
 def count_misses() -> dict[str, int]:
-    """Count the quotients the memo of every ``NeighborhoodCache`` factors,
-    under ``"misses"``: a miss of ``factor_ball`` builds its quotient graph
-    once, and nothing else in ``factorize`` builds one."""
+    """Count the entries the memo of every ``NeighborhoodCache`` writes,
+    under ``"misses"``: a miss of ``factor_ball`` makes one
+    ``FactoredQuotient``, whether its quotient is decided on its masks or
+    built and factored, and nothing else makes one."""
     counter = {"misses": 0}
-    build = factorize.quotient_graph
+    make = factorize.FactoredQuotient
 
-    def counted(masks):
+    def counted(rows, masks):
         counter["misses"] += 1
-        return build(masks)
+        return make(rows, masks)
 
-    factorize.quotient_graph = counted
+    factorize.FactoredQuotient = counted
     return counter
 
 

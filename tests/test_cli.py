@@ -44,6 +44,16 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["recognize", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "g.txt is not UTF-8" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, graph_json",
     [

@@ -244,12 +244,15 @@ def test_factor_exact_orders_only_several_factors(monkeypatch):
     checks = count_calls(monkeypatch, "rebuilds_strong_product")
     verified = count_calls(monkeypatch, "_factor_verified")
     # composite orders factor neighborhood quotients through the verified
-    # core again; each factorization is verified once, by one product check
+    # core again, but for those decided prime on their masks, as the P3
+    # balls of C9 and P12 are; the inner balls of P4 x P3 are P3 x P3, which
+    # are not.  Each factorization is verified once, by one product check
     for prime in (cycle_graph(7), cycle_graph(9), path_graph(12), Graph(1)):
         result = factorize.factor_exact(prime)
         assert result.prime_count == (prime.vertex_count > 1)
+    assert factorize.factor_exact(strong_product([path_graph(4), path_graph(3)])[0]).prime_count == 2
     assert forms[0] == 0
-    assert checks[0] == verified[0] > 4
+    assert checks[0] == verified[0] > 5
     # two factors that tie on vertex count, edge count and degree sequence
     # are told apart by their canonical forms
     assert factorize.factor_exact(strong_product([path_graph(4), path_graph(4)])[0]).prime_count == 2

@@ -77,6 +77,14 @@ def test_json_validation(tmp_path):
             load_graph(path)
 
 
+@pytest.mark.parametrize("name", ["g.txt", "g.json"])
+def test_bytes_that_are_not_utf8_are_refused_naming_the_file(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(GraphError, match=f"{name} is not UTF-8"):
+        load_graph(path)
+
+
 def test_dot_uncolored_edges_omitted_from_classes():
     g = Graph(3, [(0, 1), (1, 2)])
     assert write_dot(g, {(0, 1): 3}) == (

@@ -155,16 +155,17 @@ def count_constructions(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
     ids=["dense prime", "king strip"],
 )
 def test_memo_misses_build_no_result_type(graph, monkeypatch):
-    # a miss reads the plain factors and rows of the verified core; only
-    # ordered_factorization wraps a public result
+    # a miss decides its quotient prime on its masks or reads the plain
+    # factors and rows of the verified core; only ordered_factorization
+    # wraps a public result
     made = count_constructions(monkeypatch)
-    verified = count_factorizations(monkeypatch)
+    memos = record_memos(monkeypatch)
     recognize(graph)
-    assert verified[0] > 0
+    assert sum(map(len, memos)) > 0
     assert made == {"LocalFactorization": 0, "Coordinatization": 0}
-    verified[0] = 0
+    memos.clear()
     pfd_fast(graph)
-    assert verified[0] > 0
+    assert sum(map(len, memos)) > 0
     # pfd_fast's own result, which carries no coordinates
     assert made == {"LocalFactorization": 1, "Coordinatization": 0}
 
@@ -233,8 +234,9 @@ def test_reports_match_without_the_memo(monkeypatch):
 
 
 def count_factorizations(monkeypatch: pytest.MonkeyPatch) -> list[int]:
-    """Count runs of the verified split search, which ``factor_exact`` and
-    every memo miss of ``NeighborhoodCache.factor_ball`` go through."""
+    """Count runs of the verified split search, which ``factor_exact`` goes
+    through, and every memo miss of ``NeighborhoodCache.factor_ball`` whose
+    quotient is not decided prime on its masks."""
     calls = [0]
     factor_verified = factorize._factor_verified
 
