@@ -5,12 +5,16 @@ A graph of prime order is prime.  A thin graph is split by a search that
 fixes candidate fiber pairs through an anchor vertex and tries to extend
 them to a full product bijection by constraint propagation with
 backtracking; a verified extension is a factorization by construction.
-Factors of a thin graph are thin, so the search only ever sees thin graphs.
-Candidate generation has two routes:
+The extension works on the graph's closed masks: the fibers, the placed
+image and each pair's placed neighbors are bitmasks.  Factors of a thin
+graph are thin, so the search only ever sees thin graphs.  Candidate
+generation has two routes:
 
 1. graphs that own a universal vertex (every closed neighborhood and every
    quotient of one is of this kind): candidate fibers are read off the
-   neighborhood-containment order, giving a quadratic candidate set;
+   neighborhood-containment order, giving a quadratic candidate set; its
+   down-sets come as masks from ``_down_sets``, the one reader of that
+   order, which the memo's prime verdict reads too;
 2. the others: the anchor's neighborhood is factored and its local factor
    boxes are grown into fiber candidates along the backbone.
 
@@ -50,11 +54,11 @@ sweep lifts its 2-neighborhoods through ``factor_neighborhood`` too.
 Route 2 reads each member's local coordinate row straight off the ball's
 entry and lifts nothing.  A miss whose quotient is of prime order, or has
 a universal vertex, as every 1-ball's has, and no two down-sets whose sizes
-multiply to its order, is decided prime on its masks (``_prime_on_masks``)
-and builds no graph.  Any other miss costs one split search and one
-verification and builds no public result type: it reads the plain factors
-and rows of ``_factor_verified``, left in the order the split search found
-them.
+multiply to its order, is decided prime on its masks (``_prime_on_masks``,
+off the down-sets of ``_down_sets``) and builds no graph.  Any other miss
+costs one split search and one verification and builds no public result
+type: it reads the plain factors and rows of ``_factor_verified``, left in
+the order the split search found them.
 ``factor_exact`` is the one door that checks its input, and
 ``ordered_factorization`` is the one order and the one builder of the
 public results, those of ``factor_exact``, ``pfd_fast`` and
@@ -68,7 +72,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import (
     DisconnectedError,
@@ -78,6 +82,7 @@ from .graph import (
     VertexSet,
     complete_graph,
     edge_key,
+    mask_bits,
 )
 from .isomorphism import canonical_form
 from .products import Coordinatization, strong_product
@@ -238,7 +243,10 @@ def _pfd(graph: Graph, cache: NeighborhoodCache) -> tuple[list[Graph], list[tupl
     composite = _least_prime_factor(n) < n
     if composite and not is_thin(graph):
         return _factor_through_quotient(graph, cache)
-    split = _find_split(graph, cache) if composite else None
+    split = None
+    if composite:
+        universal = (1 << n) - 1 in graph.closed_masks
+        split = _split_via_containment(graph) if universal else _split_grown(graph, cache)
     if split is None:
         return [graph], [(v,) for v in range(n)]
     fa, fb, phi = split
@@ -251,14 +259,6 @@ def _pfd(graph: Graph, cache: NeighborhoodCache) -> tuple[list[Graph], list[tupl
         coords[vertex] = coords_a[map_a[a]] + coords_b[map_b[b]]
     assert all(row is not None for row in coords)
     return factors_a + factors_b, coords  # type: ignore[return-value]
-
-
-def _find_split(graph: Graph, cache: NeighborhoodCache):
-    """A split of a thin graph of composite order, or None if it is prime."""
-    n = graph.vertex_count
-    if any(graph.degree(v) == n - 1 for v in graph.vertices()):
-        return _split_via_containment(graph)
-    return _split_grown(graph, cache)
 
 
 # -- graphs that are not thin -------------------------------------------------
@@ -356,39 +356,51 @@ def _blow_up(core: Graph, starts: list[int]) -> Graph:
 # -- candidate route 1: thin graphs with a universal vertex ------------------
 
 
+def _down_sets(masks: Sequence[int]) -> Iterator[int]:
+    """Each vertex's down-set D(u) = {v : N[v] ⊆ N[u]} in the containment
+    order of the closed neighborhoods ``masks``, as a mask, vertex by vertex.
+
+    By symmetry, N[v] leaves N[u] exactly when v lies in the closed
+    neighborhood of a vertex outside N[u], so D(u) is N[u] less the closed
+    neighborhoods of the vertices outside N[u].
+    """
+    full = (1 << len(masks)) - 1
+    for mu in masks:
+        outside, rest = 0, full ^ mu
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            outside |= masks[low.bit_length() - 1]
+        yield mu & ~outside
+
+
 def _split_via_containment(graph: Graph):
     """Candidate fibers from the closed-neighborhood containment order.
 
-    In a thin product with a universal vertex, the set of vertices whose
-    closed neighborhood lies inside N[u] is, for suitable u, exactly one
-    fiber through one vertex; trying all pairs of such down-sets covers
-    every factorization.  The down-sets of a thin graph are distinct, so a
-    pair recurs only in the other order, and ``_try_extension`` is
-    exhaustive, so a pair fails in both orders or in neither; the retry of
-    a failed pair changes no result.
+    In a thin product with a universal vertex, the down-set D(u) of
+    ``_down_sets`` is, for suitable u, exactly one fiber through one
+    vertex; trying all pairs of down-sets of sizes at least 2 that multiply
+    to n and meet in one vertex covers every factorization.  So where no
+    two sizes multiply to n, no split exists.  The down-sets of a thin
+    graph are distinct, so a pair recurs only in the other order, and
+    ``_try_extension`` is exhaustive, so a pair fails in both orders or in
+    neither; the retry of a failed pair changes no result.
     """
     n = graph.vertex_count
-    masks = graph.closed_masks
-    down: list[frozenset[int]] = []
-    for u in range(n):
-        # only a member of N[u] can have its closed neighborhood inside N[u]
-        mu = masks[u]
-        down.append(frozenset([u, *(v for v in graph.neighbors(u) if masks[v] | mu == mu)]))
-    for u1 in range(n):
-        p1 = down[u1]
-        if len(p1) < 2 or n % len(p1):
+    down = list(_down_sets(graph.closed_masks))
+    sizes = [d.bit_count() for d in down]
+    for p1, s1 in zip(down, sizes):
+        if s1 < 2 or n % s1:
             continue
-        for u2 in range(n):
-            p2 = down[u2]
-            if len(p2) < 2 or len(p1) * len(p2) != n:
-                continue
+        for p2, s2 in zip(down, sizes):
             inter = p1 & p2
-            if len(inter) != 1:
+            # the pair meets in exactly one vertex
+            if s2 < 2 or s1 * s2 != n or not inter or inter & inter - 1:
                 continue
-            v0 = next(iter(inter))
-            phi = _try_extension(graph, sorted(p2), sorted(p1), v0)
+            fa, fb = list(mask_bits(p2)), list(mask_bits(p1))
+            phi = _try_extension(graph, fa, fb, inter.bit_length() - 1)
             if phi is not None:
-                return sorted(p2), sorted(p1), phi
+                return fa, fb, phi
     return None
 
 
@@ -399,34 +411,24 @@ def _prime_on_masks(masks: tuple[int, ...]) -> bool:
 
     A relative quotient is thin, since two of its vertices with one closed
     neighborhood would be one class.  So ``_pfd`` on a quotient of order
-    n ≥ 2 returns it whole when n is prime, and otherwise returns what
-    ``_find_split`` finds.  With a universal vertex that is route 1 alone,
-    and ``_split_via_containment`` tries only pairs of distinct down-sets
-    D(u) = {v : N[v] ⊆ N[u]} of sizes at least 2 that multiply to n.  If
-    no two sizes do, it finds no split and the quotient is prime.  Without
-    a universal vertex route 2 runs, which the masks do not decide, and
-    n = 1 has rows ((),), not (0,).  The first pair of sizes that multiply
-    to n ends the count, so a composite quotient pays little before the
-    full path.
+    n ≥ 2 returns it whole when n is prime, and otherwise returns what its
+    split search finds.  With a universal vertex that is route 1 alone,
+    which finds no split where no two down-set sizes multiply to n (see
+    ``_split_via_containment``).  Without a universal vertex route 2 runs,
+    which the masks do not decide, and n = 1 has rows ((),), not (0,).  The
+    first pair of sizes that multiply to n ends the count, so a composite
+    quotient pays little before the full path.
     """
     n = len(masks)
     if n < 2:
         return False
     if _least_prime_factor(n) == n:
         return True
-    full = (1 << n) - 1
-    if full not in masks:
+    if (1 << n) - 1 not in masks:
         return False
     sizes: set[int] = set()
-    for mu in masks:
-        # D(u) is N[u] less the closed neighborhoods of the vertices outside
-        # N[u], by symmetry
-        outside, rest = 0, full ^ mu
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            outside |= masks[low.bit_length() - 1]
-        size = (mu & ~outside).bit_count()
+    for down in _down_sets(masks):
+        size = down.bit_count()
         if size > 1 and not n % size:
             if n // size in sizes:
                 return False
@@ -556,21 +558,27 @@ def _split_grown(graph: Graph, cache: NeighborhoodCache):
 # -- bijection extension ------------------------------------------------------
 
 
-def _induced_bfs(v0: int, members: list[int], adj: dict[int, frozenset[int]]):
-    """Distances and parents from v0 within the induced candidate fiber."""
+def _induced_bfs(v0: int, members: int, masks: tuple[int, ...]):
+    """Distances and parents from v0 within the induced candidate fiber,
+    the bits of ``members``."""
     dist = {v0: 0}
     parent = {v0: v0}
+    seen = 1 << v0
     frontier = [v0]
     while frontier:
         nxt = []
         for u in frontier:
-            for w in sorted(adj[u]):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    nxt.append(w)
+            fresh = masks[u] & members & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                w = low.bit_length() - 1
+                dist[w] = dist[u] + 1
+                parent[w] = u
+                nxt.append(w)
         frontier = nxt
-    if len(dist) != len(members):
+    if seen != members:
         return None, None
     return dist, parent
 
@@ -581,42 +589,34 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
     Returns the complete pair-to-vertex bijection or None.  The fibers must
     meet in v0 alone.  Adjacency and non-adjacency against every previously
     placed pair are enforced at each step, so a completed map is an
-    isomorphism by construction.
+    isomorphism by construction.  The fibers, the placed image and each
+    pair's placed neighbors are vertex masks, read against the graph's
+    closed masks.
     """
-    seta, setb = frozenset(fa), frozenset(fb)
-    adj_a = {a: graph.adjacency_set(a) & seta for a in fa}
-    adj_b = {b: graph.adjacency_set(b) & setb for b in fb}
-    da, parent_a = _induced_bfs(v0, fa, adj_a)
+    masks = graph.closed_masks
+    ma, mb = sum(1 << a for a in fa), sum(1 << b for b in fb)
+    da, parent_a = _induced_bfs(v0, ma, masks)
     if da is None:
         return None
-    db, parent_b = _induced_bfs(v0, fb, adj_b)
+    db, parent_b = _induced_bfs(v0, mb, masks)
     if db is None:
         return None
 
-    near_a = adj_a[v0]
-    near_b = adj_b[v0]
+    # off v0, a meets the rest of fb in v0's neighbors there when a is a
+    # neighbor of v0, and nowhere otherwise
+    rest_b = mb ^ 1 << v0
+    near_b = masks[v0] & rest_b
     for a in fa:
-        if a == v0:
-            continue
-        row = graph.adjacency_set(a)
-        for b in fb:
-            if b == v0:
-                continue
-            if (b in row) != (a in near_a and b in near_b):
-                return None
+        if a != v0 and masks[a] & rest_b != (near_b if masks[v0] >> a & 1 else 0):
+            return None
 
-    phi: dict[tuple[int, int], int] = {}
-    for a in fa:
-        phi[(a, v0)] = a
-    for b in fb:
-        phi[(v0, b)] = b
-    used = set(fa) | set(fb)
+    phi = {(a, v0): a for a in fa} | {(v0, b): b for b in fb}
+    used = ma | mb
 
     pairs = [(a, b) for a in fa if a != v0 for b in fb if b != v0]
     pairs.sort(key=lambda p: (da[p[0]] + db[p[1]], p[0], p[1]))
-    masks = graph.closed_masks
-    closed_a = {a: adj_a[a] | {a} for a in fa}
-    closed_b = {b: adj_b[b] | {b} for b in fb}
+    closed_a = {a: list(mask_bits(masks[a] & ma)) for a in fa}
+    closed_b = {b: list(mask_bits(masks[b] & mb)) for b in fb}
 
     # depth-first over the pairs in order; left[i] holds the candidates
     # pairs[i] has not tried yet
@@ -626,23 +626,21 @@ def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
         pair = pairs[depth]
         a, b = pair
         if pair in phi:
-            used.discard(phi.pop(pair))
+            used ^= 1 << phi.pop(pair)
         else:
             left[depth] = masks[phi[(parent_a[a], b)]] & masks[phi[(a, parent_b[b])]]
         # used is the image of phi, one to one as the fibers meet in v0
         # alone, so u fits exactly when its placed neighbors are the images
         # of the pair's placed product neighbors
-        near = {phi[q] for q in product(closed_a[a], closed_b[b]) if q in phi}
-        m = left[depth]
+        near = sum(1 << phi[q] for q in product(closed_a[a], closed_b[b]) if q in phi)
+        m = left[depth] & ~used
         while m:
             low = m & -m
-            u = low.bit_length() - 1
             m ^= low
-            if u in used:
-                continue
-            if graph.adjacency_set(u) & used == near:
+            u = low.bit_length() - 1
+            if masks[u] & used == near:
                 phi[pair] = u
-                used.add(u)
+                used |= low
                 break
         left[depth] = m
         if pair in phi:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, GraphError, edge_key
 
@@ -27,24 +28,34 @@ def loads_edgelist(text: str) -> Graph:
         raise GraphError(f"non-integer header {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    seen: set[Edge] = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphError(f"non-integer edge line {ln!r}") from exc
+
+    def pairs() -> Iterator[Sequence[int]]:
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise GraphError(f"bad edge line {ln!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise GraphError(f"non-integer edge line {ln!r}") from exc
+            yield u, v
+
+    return Graph(n, _simple_edges(pairs()))
+
+
+def _simple_edges(pairs: Iterable[Sequence[int]]) -> list[Edge]:
+    """The canonical edges of ``pairs``, in input order.  Raises GraphError
+    at the first self-loop or repeated edge; ``pairs`` is read lazily, so
+    its own errors and these come in the order the input meets them."""
+    edges: dict[Edge, None] = {}
+    for u, v in pairs:
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         key = edge_key(u, v)
-        if key in seen:
+        if key in edges:
             raise GraphError(f"duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, edges)
+        edges[key] = None
+    return list(edges)
 
 
 def dumps_edgelist(graph: Graph) -> str:
@@ -72,20 +83,14 @@ def graph_from_dict(data: dict) -> Graph:
             f"graph JSON needs an integer 'n' and a list 'edges', got n={n!r} "
             f"and edges of type {type(edges).__name__}"
         )
-    seen: set[Edge] = set()
-    pairs = []
-    for item in edges:
-        if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_int, item))):
-            raise GraphError(f"bad edge entry {item!r}")
-        u, v = item
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        key = edge_key(u, v)
-        if key in seen:
-            raise GraphError(f"duplicate edge {key}")
-        seen.add(key)
-        pairs.append(key)
-    return Graph(n, pairs)
+
+    def pairs() -> Iterator[Sequence[int]]:
+        for item in edges:
+            if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_int, item))):
+                raise GraphError(f"bad edge entry {item!r}")
+            yield item
+
+    return Graph(n, _simple_edges(pairs()))
 
 
 def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
@@ -101,7 +106,7 @@ def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
     if fmt == "json":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphError(f"invalid JSON in {path}: {exc}") from exc
         return graph_from_dict(data)
     if fmt == "edgelist":

@@ -61,10 +61,19 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):
         (["check-thin"], '{"n": 3, "edges": 5}'),
         (["check-thin"], '{"n": 3, "edges": [[0, null]]}'),
         (["check-thin"], '{"n": 3.7, "edges": [[0, 1.9]]}'),
+        (["check-thin"], "[" * 100000),
         (["generate", "--factors", "3,x", "--seed", "1"], None),
         (["generate", "--factors", ",", "--seed", "1"], None),
     ],
-    ids=["n-string", "edges-number", "id-null", "n-float", "factors-token", "factors-empty"],
+    ids=[
+        "n-string",
+        "edges-number",
+        "id-null",
+        "n-float",
+        "json-too-deep",
+        "factors-token",
+        "factors-empty",
+    ],
 )
 def test_bad_input_or_option_exits_two_with_one_error_line(tmp_path, capsys, argv, graph_json):
     if graph_json is not None:

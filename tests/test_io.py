@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -54,6 +55,22 @@ def test_edgelist_validation(text):
         loads_edgelist(text)
 
 
+@pytest.mark.parametrize(
+    "load, data, message",
+    [
+        (loads_edgelist, "3 2\n0 0\nx y\n", "self-loop at vertex 0"),
+        (loads_edgelist, "3 3\n1 0\n0 1\n0 x\n", "duplicate edge (0, 1)"),
+        (loads_edgelist, "3 2\n0 x\n1 1\n", "non-integer edge line '0 x'"),
+        (graph_from_dict, {"n": 3, "edges": [[1, 1], [0, "x"]]}, "self-loop at vertex 1"),
+        (graph_from_dict, {"n": 3, "edges": [[1, 0], [0, 1], [5]]}, "duplicate edge (0, 1)"),
+        (graph_from_dict, {"n": 3, "edges": [[5], [1, 1]]}, "bad edge entry [5]"),
+    ],
+)
+def test_both_loaders_name_the_first_bad_edge(load, data, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        load(data)
+
+
 # JSON that must be refused: ids and counts are JSON integers only, and
 # 'edges' is a list of pairs
 MALFORMED_JSON = [
@@ -66,6 +83,7 @@ MALFORMED_JSON = [
     '{"n": 3, "edges": [[0, 1.0]]}',
     '{"n": true, "edges": []}',
     '{"n": 3, "edges": [[0, "1"]]}',
+    "[" * 100000,  # nested deeper than the recursion limit
 ]
 
 
