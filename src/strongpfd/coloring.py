@@ -15,10 +15,11 @@ anchor's neighborhood opens one color, and a restricted BFS walks backbone
 vertices along same-colored product edges, coloring each visited
 neighborhood's lifted edges of the continued factor; the walk keeps only
 each vertex's BFS parent, through which the color continues, and runs only
-inside ``color_fibers_from``.  The skeleton assembly finishes with a sweep
-that colors fiber edges no neighborhood could identify directly but that are
-pinched between two same-colored edges; the anchored coloring ends at its
-covering walks, since that sweep cannot change the fibers it reads.
+inside ``color_fibers_from``, which builds the backbone set the walks stay
+on once for all the anchor's colors.  The skeleton assembly finishes with a
+sweep that colors fiber edges no neighborhood could identify directly but
+that are pinched between two same-colored edges; the anchored coloring ends
+at its covering walks, since that sweep cannot change the fibers it reads.
 
 Every stage takes the graph's ``NeighborhoodCache``, which brings the graph,
 the size cap and the quotient memo; it is defined in ``factorize``, whose
@@ -28,6 +29,7 @@ split search uses it too, and is public from here.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, GraphError, edge_key
@@ -134,15 +136,17 @@ def _bfs_one_color(
     raw_color: int,
     cache: NeighborhoodCache,
     coloring: PartialProductColoring,
+    backbone_set: frozenset[int],
 ) -> None:
     """Run the color-restricted backbone BFS for one local color of the anchor.
 
     Colors the anchor's lifted edges of that color, then walks backbone
     neighbors along edges already carrying the color, continuing the color
     into each visited neighborhood through the edge from its BFS parent.
+    ``backbone_set`` is the graph's backbone, which ``color_fibers_from``
+    builds once for all the colors of one anchor.
     """
     graph = cache.graph
-    backbone_set = frozenset(backbone(graph))
     colors = coloring.colors
     nf_anchor = cache.get(anchor)
     parents = {anchor: anchor}
@@ -223,15 +227,25 @@ def color_fibers_from(cache: NeighborhoodCache, anchor: int) -> PartialProductCo
     no completion sweep follows: a swept edge joins two vertices already in
     one fiber of its color, so it changes no color's components, and it is
     an uncolored edge, so it raises no conflict (``completion_sweep``).
-    Raises ColoringError when the continuation or the local factor counts
-    break down, which means the graph is not locally unrefined.
+    The backbone set the walks stay on is built once, for every color.
+    Raises GraphError unless the anchor is an ``int`` vertex id on the
+    backbone (so neither ``4.0`` nor ``True`` is one), and ColoringError
+    when the continuation or the local factor counts break down, which
+    means the graph is not locally unrefined.
     """
     graph = cache.graph
     require_thin_connected(graph, "fiber coloring")
-    if anchor not in backbone(graph):
-        raise GraphError(f"anchor {anchor} is not a backbone vertex")
+    backbone_set = frozenset(backbone(graph))
+    require_anchor(anchor, backbone_set)
 
     coloring = PartialProductColoring()
     for local_color in range(cache.get(anchor).prime_count):
-        _bfs_one_color(anchor, local_color, coloring.new_color(), cache, coloring)
+        _bfs_one_color(anchor, local_color, coloring.new_color(), cache, coloring, backbone_set)
     return coloring
+
+
+def require_anchor(anchor: object, backbone_set: Collection[int]) -> None:
+    """Raise GraphError unless ``anchor`` is an ``int`` vertex id in
+    ``backbone_set``: a float or a bool equal to a backbone id is none."""
+    if type(anchor) is not int or anchor not in backbone_set:
+        raise GraphError(f"anchor {anchor} is not a backbone vertex")

@@ -113,27 +113,46 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
     # order the source vertices: rarest profile first, then expand by adjacency
     # so every later vertex has a mapped neighbor where possible
     remaining = set(range(n))
-    attached: set[int] = set()  # the remaining vertices next to a placed one
+    # the remaining vertices next to a placed one, each with the first of
+    # its neighbors placed, which each vertex keeps in placed_before
+    attached: dict[int, int] = {}
     order: list[int] = []
+    placed_before: list[int | None] = []
     while remaining:
         v = min(attached or remaining, key=lambda x: (len(cands[x]), x))
         order.append(v)
+        placed_before.append(attached.pop(v, None))
         remaining.discard(v)
-        attached.discard(v)
-        attached.update(w for w in g1.neighbors(v) if w in remaining)
+        for w in g1.neighbors(v):
+            if w in remaining:
+                attached.setdefault(w, v)
 
     # depth-first search with an explicit stack: tried[i] counts the
     # candidates of order[i] tried so far, and a candidate u of v fits when
-    # the placed neighbors of v map exactly onto the used neighbors of u
+    # the placed neighbors of v map exactly onto the used neighbors of u.
+    # A v placed after a neighbor w may take its candidates from the
+    # neighbors of w's image, ascending, with v's profile: every fit is
+    # adjacent to that image, so that list holds the fits of v's profile
+    # list in the same order, and the search returns the same mapping from
+    # either.  It scans the list the image's degree says is shorter, so a
+    # long path costs about 2n steps, not n²/2.  w is fixed by the order,
+    # and its image moves only when the search backtracks past it, after
+    # which v's counter restarts from 0; only then is v's list rebuilt.
     adj1, adj2 = g1.adjacency_sets, g2.adjacency_sets
     mapping: dict[int, int] = {}
     used = [False] * n
     tried = [0] * n
+    lists: list[list[int]] = [[] for _ in range(n)]
     depth = 0
     while depth < n:
         v = order[depth]
+        if tried[depth] == 0:
+            w = placed_before[depth]
+            lists[depth] = cands[v]
+            if w is not None and g2.degree(mapping[w]) < len(cands[v]):
+                lists[depth] = [u for u in g2.neighbors(mapping[w]) if p2[u] == p1[v]]
         image = {mapping[w] for w in adj1[v] if w in mapping}
-        cand = cands[v]
+        cand = lists[depth]
         while tried[depth] < len(cand):
             u = cand[tried[depth]]
             tried[depth] += 1

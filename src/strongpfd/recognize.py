@@ -9,7 +9,8 @@ single-anchor fast path returns the graph as its one prime factor when the
 anchor's neighborhood is prime, which proves the graph prime; otherwise it
 reads the prime factors off the fibers through the anchor of one backbone
 coloring, which its covering walks already fix, so it runs no completion
-sweep.  Either way it returns them in the factor order of
+sweep, and walks only those fibers, one per color, from the anchor.
+Either way it returns them in the factor order of
 ``factor_exact``.  ``verify_product`` checks a user's coloring, a plain
 dict whose keys must be edges of the graph, against given factors.
 """
@@ -19,8 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph import Edge, Graph, GraphError
-from .coloring import ColoringError, NeighborhoodCache, color_fibers_from
+from .graph import Edge, Graph, edge_key
+from .coloring import (
+    ColoringError,
+    NeighborhoodCache,
+    PartialProductColoring,
+    color_fibers_from,
+    require_anchor,
+)
 from .factorize import FactorSizeError, LocalFactorization, ordered_factorization
 from .io import graph_to_dict
 from .isomorphism import is_isomorphic
@@ -156,13 +163,37 @@ def recognize(graph: Graph, size_cap: int | None = None) -> RecognitionReport:
     )
 
 
+def _anchor_fibers(graph: Graph, partial: PartialProductColoring, x: int) -> list[list[int]]:
+    """The fiber through ``x`` of each raw color of ``partial``, in color
+    order, each walked breadth-first from ``x`` along edges of that color.
+
+    A walk reads only the edges at its own fiber's vertices, not every
+    colored edge of the graph as ``fiber_components`` does.  The colors of
+    the anchored coloring are never united, so each raw color is its own
+    root and the walk returns the members of ``fiber_components``' fiber
+    through ``x``, in the order reached.
+    """
+    colors, rows = partial.colors, graph.adjacency_sets
+    fibers = []
+    for c in range(len(partial.parent)):
+        fiber, seen = [x], {x}
+        for v in fiber:  # grows while it is read: a breadth-first search
+            for w in rows[v]:
+                if w not in seen and colors.get(edge_key(v, w)) == c:
+                    seen.add(w)
+                    fiber.append(w)
+        fibers.append(fiber)
+    return fibers
+
+
 def pfd_fast(
     graph: Graph, size_cap: int | None = None, anchor: int | None = None
 ) -> LocalFactorization:
     """Prime factors through one backbone anchor (the quasi-linear path).
 
     The anchor defaults to the smallest backbone vertex; any other anchor
-    must be on the backbone too (GraphError).  The caller asserts local
+    must be an ``int`` vertex id on the backbone too, so a float or a bool
+    equal to one is refused (GraphError).  The caller asserts local
     unrefinedness.  Violations that derail the anchored coloring surface as
     ColoringError; violations that keep the coloring locally coherent
     produce factors that simply fail to rebuild the graph (run
@@ -172,7 +203,9 @@ def pfd_fast(
     The factors are the fibers through the anchor as the covering walks of
     ``color_fibers_from`` leave them: the completion sweep of the skeleton
     only joins two vertices already in one fiber of the edge's color, so
-    it could not change them, and none runs.
+    it could not change them, and none runs.  Each is walked from the
+    anchor along its color's edges (``_anchor_fibers``), so no pass over
+    every color's fibers in the whole graph runs either.
 
     A local prime count of 1 at the anchor proves the graph prime, so the
     graph is returned as its one factor without any coloring; the count is
@@ -193,8 +226,7 @@ def pfd_fast(
     """
     require_thin_connected(graph, "recognition")
     x = backbone(graph)[0] if anchor is None else anchor
-    if x not in backbone(graph):
-        raise GraphError(f"anchor {x} is not a backbone vertex")
+    require_anchor(x, backbone(graph))
     cache = NeighborhoodCache(graph, size_cap)
     if cache.count(x) == 1:
         return ordered_factorization([graph], None)
@@ -202,10 +234,7 @@ def pfd_fast(
         partial = color_fibers_from(cache, x)
     except ColoringError as exc:
         raise ColoringError(f"not locally unrefined: {exc}") from exc
-    comp_of, comps_of, _ = fiber_components(graph, partial.colors, len(partial.parent))
-    factors = [
-        graph.induced_subgraph(comps[comp[x]])[0] for comp, comps in zip(comp_of, comps_of)
-    ]
+    factors = [graph.induced_subgraph(fiber)[0] for fiber in _anchor_fibers(graph, partial, x)]
     if math.prod(f.vertex_count for f in factors) != graph.vertex_count:
         raise ColoringError(
             "not locally unrefined: fiber sizes through the anchor do not "

@@ -57,10 +57,20 @@ def relative_quotient(
     each position's class; and the quotient's ``closed_masks``, which fix
     the quotient as a labelled graph.  No graph is built, and the members,
     which must be vertex ids of ``graph``, are not checked.
+
+    When the keys are pairwise distinct, as on every 1-ball of a thin
+    bounded-degree host, each class is a singleton numbered by its
+    position and the keys are the masks, so they are returned at once,
+    with no class loop; the loop would return exactly the same.
     """
     bits = {v: 1 << pos for pos, v in enumerate(members)}
     bit_of, zeros, rows = bits.get, repeat(0), graph.adjacency_sets
     keys = [sum(map(bit_of, rows[v], zeros), bit) for v, bit in bits.items()]
+    n = len(keys)
+    if len(set(keys)) == n:
+        # every class is a singleton, numbered by its position, and the
+        # keys are the quotient's masks; zip makes the 1-tuples (pos,)
+        return tuple(zip(range(n))), tuple(range(n)), tuple(keys)
     index: dict[int, int] = {}
     groups: list[list[int]] = []
     class_map = []
@@ -72,9 +82,6 @@ def relative_quotient(
         else:
             groups[c].append(pos)
         class_map.append(c)
-    if len(groups) == len(keys):
-        # every class is a singleton, numbered by its position
-        return tuple(map(tuple, groups)), tuple(class_map), tuple(keys)
     # members of two classes are all adjacent or all apart, so a class's
     # quotient mask is read off the least members in its least member's key
     least = sum(1 << group[0] for group in groups)

@@ -35,7 +35,8 @@ the merge nothing to unite, and it is skipped on that verdict alone.  The
 expensive 2-neighborhood sweep runs only when the colored structure does
 not already verify as a product; on locally unrefined inputs whose fibers
 are all witnessed it is skipped.  ``fiber_components`` is the one routine
-that splits a coloring into its fibers; ``product_coordinates`` takes the
+that splits a whole coloring into its fibers (``pfd_fast`` walks only the
+fibers through its anchor); ``product_coordinates`` takes the
 factors off the reference fibers and reads each coordinate off a layer,
 the component of a vertex among the edges of every other color.
 """

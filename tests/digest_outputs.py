@@ -24,7 +24,9 @@ made, how often ``skeleton.product_coordinates`` ran and how many of
 those calls verified, how often ``coloring.completion_sweep`` ran and how
 many edges those calls added, and how many balls
 ``factorize.factor_neighborhood`` lifted (its lifts), 1-neighborhoods and
-the 2-neighborhoods of the N2 sweep alike.  Run it at two
+the 2-neighborhoods of the N2 sweep alike, and how often
+``skeleton.fiber_components`` built every color's fibers over the whole
+graph (its fibers).  Run it at two
 commits and compare the lines; pytest does not collect this file.
 """
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -180,6 +183,23 @@ def count_lifts() -> dict[str, int]:
     return counter
 
 
+def count_fibers() -> dict[str, int]:
+    """Count the calls of ``skeleton.fiber_components``, through both its
+    ``skeleton`` and its ``recognize`` binding, each of which builds every
+    color's fibers over the whole graph, under ``"fibers"``."""
+    counter = {"fibers": 0}
+    fibers = skeleton.fiber_components
+    # the package exports the function ``recognize`` under the module's name
+    recognize = importlib.import_module("strongpfd.recognize")
+
+    def counted(graph, edge_color, n_colors):
+        counter["fibers"] += 1
+        return fibers(graph, edge_color, n_colors)
+
+    skeleton.fiber_components = recognize.fiber_components = counted
+    return counter
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -193,9 +213,10 @@ def main(argv: list[str]) -> int:
         count_verdicts(),
         count_sweeps(),
         count_lifts(),
+        count_fibers(),
     )
     # per (source, entry point): misses, repeats, merge calls, unions,
-    # checks, ok checks, sweeps, edges added, lifts
+    # checks, ok checks, sweeps, edges added, lifts, fiber passes
     totals: dict[tuple[str, str], list[int]] = {}
 
     def snapshot() -> list[int]:
@@ -227,13 +248,14 @@ def main(argv: list[str]) -> int:
         digest = hashlib.blake2b("\n".join(outcomes).encode(), digest_size=16).hexdigest()
         print(f"{row} {digest} outcomes={len(outcomes)}")
     for (source, kind), counts in totals.items():
-        count, repeated, calls, unions, checks, ok, sweeps, added, lifts = counts
+        count, repeated, calls, unions, checks, ok, sweeps, added, lifts, fibers = counts
         print(f"misses {source} {kind} {count}")
         print(f"repeats {source} {kind} {repeated}")
         print(f"merges {source} {kind} calls={calls} unions={unions}")
         print(f"verdicts {source} {kind} calls={checks} ok={ok}")
         print(f"sweeps {source} {kind} calls={sweeps} added={added}")
         print(f"lifts {source} {kind} {lifts}")
+        print(f"fibers {source} {kind} {fibers}")
     return 0
 
 

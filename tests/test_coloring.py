@@ -39,7 +39,9 @@ def covering_walk(graph, anchor):
     color 0 visits: the centers whose neighborhoods it factored."""
     cache = NeighborhoodCache(graph)
     coloring = PartialProductColoring()
-    coloring_module._bfs_one_color(anchor, 0, coloring.new_color(), cache, coloring)
+    coloring_module._bfs_one_color(
+        anchor, 0, coloring.new_color(), cache, coloring, frozenset(backbone(graph))
+    )
     return set(cache.entries)
 
 

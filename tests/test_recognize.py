@@ -8,10 +8,14 @@ import pytest
 from strongpfd import (
     ColoringError,
     Graph,
+    GraphError,
+    NeighborhoodCache,
     NotThinError,
+    backbone,
     canonical_form,
     cartesian_edge_set,
     cartesian_index,
+    color_fibers_from,
     complete_graph,
     cycle_graph,
     factor_exact,
@@ -179,6 +183,23 @@ def test_pfd_fast_unreliable_outside_its_precondition():
         return
     rebuilt, _ = strong_product(list(result.factors))
     assert not is_isomorphic(rebuilt, graph)
+
+
+def test_an_anchor_that_is_not_an_int_vertex_id_is_refused():
+    # 4 is on the backbone of P5⊠P3, and 4.0 == 4; True == 1 is the center
+    # of a P3⊠P3 whose center is numbered 1
+    graph = strong_product([path_graph(5), path_graph(3)])[0]
+    center_one = strong_product([path_graph(3), path_graph(3)])[0].relabeled(
+        [0, 4, 2, 3, 1, 5, 6, 7, 8]
+    )
+    assert 4 in backbone(graph) and backbone(center_one) == (1,)
+    for g, anchor in ((graph, 4.0), (graph, "4"), (center_one, True), (center_one, 1.0)):
+        with pytest.raises(GraphError, match=f"anchor {anchor} is not a backbone vertex"):
+            pfd_fast(g, anchor=anchor)
+        with pytest.raises(GraphError, match=f"anchor {anchor} is not a backbone vertex"):
+            color_fibers_from(NeighborhoodCache(g), anchor)
+    assert len(pfd_fast(graph, anchor=4).factors) == 2
+    assert len(pfd_fast(center_one, anchor=1).factors) == 2
 
 
 def test_recognize_permutation_invariance(p3xp3):
