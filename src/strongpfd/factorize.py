@@ -5,10 +5,13 @@ A graph of prime order is prime.  A thin graph is split by a search that
 fixes candidate fiber pairs through an anchor vertex and tries to extend
 them to a full product bijection by constraint propagation with
 backtracking; a verified extension is a factorization by construction.
-The extension works on the graph's closed masks: the fibers, the placed
-image and each pair's placed neighbors are bitmasks.  Factors of a thin
-graph are thin, so the search only ever sees thin graphs.  Candidate
-generation has two routes:
+The factorizer works on closed masks, not graphs: the fibers, the placed
+image and each pair's placed neighbors of the extension are bitmasks, a
+split recurses on each fiber's masks renumbered by rank, the factors are
+closed masks, and the one product check reads the edges and
+closed-neighborhood sizes off the masks.  Factors of a thin graph are
+thin, so the search only ever sees thin graphs.  Candidate generation has
+two routes:
 
 1. graphs that own a universal vertex (every closed neighborhood and every
    quotient of one is of this kind): candidate fibers are read off the
@@ -16,23 +19,26 @@ generation has two routes:
    down-sets come as masks from ``_down_sets``, the one reader of that
    order, which the memo's prime verdict reads too;
 2. the others: the anchor's neighborhood is factored and its local factor
-   boxes are grown into fiber candidates along the backbone.
+   boxes are grown into fiber candidates along the backbone.  This route
+   walks a graph, built off the masks.
 
 A graph that is not thin is factored through its thin quotient G/S.  In
 A ⊠ B, N[(a, b)] = N[a] × N[b], so the classes of a product are products
 of classes, G/S = A/S ⊠ B/S and class sizes multiply.  The quotient's
 prime factors are grouped as finely as the class sizes allow, each group's
 product is blown up by its share of the sizes, and what is left of the
-sizes is one complete prime factor per prime.  All routes are exact; the
-size cap only bounds running time.
+sizes is one complete prime factor per prime; this route builds the
+quotient and the blow-ups as graphs.  All routes are exact; the size cap
+only bounds running time.
 
 ``NeighborhoodCache`` owns neighborhood factoring for one graph: its
 ``factor_ball`` is the one path from a ball around a vertex to a factored
 quotient.  The classes of the ball and the key of its quotient come from
 ``sclasses.relative_quotient`` in the ball's own positions, the size cap is
-checked on the quotient, and the quotient graph is built from its masks and
-factored only when the memo has no entry under that key and the masks do
-not decide it prime; no subgraph of the host is built.  The
+checked on the quotient, and the quotient is factored on its masks only
+when the memo has no entry under that key and the masks do not decide it
+prime; no subgraph of the host is built, and a quotient graph only where
+route 2 runs.  The
 1-neighborhoods of the coloring stages, the 2-neighborhoods of the N2
 sweep and the split search of route 2 all take this path.  The memo
 serves one public call: ``recognize``, ``pfd_fast`` and ``factor_exact``
@@ -55,15 +61,18 @@ Route 2 reads each member's local coordinate row straight off the ball's
 entry and lifts nothing.  A miss whose quotient is of prime order, or has
 a universal vertex, as every 1-ball's has, and no two down-sets whose sizes
 multiply to its order, is decided prime on its masks (``_prime_on_masks``,
-off the down-sets of ``_down_sets``) and builds no graph.  Any other miss
-costs one split search and one verification and builds no public result
-type: it reads the plain factors and rows of ``_factor_verified``, left in
-the order the split search found them.
-``factor_exact`` is the one door that checks its input, and
+off the down-sets of ``_down_sets``).  Any other miss costs one split
+search and one verification on its masks, builds a graph only for route 2,
+and builds no public result type: it reads the rows of
+``_factor_verified``, left in the order the split search found them.
+``factor_exact`` is the one door that checks its input; it returns a graph
+of prime order as its one factor before reading its masks, and otherwise
+builds each public factor's graph once, off its masks.
 ``ordered_factorization`` is the one order and the one builder of the
 public results, those of ``factor_exact``, ``pfd_fast`` and
-``oracle_pfd``.  A one-factor result under identity coordinates is
-verified by graph equality.
+``oracle_pfd``.  ``rebuilds_strong_product`` is the door of the one
+product check for graphs, where a one-factor result under identity
+coordinates is verified by graph equality.
 """
 
 from __future__ import annotations
@@ -80,7 +89,6 @@ from .graph import (
     Graph,
     GraphError,
     VertexSet,
-    complete_graph,
     edge_key,
     mask_bits,
 )
@@ -89,6 +97,9 @@ from .products import Coordinatization, strong_product
 from .sclasses import NotThinError, backbone, is_thin, quotient, quotient_graph, relative_quotient
 
 DEFAULT_SIZE_CAP = 24
+
+#: A graph as its closed masks: bit u of entry v is set when u is in N[v].
+Masks = tuple[int, ...]
 
 
 class FactorSizeError(GraphError):
@@ -116,40 +127,56 @@ def rebuilds_strong_product(
     graph: Graph, coords: Sequence[tuple[int, ...]], factors: Sequence[Graph]
 ) -> bool:
     """Whether ``coords`` is an isomorphism from ``graph`` onto the strong
-    product of ``factors``, in O(n·k + m·k).
+    product of ``factors``, in O(n·k + m·k): the door of ``_product_check``
+    for graphs.
 
-    Once the coordinates are a bijection onto the product's vertices, every
-    edge obeying the strong rule and every degree matching the product
-    degree prod(deg_i + 1) - 1 leave no room for a missing or extra edge.
-    With one factor and identity coordinates those two checks hold exactly
-    when the factor equals the graph, so that case is a graph comparison.
-    The checks run column by column: each factor's coordinate column is
-    range-checked, walked once over a flat edge list against that factor's
-    closed masks and multiplied into the degree products, so no per-edge or
-    per-vertex loop runs a generator over all k coordinates.
+    With one factor and identity coordinates the check holds exactly when
+    the factor equals the graph, so that case is a graph comparison.
+    Otherwise the graph goes in as its edges and closed-neighborhood sizes,
+    read off its adjacency sets, so a host's n-bit masks are never built,
+    and each factor as its closed masks.
     """
     n = graph.vertex_count
-    sizes = [f.vertex_count for f in factors]
+    if len(factors) == 1 and len(coords) == n and all(c == (u,) for u, c in enumerate(coords)):
+        return factors[0] == graph
+    closed = [len(near) + 1 for near in graph.adjacency_sets]
+    return _product_check(list(graph.edges()), closed, coords, [f.closed_masks for f in factors])
+
+
+def _product_check(
+    edges: list[Edge], closed: list[int], coords: Sequence[tuple[int, ...]], factors: Sequence[Masks]
+) -> bool:
+    """The one product check: whether ``coords`` is an isomorphism from the
+    graph with edges ``edges`` and closed-neighborhood sizes ``closed`` onto
+    the strong product of the graphs with closed masks ``factors``.
+
+    In A ⊠ B, N[(a, b)] = N[a] × N[b].  So once the coordinates are a
+    bijection onto the product's vertices, every edge obeying the strong
+    rule and every closed-neighborhood size matching the product of the
+    factors' sizes leave no room for a missing or extra edge.  The checks
+    run column by column: each factor's coordinate column is range-checked,
+    walked once over the edges against that factor's closed masks and
+    multiplied into the size products, so no per-edge or per-vertex loop
+    runs a generator over all k coordinates.
+    """
+    n = len(closed)
+    sizes = [len(f) for f in factors]
     if len(coords) != n or math.prod(sizes) != n or len(set(coords)) != n:
         return False
-    if len(factors) == 1 and all(c == (u,) for u, c in enumerate(coords)):
-        return factors[0] == graph
     if any(len(c) != len(sizes) for c in coords):
         return False
     columns = list(zip(*coords))
     if any(min(col) < 0 or max(col) >= s for col, s in zip(columns, sizes)):
         return False
-    edges = list(graph.edges())
-    for col, f in zip(columns, factors):
-        masks = f.closed_masks
+    for col, masks in zip(columns, factors):
         rows = [masks[x] for x in col]
         if not all(rows[u] >> col[v] & 1 for u, v in edges):
             return False
     products = [1] * n
-    for col, f in zip(columns, factors):
-        closed = [d + 1 for d in map(len, f.adjacency_sets)]
-        products = [p * closed[x] for p, x in zip(products, col)]
-    return all(p - 1 == len(near) for p, near in zip(products, graph.adjacency_sets))
+    for col, masks in zip(columns, factors):
+        own = [m.bit_count() for m in masks]
+        products = [p * own[x] for p, x in zip(products, col)]
+    return products == closed
 
 
 def reconstructs(graph: Graph, factorization: LocalFactorization) -> bool:
@@ -166,9 +193,13 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
     The one door of the exact factorizer: it checks its input, and its
     factors are verified and then put in the order of
     ``ordered_factorization``.  Raises FactorSizeError above ``size_cap``,
-    GraphError on the empty graph and DisconnectedError on disconnected
-    input.
+    GraphError on a cap that is not None or an ``int``, on the empty graph,
+    and DisconnectedError on disconnected input.  A graph of prime order is
+    prime, so it is returned as its one factor before its closed masks are
+    read; any other input is factored on its closed masks, and a graph is
+    built once per factor, for the result.
     """
+    require_size_cap(size_cap)
     n = graph.vertex_count
     if size_cap is not None and n > size_cap:
         raise FactorSizeError(f"graph has {n} vertices, size cap is {size_cap}")
@@ -176,7 +207,19 @@ def factor_exact(graph: Graph, size_cap: int | None = DEFAULT_SIZE_CAP) -> Local
         raise GraphError("cannot factor an empty graph")
     if not graph.is_connected():
         raise DisconnectedError("prime factorization requires a connected graph")
-    return ordered_factorization(*_factor_verified(graph, NeighborhoodCache(graph)))
+    if n > 1 and _least_prime_factor(n) == n:
+        return ordered_factorization([graph], [(v,) for v in range(n)])
+    factors, rows = _factor_verified(graph.closed_masks, NeighborhoodCache(graph))
+    # an input found prime is its own one factor
+    public = [graph if f == graph.closed_masks else Graph.from_closed_masks(f) for f in factors]
+    return ordered_factorization(public, rows)
+
+
+def require_size_cap(size_cap: object) -> None:
+    """Raise GraphError unless ``size_cap`` is None or an ``int``: a bool or
+    a string is none."""
+    if size_cap is not None and type(size_cap) is not int:
+        raise GraphError(f"size cap {size_cap!r} is not None or an int")
 
 
 def ordered_factorization(
@@ -213,17 +256,27 @@ def ordered_factorization(
 
 
 def _factor_verified(
-    graph: Graph, cache: NeighborhoodCache
-) -> tuple[list[Graph], list[tuple[int, ...]]]:
-    """The prime factors of a nonempty connected ``graph`` in the order they
-    were found and each vertex's coordinate row, verified against ``graph``.
+    masks: Masks, cache: NeighborhoodCache
+) -> tuple[list[Masks], list[tuple[int, ...]]]:
+    """The prime factors, as closed masks, of the nonempty connected graph
+    with closed masks ``masks``, in the order they were found, and each
+    vertex's coordinate row, verified against ``masks``.
 
-    No public result type is built: a memo miss reads the rows as they are,
-    and ``factor_exact`` checks its input and orders the result.  ``cache``
-    is the enclosing cache, whose quotient memo every split search below
-    shares."""
-    factors, rows = _pfd(graph, cache)
-    if not rebuilds_strong_product(graph, rows, factors):
+    No public result type is built, and a graph only for route 2 or for a
+    graph that is not thin (see ``_pfd``): a memo miss reads the rows as
+    they are, and ``factor_exact`` checks its input, builds the factor
+    graphs and orders the result.  The product check reads the edges and
+    closed-neighborhood sizes off the masks.  ``cache`` is the enclosing
+    cache, whose quotient memo every split search below shares."""
+    factors, rows = _pfd(masks, cache)
+    edges = []
+    for u, m in enumerate(masks):
+        later = m >> u + 1 << u + 1
+        while later:
+            low = later & -later
+            later ^= low
+            edges.append((u, low.bit_length() - 1))
+    if not _product_check(edges, [m.bit_count() for m in masks], rows, factors):
         raise RuntimeError("internal error: factorization failed verification")
     return factors, rows
 
@@ -233,32 +286,45 @@ def _least_prime_factor(n: int) -> int:
     return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
 
 
-def _pfd(graph: Graph, cache: NeighborhoodCache) -> tuple[list[Graph], list[tuple[int, ...]]]:
-    """Prime factors and coordinates, split by split; a graph that is not
-    thin goes through its quotient.  The order test comes first, since a
-    graph of prime order is prime, thin or not."""
-    n = graph.vertex_count
+def _pfd(masks: Masks, cache: NeighborhoodCache) -> tuple[list[Masks], list[tuple[int, ...]]]:
+    """Prime factors, as closed masks, and coordinates, split by split.
+
+    The order test comes first, since a graph of prime order is prime, thin
+    or not.  A graph that is not thin goes through its quotient, and a thin
+    one without a universal vertex through route 2; only these two build a
+    graph, off the masks.  A split recurses on each fiber's masks,
+    renumbered by rank (``_fiber``)."""
+    n = len(masks)
     if n == 1:
         return [], [()]
-    composite = _least_prime_factor(n) < n
-    if composite and not is_thin(graph):
-        return _factor_through_quotient(graph, cache)
     split = None
-    if composite:
-        universal = (1 << n) - 1 in graph.closed_masks
-        split = _split_via_containment(graph) if universal else _split_grown(graph, cache)
+    if _least_prime_factor(n) < n:
+        if len(set(masks)) < n:
+            return _factor_through_quotient(quotient_graph(masks), cache)
+        if (1 << n) - 1 in masks:
+            split = _split_via_containment(masks)
+        else:
+            split = _split_grown(quotient_graph(masks), cache)
     if split is None:
-        return [graph], [(v,) for v in range(n)]
+        return [masks], [(v,) for v in range(n)]
     fa, fb, phi = split
-    ga, map_a = graph.induced_subgraph(fa)
-    gb, map_b = graph.induced_subgraph(fb)
-    factors_a, coords_a = _pfd(ga, cache)
-    factors_b, coords_b = _pfd(gb, cache)
+    masks_a, rank_a = _fiber(masks, fa)
+    masks_b, rank_b = _fiber(masks, fb)
+    factors_a, coords_a = _pfd(masks_a, cache)
+    factors_b, coords_b = _pfd(masks_b, cache)
     coords: list[tuple[int, ...] | None] = [None] * n
     for (a, b), vertex in phi.items():
-        coords[vertex] = coords_a[map_a[a]] + coords_b[map_b[b]]
+        coords[vertex] = coords_a[rank_a[a]] + coords_b[rank_b[b]]
     assert all(row is not None for row in coords)
     return factors_a + factors_b, coords  # type: ignore[return-value]
+
+
+def _fiber(masks: Masks, members: list[int]) -> tuple[Masks, dict[int, int]]:
+    """The closed masks of the subgraph induced by the ascending vertex list
+    ``members``, each member renumbered by its rank there, and that rank."""
+    rank = {v: i for i, v in enumerate(members)}
+    inside = sum(1 << v for v in members)
+    return tuple(sum(1 << rank[u] for u in mask_bits(masks[v] & inside)) for v in members), rank
 
 
 # -- graphs that are not thin -------------------------------------------------
@@ -266,7 +332,7 @@ def _pfd(graph: Graph, cache: NeighborhoodCache) -> tuple[list[Graph], list[tupl
 
 def _factor_through_quotient(
     graph: Graph, cache: NeighborhoodCache
-) -> tuple[list[Graph], list[tuple[int, ...]]]:
+) -> tuple[list[Masks], list[tuple[int, ...]]]:
     """Prime factors and coordinates of a graph that is not thin, read off
     the prime factors of its thin quotient and its class sizes s.
 
@@ -282,10 +348,11 @@ def _factor_through_quotient(
     restriction over its gcd is a prime blow-up: a gcd of 1 leaves it no
     K_p and no coarser grouping splits it.  The gcd of s is what is left.
     Twins are interchangeable, so the members of a class get their digits
-    in mixed radix by their rank in the class.
+    in mixed radix by their rank in the class.  The factors come back as
+    closed masks, as ``_pfd``'s; the blow-ups are built as graphs.
     """
     q = quotient(graph)
-    factors, rows = _pfd(q.quotient, cache)
+    factors, rows = _pfd(q.quotient.closed_masks, cache)
     sizes = [len(members) for members in q.class_members]
     at = {row: x for x, row in enumerate(rows)}
     base = rows[0]
@@ -308,7 +375,7 @@ def _factor_through_quotient(
     for g in dict.fromkeys(label):
         members = [i for i in range(k) if label[i] == g]
         outside = [i for i in range(k) if label[i] != g]
-        core, cells = strong_product([factors[i] for i in members])
+        core, cells = strong_product([Graph.from_closed_masks(factors[i]) for i in members])
         weights = [0] * core.vertex_count
         for row, s in zip(rows, sizes):
             if all(row[i] == base[i] for i in outside):
@@ -316,7 +383,7 @@ def _factor_through_quotient(
         common = math.gcd(*weights)
         weights = [w // common for w in weights]
         starts = [0, *accumulate(weights)]
-        blown.append(_blow_up(core, starts))
+        blown.append(_blow_up(core, starts).closed_masks)
         groups.append((members, cells, weights, starts))
     primes = []
     rest = math.gcd(*sizes)
@@ -324,7 +391,7 @@ def _factor_through_quotient(
         primes.append(_least_prime_factor(rest))
         rest //= primes[-1]
     if len(blown) + len(primes) == 1:
-        return [graph], [(v,) for v in range(graph.vertex_count)]
+        return [graph.closed_masks], [(v,) for v in range(graph.vertex_count)]
     coords = []
     for v, x in enumerate(q.class_map):
         rank = q.class_members[x].index(v)
@@ -337,7 +404,7 @@ def _factor_through_quotient(
             rank, digit = divmod(rank, p)
             row.append(digit)
         coords.append(tuple(row))
-    return blown + [complete_graph(p) for p in primes], coords
+    return blown + [((1 << p) - 1,) * p for p in primes], coords
 
 
 def _blow_up(core: Graph, starts: list[int]) -> Graph:
@@ -374,7 +441,7 @@ def _down_sets(masks: Sequence[int]) -> Iterator[int]:
         yield mu & ~outside
 
 
-def _split_via_containment(graph: Graph):
+def _split_via_containment(masks: Masks):
     """Candidate fibers from the closed-neighborhood containment order.
 
     In a thin product with a universal vertex, the down-set D(u) of
@@ -386,8 +453,8 @@ def _split_via_containment(graph: Graph):
     ``_try_extension`` is exhaustive, so a pair fails in both orders or in
     neither; the retry of a failed pair changes no result.
     """
-    n = graph.vertex_count
-    down = list(_down_sets(graph.closed_masks))
+    n = len(masks)
+    down = list(_down_sets(masks))
     sizes = [d.bit_count() for d in down]
     for p1, s1 in zip(down, sizes):
         if s1 < 2 or n % s1:
@@ -398,7 +465,7 @@ def _split_via_containment(graph: Graph):
             if s2 < 2 or s1 * s2 != n or not inter or inter & inter - 1:
                 continue
             fa, fb = list(mask_bits(p2)), list(mask_bits(p1))
-            phi = _try_extension(graph, fa, fb, inter.bit_length() - 1)
+            phi = _try_extension(masks, fa, fb, inter.bit_length() - 1)
             if phi is not None:
                 return fa, fb, phi
     return None
@@ -549,7 +616,7 @@ def _split_grown(graph: Graph, cache: NeighborhoodCache):
             for fb in cands_b:
                 if len(fa) * len(fb) != n or fa & fb != {anchor}:
                     continue
-                phi = _try_extension(graph, sorted(fa), sorted(fb), anchor)
+                phi = _try_extension(graph.closed_masks, sorted(fa), sorted(fb), anchor)
                 if phi is not None:
                     return sorted(fa), sorted(fb), phi
     return None
@@ -583,17 +650,16 @@ def _induced_bfs(v0: int, members: int, masks: tuple[int, ...]):
     return dist, parent
 
 
-def _try_extension(graph: Graph, fa: list[int], fb: list[int], v0: int):
-    """Try to realize the graph as <fa> box <fb> with both fibers through v0.
+def _try_extension(masks: Masks, fa: list[int], fb: list[int], v0: int):
+    """Try to realize the graph with closed masks ``masks`` as <fa> box <fb>
+    with both fibers through v0.
 
     Returns the complete pair-to-vertex bijection or None.  The fibers must
     meet in v0 alone.  Adjacency and non-adjacency against every previously
     placed pair are enforced at each step, so a completed map is an
     isomorphism by construction.  The fibers, the placed image and each
-    pair's placed neighbors are vertex masks, read against the graph's
-    closed masks.
+    pair's placed neighbors are vertex masks, read against ``masks``.
     """
-    masks = graph.closed_masks
     ma, mb = sum(1 << a for a in fa), sum(1 << b for b in fb)
     da, parent_a = _induced_bfs(v0, ma, masks)
     if da is None:
@@ -661,13 +727,14 @@ class FactoredQuotient:
     coordinate row and its closed masks, the memo key the entry is stored
     under.
 
-    The quotient graph and its factorization are dropped once the rows are
-    read off, and the prime count and the Cartesian edges are read off the
-    two fields.  No entry keeps an edge list until it is first lifted: an
-    edge is Cartesian exactly when its ends' rows differ in one coordinate,
-    so ``cartesian`` walks the quotient's edges off the masks once and
-    keeps the result.  A prime quotient's rows are (v,), so every one of its
-    edges is Cartesian with index 0.
+    The factors of the quotient are dropped once the rows are read off, and
+    the prime count and the Cartesian edges are read off the two fields.
+    No entry keeps an edge list until it is first lifted: an edge is
+    Cartesian exactly when its ends' rows differ in one coordinate, so
+    ``cartesian`` reads each vertex's partners off the masks and the masks
+    of the vertices sharing a coordinate value, once, and keeps the result.
+    A prime quotient's rows are (v,), so every one of its edges is
+    Cartesian with index 0.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -680,21 +747,41 @@ class FactoredQuotient:
     @cached_property
     def cartesian(self) -> tuple[tuple[int, int, int], ...]:
         """The Cartesian edges as (qa, qb, factor index), qa < qb, in
-        ascending order."""
+        ascending order.
+
+        The rows are distinct, so qa's partners in coordinate i are its
+        later neighbors that agree with it in every other coordinate:
+        masks[qa] & ⋂_{j≠i} same_j[row(qa)_j], where same_j[x] is the mask
+        of the vertices whose coordinate j is x.
+        """
         rows = self.rows
+        same: list[dict[int, int]] = [{} for _ in rows[0]]
+        for q, row in enumerate(rows):
+            for values, x in zip(same, row):
+                values[x] = values.get(x, 0) | 1 << q
         found = []
-        for qa, m in enumerate(self.masks):
-            ra = rows[qa]
-            # qa's later neighbors, lowest first; on these small masks the
-            # bit loop costs less than a ``mask_bits`` call per vertex
+        for qa, (m, row) in enumerate(zip(self.masks, rows)):
             later = m >> qa + 1 << qa + 1
-            while later:
-                low = later & -later
-                later ^= low
-                qb = low.bit_length() - 1
-                changed = [i for i, (x, y) in enumerate(zip(ra, rows[qb])) if x != y]
-                if len(changed) == 1:
-                    found.append((qa, qb, changed[0]))
+            if not later:
+                continue
+            agree = [values[x] for values, x in zip(same, row)]
+            near, union = [], 0
+            for i in range(len(agree)):
+                part = later
+                for j, mask in enumerate(agree):
+                    if j != i:
+                        part &= mask
+                near.append(part)
+                union |= part
+            # the partners ascend, each in the one near[i] of its coordinate;
+            # on these small masks the bit loop costs less than ``mask_bits``
+            while union:
+                low = union & -union
+                union ^= low
+                i = 0
+                while not near[i] & low:
+                    i += 1
+                found.append((qa, low.bit_length() - 1, i))
         return tuple(found)
 
 
@@ -730,11 +817,11 @@ class NeighborhoodCache:
     A miss whose quotient is of prime order, or has a universal vertex and
     no two down-sets whose sizes multiply to its order, writes identity
     rows decided on the masks alone, with no graph, split search or product
-    check (``_prime_on_masks``); any other miss builds and factors the
-    quotient, whose graph and factorization die with it.  No entry keeps an
-    edge list until it is first lifted.  On bounded-degree products most
-    neighborhoods have labelled-equal quotients, so each distinct one is
-    built and factored once, and a hit builds no graph at all.  The memo is
+    check (``_prime_on_masks``); any other miss hands its masks to
+    ``_factor_verified`` with no quotient graph, and keeps only the rows.  No
+    entry keeps an edge list until it is first lifted.  On bounded-degree
+    products most neighborhoods have labelled-equal quotients, so each
+    distinct one is factored once, and a hit factors nothing.  The memo is
     shared by every cache that ``on`` opens from this one, on the graphs of
     the split searches below it, so within one public call each labelled
     quotient is factored once: the key fixes the quotient, its
@@ -798,7 +885,7 @@ class NeighborhoodCache:
             if _prime_on_masks(masks):
                 rows = [(q,) for q in range(len(masks))]
             else:
-                _, rows = _factor_verified(quotient_graph(masks), self)
+                _, rows = _factor_verified(masks, self)
             entry = self.quotients[masks] = FactoredQuotient(tuple(rows), masks)
         return members, classes, class_map, entry
 

@@ -28,7 +28,7 @@ from .coloring import (
     color_fibers_from,
     require_anchor,
 )
-from .factorize import FactorSizeError, LocalFactorization, ordered_factorization
+from .factorize import FactorSizeError, LocalFactorization, ordered_factorization, require_size_cap
 from .io import graph_to_dict
 from .isomorphism import is_isomorphic
 from .sclasses import backbone, require_thin_connected
@@ -110,7 +110,10 @@ def verify_product(
 
 
 def recognize(graph: Graph, size_cap: int | None = None) -> RecognitionReport:
-    """Decide local unrefinedness, extract factors, verify the product."""
+    """Decide local unrefinedness, extract factors, verify the product.
+
+    ``size_cap`` must be None or an ``int`` (GraphError)."""
+    require_size_cap(size_cap)
     require_thin_connected(graph, "recognition")
     cache = NeighborhoodCache(graph, size_cap)
     try:
@@ -193,7 +196,8 @@ def pfd_fast(
 
     The anchor defaults to the smallest backbone vertex; any other anchor
     must be an ``int`` vertex id on the backbone too, so a float or a bool
-    equal to one is refused (GraphError).  The caller asserts local
+    equal to one is refused (GraphError), and so is a ``size_cap`` that is
+    not None or an ``int``.  The caller asserts local
     unrefinedness.  Violations that derail the anchored coloring surface as
     ColoringError; violations that keep the coloring locally coherent
     produce factors that simply fail to rebuild the graph (run
@@ -224,6 +228,7 @@ def pfd_fast(
     anchor's ball is checked against ``size_cap``, since no other ball is
     factored.
     """
+    require_size_cap(size_cap)
     require_thin_connected(graph, "recognition")
     x = backbone(graph)[0] if anchor is None else anchor
     require_anchor(x, backbone(graph))

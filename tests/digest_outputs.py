@@ -109,11 +109,10 @@ def count_repeats() -> tuple[dict[str, int], set]:
     seen: set = set()
     factor_verified = factorize._factor_verified
 
-    def counted(graph, cache):
-        key = graph.closed_masks
-        counter["repeats"] += key in seen
-        seen.add(key)
-        return factor_verified(graph, cache)
+    def counted(masks, cache):
+        counter["repeats"] += masks in seen
+        seen.add(masks)
+        return factor_verified(masks, cache)
 
     factorize._factor_verified = counted
     return counter, seen

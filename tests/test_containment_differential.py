@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from strongpfd import (
     ColoringError,
+    Graph,
     GraphError,
     NeighborhoodCache,
     factor_exact,
@@ -35,11 +36,12 @@ def test_route_one_matches_its_frozen_form(monkeypatch):
     outcomes = {"found": 0, "none": 0}
     quotients: set[tuple[int, ...]] = set()
 
-    def compared(graph):
-        found = split(graph)
-        assert found == legacy_containment.legacy_split_via_containment(graph), graph.closed_masks
+    def compared(masks):
+        found = split(masks)
+        graph = Graph.from_closed_masks(masks)
+        assert found == legacy_containment.legacy_split_via_containment(graph), masks
         outcomes["found" if found is not None else "none"] += 1
-        quotients.add(graph.closed_masks)
+        quotients.add(masks)
         return found
 
     def recorded(self, center, radius):

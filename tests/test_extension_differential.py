@@ -43,8 +43,9 @@ def test_extension_matches_its_frozen_form(monkeypatch):
     extend = factorize._try_extension
     outcomes = {"found": 0, "none": 0}
 
-    def compared(graph, fa, fb, v0):
-        phi = extend(graph, fa, fb, v0)
+    def compared(masks, fa, fb, v0):
+        phi = extend(masks, fa, fb, v0)
+        graph = Graph.from_closed_masks(masks)
         assert phi == legacy_extension.legacy_try_extension(graph, fa, fb, v0), (fa, fb, v0)
         outcomes["found" if phi is not None else "none"] += 1
         return phi

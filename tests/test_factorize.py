@@ -67,6 +67,36 @@ def test_trivial_graph_has_no_factors():
     assert result.coords.coords == ((),)
 
 
+def test_a_prime_order_is_returned_before_masks_or_a_cache(monkeypatch):
+    # a graph of prime order is prime, thin or not, so the door returns it
+    # as its one factor with identity coordinates and builds nothing
+    masks = vars(Graph)["closed_masks"]
+    opened = []
+    inputs = [cycle_graph(7), path_graph(5), complete_graph(2), complete_graph(3)]
+    inputs += [random_thin_graph(n, 0.5, seed) for seed, n in enumerate((11, 13))]
+
+    def guarded(self):
+        if any(self is graph for graph in inputs):
+            raise AssertionError("the input's closed_masks were built")
+        return masks.func(self)
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return NeighborhoodCache(*args, **kwargs)
+
+    prop = cached_property(guarded)
+    prop.__set_name__(Graph, "closed_masks")
+    monkeypatch.setattr(Graph, "closed_masks", prop)
+    monkeypatch.setattr(factorize, "NeighborhoodCache", counted)
+    for graph in inputs:
+        result = factor_exact(graph)
+        assert result.factors[0] is graph and len(result.factors) == 1
+        assert result.coords.coords == tuple((v,) for v in graph.vertices())
+    assert opened == []
+    # one vertex keeps its empty factor list
+    assert factor_exact(Graph(1)).factors == ()
+
+
 def test_size_cap_and_disconnected_errors():
     with pytest.raises(FactorSizeError):
         factor_exact(path_graph(30), size_cap=24)
@@ -241,16 +271,21 @@ def count_calls(monkeypatch: pytest.MonkeyPatch, name: str) -> list[int]:
 
 def test_factor_exact_orders_only_several_factors(monkeypatch):
     forms = count_calls(monkeypatch, "canonical_form")
-    checks = count_calls(monkeypatch, "rebuilds_strong_product")
+    checks = count_calls(monkeypatch, "_product_check")
     verified = count_calls(monkeypatch, "_factor_verified")
+    # a prime order returns at the door, with no split search and no check
+    assert factorize.factor_exact(cycle_graph(7)).prime_count == 1
+    assert checks[0] == verified[0] == 0
     # composite orders factor neighborhood quotients through the verified
     # core again, but for those decided prime on their masks, as the P3
     # balls of C9 and P12 are; the inner balls of P4 x P3 are P3 x P3, which
     # are not.  Each factorization is verified once, by one product check
-    for prime in (cycle_graph(7), cycle_graph(9), path_graph(12), Graph(1)):
+    for prime in (cycle_graph(9), path_graph(12), Graph(1)):
         result = factorize.factor_exact(prime)
         assert result.prime_count == (prime.vertex_count > 1)
-    assert factorize.factor_exact(strong_product([path_graph(4), path_graph(3)])[0]).prime_count == 2
+    # P4 x P3 is split by route 2, K1,3 x P3, with a universal vertex, by route 1
+    for first in (path_graph(4), Graph(4, [(0, 1), (0, 2), (0, 3)])):
+        assert factorize.factor_exact(strong_product([first, path_graph(3)])[0]).prime_count == 2
     assert forms[0] == 0
     assert checks[0] == verified[0] > 5
     # two factors that tie on vertex count, edge count and degree sequence

@@ -222,11 +222,13 @@ def top_level_callers(source: str, name: str) -> list[str]:
 def test_only_the_neighborhood_cache_builds_quotients():
     # every region's quotient is read, capped, memoized and factored in one
     # place; the whole-graph quotient is the only other reader of the
-    # relative classes, and the only builder of a QuotientResult
+    # relative classes, and the only builder of a QuotientResult; a memo
+    # miss factors its quotient on the masks, and only route 2 and a graph
+    # that is not thin build a quotient graph, inside the exact factorizer
     cache = ("factorize.py", "NeighborhoodCache")
     expected = {
         "relative_quotient": {cache, ("sclasses.py", "quotient")},
-        "quotient_graph": {cache, ("sclasses.py", "quotient")},
+        "quotient_graph": {("factorize.py", "_pfd"), ("sclasses.py", "quotient")},
         "QuotientResult": {("sclasses.py", "quotient")},
     }
     for target, owners in expected.items():

@@ -88,8 +88,8 @@ def test_a_prime_verdict_on_the_masks_is_the_full_path_verdict():
             verdicts["one vertex" if n == 1 else "full path"] += 1
             continue
         graph = quotient_graph(masks)
-        factors, rows = factorize._factor_verified(graph, NeighborhoodCache(graph))
-        assert factors == [graph] and rows == [(q,) for q in range(n)], (masks, radii)
+        factors, rows = factorize._factor_verified(masks, NeighborhoodCache(graph))
+        assert factors == [masks] and rows == [(q,) for q in range(n)], (masks, radii)
         prime_order = factorize._least_prime_factor(n) == n
         verdicts["order" if prime_order else "down-sets"] += 1
     # both kinds of prime verdict occur, and n = 1 keeps the full path, whose

@@ -278,12 +278,11 @@ def record_repeats(monkeypatch: pytest.MonkeyPatch) -> tuple[set, list]:
     repeats: list = []
     factor_verified = factorize._factor_verified
 
-    def recorded(graph, cache):
-        key = graph.closed_masks
-        if key in seen:
-            repeats.append(key)
-        seen.add(key)
-        return factor_verified(graph, cache)
+    def recorded(masks, cache):
+        if masks in seen:
+            repeats.append(masks)
+        seen.add(masks)
+        return factor_verified(masks, cache)
 
     monkeypatch.setattr(factorize, "_factor_verified", recorded)
     return seen, repeats

@@ -194,6 +194,20 @@ def test_the_cache_brings_the_size_cap_to_every_entry_point():
     assert report.diagnostics[0] == message
 
 
+@pytest.mark.parametrize("cap", ["9", True, False, 9.0])
+def test_every_door_refuses_a_size_cap_that_is_not_an_int(cap):
+    # a string cap used to raise a raw TypeError and True to act as a cap of 1
+    from strongpfd import GraphError, factor_exact, pfd_fast, recognize
+
+    graph, _ = strong_product([path_graph(4), path_graph(3)])
+    for door in (pfd_fast, recognize, factor_exact):
+        with pytest.raises(GraphError, match=f"^size cap {cap!r} is not None or an int$"):
+            door(graph, size_cap=cap)
+    # an int cap behaves as before
+    assert pfd_fast(graph, size_cap=9).prime_count == factor_exact(graph, size_cap=12).prime_count == 2
+    assert recognize(graph, size_cap=9).in_upsilon
+
+
 def test_n2_sweep_respects_size_cap():
     from strongpfd import FactorSizeError, n2_sweep
 
