@@ -20,16 +20,18 @@ two routes:
    order, which the memo's prime verdict reads too;
 2. the others: the anchor's neighborhood is factored and its local factor
    boxes are grown into fiber candidates along the backbone.  This route
-   walks a graph, built off the masks.
+   takes masks too, and builds the one graph its ball cache and backbone
+   read.
 
 A graph that is not thin is factored through its thin quotient G/S.  In
 A ⊠ B, N[(a, b)] = N[a] × N[b], so the classes of a product are products
 of classes, G/S = A/S ⊠ B/S and class sizes multiply.  The quotient's
 prime factors are grouped as finely as the class sizes allow, each group's
 product is blown up by its share of the sizes, and what is left of the
-sizes is one complete prime factor per prime; this route builds the
-quotient and the blow-ups as graphs.  All routes are exact; the size cap
-only bounds running time.
+sizes is one complete prime factor per prime.  This route builds no graph:
+the classes and the quotient's masks come from ``sclasses.classes_of``,
+the one class routine, and each blow-up is written as masks.  All routes
+are exact; the size cap only bounds running time.
 
 ``NeighborhoodCache`` owns neighborhood factoring for one graph: its
 ``factor_ball`` is the one path from a ball around a vertex to a factored
@@ -37,8 +39,8 @@ quotient.  The classes of the ball and the key of its quotient come from
 ``sclasses.relative_quotient`` in the ball's own positions, the size cap is
 checked on the quotient, and the quotient is factored on its masks only
 when the memo has no entry under that key and the masks do not decide it
-prime; no subgraph of the host is built, and a quotient graph only where
-route 2 runs.  The
+prime; no subgraph of the host is built, and a graph of the quotient only
+where route 2 runs.  The
 1-neighborhoods of the coloring stages, the 2-neighborhoods of the N2
 sweep and the split search of route 2 all take this path.  The memo
 serves one public call: ``recognize``, ``pfd_fast`` and ``factor_exact``
@@ -93,8 +95,8 @@ from .graph import (
     mask_bits,
 )
 from .isomorphism import canonical_form
-from .products import Coordinatization, strong_product
-from .sclasses import NotThinError, backbone, is_thin, quotient, quotient_graph, relative_quotient
+from .products import Coordinatization
+from .sclasses import NotThinError, backbone, classes_of, is_thin, relative_quotient
 
 DEFAULT_SIZE_CAP = 24
 
@@ -262,12 +264,12 @@ def _factor_verified(
     with closed masks ``masks``, in the order they were found, and each
     vertex's coordinate row, verified against ``masks``.
 
-    No public result type is built, and a graph only for route 2 or for a
-    graph that is not thin (see ``_pfd``): a memo miss reads the rows as
-    they are, and ``factor_exact`` checks its input, builds the factor
-    graphs and orders the result.  The product check reads the edges and
-    closed-neighborhood sizes off the masks.  ``cache`` is the enclosing
-    cache, whose quotient memo every split search below shares."""
+    No public result type is built, and a graph only for route 2 (see
+    ``_pfd``): a memo miss reads the rows as they are, and ``factor_exact``
+    checks its input, builds the factor graphs and orders the result.  The
+    product check reads the edges and closed-neighborhood sizes off the
+    masks.  ``cache`` is the enclosing cache, whose quotient memo every
+    split search below shares."""
     factors, rows = _pfd(masks, cache)
     edges = []
     for u, m in enumerate(masks):
@@ -290,21 +292,21 @@ def _pfd(masks: Masks, cache: NeighborhoodCache) -> tuple[list[Masks], list[tupl
     """Prime factors, as closed masks, and coordinates, split by split.
 
     The order test comes first, since a graph of prime order is prime, thin
-    or not.  A graph that is not thin goes through its quotient, and a thin
-    one without a universal vertex through route 2; only these two build a
-    graph, off the masks.  A split recurses on each fiber's masks,
-    renumbered by rank (``_fiber``)."""
+    or not.  A graph that is not thin goes through its quotient, a thin one
+    with a universal vertex through route 1 and the others through route 2;
+    all three take the masks, and none but route 2 builds a graph.  A split
+    recurses on each fiber's masks, renumbered by rank (``_fiber``)."""
     n = len(masks)
     if n == 1:
         return [], [()]
     split = None
     if _least_prime_factor(n) < n:
         if len(set(masks)) < n:
-            return _factor_through_quotient(quotient_graph(masks), cache)
+            return _factor_through_quotient(masks, cache)
         if (1 << n) - 1 in masks:
             split = _split_via_containment(masks)
         else:
-            split = _split_grown(quotient_graph(masks), cache)
+            split = _split_grown(masks, cache)
     if split is None:
         return [masks], [(v,) for v in range(n)]
     fa, fb, phi = split
@@ -331,10 +333,11 @@ def _fiber(masks: Masks, members: list[int]) -> tuple[Masks, dict[int, int]]:
 
 
 def _factor_through_quotient(
-    graph: Graph, cache: NeighborhoodCache
+    masks: Masks, cache: NeighborhoodCache
 ) -> tuple[list[Masks], list[tuple[int, ...]]]:
-    """Prime factors and coordinates of a graph that is not thin, read off
-    the prime factors of its thin quotient and its class sizes s.
+    """Prime factors and coordinates of the graph with closed masks
+    ``masks``, which is not thin, read off the prime factors of its thin
+    quotient and its class sizes s.
 
     If G = A ⊠ B, then G/S = A/S ⊠ B/S and s is the product of the factors'
     size functions.  So each prime factor of G is a group of the quotient's
@@ -348,12 +351,17 @@ def _factor_through_quotient(
     restriction over its gcd is a prime blow-up: a gcd of 1 leaves it no
     K_p and no coarser grouping splits it.  The gcd of s is what is left.
     Twins are interchangeable, so the members of a class get their digits
-    in mixed radix by their rank in the class.  The factors come back as
-    closed masks, as ``_pfd``'s; the blow-ups are built as graphs.
+    in mixed radix by their rank in the class.
+
+    No graph is built.  The classes and the quotient's masks come from
+    ``classes_of``.  A group's product has its cells in row-major order,
+    and its blow-up is written as masks: cell y is a block of weights[y]
+    vertices, and each of them has the union of the blocks of y's product
+    neighbors as its mask.
     """
-    q = quotient(graph)
-    factors, rows = _pfd(q.quotient.closed_masks, cache)
-    sizes = [len(members) for members in q.class_members]
+    classes, class_map, quotient = classes_of(masks)
+    factors, rows = _pfd(quotient, cache)
+    sizes = [len(members) for members in classes]
     at = {row: x for x, row in enumerate(rows)}
     base = rows[0]
 
@@ -373,51 +381,45 @@ def _factor_through_quotient(
             label = [label[i] if g == old else g for g in label]
     blown, groups = [], []
     for g in dict.fromkeys(label):
+        # each quotient vertex's cell in the group's product, in row-major
+        # order (the group's first coordinate slowest), and each cell's
+        # closed mask there
         members = [i for i in range(k) if label[i] == g]
-        outside = [i for i in range(k) if label[i] != g]
-        core, cells = strong_product([Graph.from_closed_masks(factors[i]) for i in members])
-        weights = [0] * core.vertex_count
-        for row, s in zip(rows, sizes):
-            if all(row[i] == base[i] for i in outside):
-                weights[cells.vertex_at(tuple(row[i] for i in members))] = s
+        cell, core = [0] * len(rows), (1,)
+        for i in members:
+            f = factors[i]
+            cell = [y * len(f) + row[i] for y, row in zip(cell, rows)]
+            core = tuple(sum(fx << z * len(f) for z in mask_bits(cy)) for cy in core for fx in f)
+        weights = [0] * len(core)
+        for y, row, s in zip(cell, rows, sizes):
+            if all(row[i] == base[i] for i in range(k) if i not in members):
+                weights[y] = s
         common = math.gcd(*weights)
         weights = [w // common for w in weights]
         starts = [0, *accumulate(weights)]
-        blown.append(_blow_up(core, starts).closed_masks)
-        groups.append((members, cells, weights, starts))
+        blocks = [(1 << w) - 1 << a for w, a in zip(weights, starts)]
+        near = [sum(blocks[z] for z in mask_bits(cy)) for cy in core]
+        blown.append(tuple(m for m, w in zip(near, weights) for _ in range(w)))
+        groups.append((cell, weights, starts))
     primes = []
     rest = math.gcd(*sizes)
     while rest > 1:
         primes.append(_least_prime_factor(rest))
         rest //= primes[-1]
     if len(blown) + len(primes) == 1:
-        return [graph.closed_masks], [(v,) for v in range(graph.vertex_count)]
+        return [masks], [(v,) for v in range(len(masks))]
     coords = []
-    for v, x in enumerate(q.class_map):
-        rank = q.class_members[x].index(v)
+    for v, x in enumerate(class_map):
+        rank = classes[x].index(v)
         row = []
-        for members, cells, weights, starts in groups:
-            y = cells.vertex_at(tuple(rows[x][i] for i in members))
-            rank, digit = divmod(rank, weights[y])
-            row.append(starts[y] + digit)
+        for cell, weights, starts in groups:
+            rank, digit = divmod(rank, weights[cell[x]])
+            row.append(starts[cell[x]] + digit)
         for p in primes:
             rank, digit = divmod(rank, p)
             row.append(digit)
         coords.append(tuple(row))
     return blown + [((1 << p) - 1,) * p for p in primes], coords
-
-
-def _blow_up(core: Graph, starts: list[int]) -> Graph:
-    """``core`` with each vertex y replaced by a clique on the vertices
-    starts[y] to starts[y + 1] - 1, and each edge by all edges between its
-    ends' cliques."""
-    if starts[-1] == core.vertex_count:
-        return core
-    blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
-    edges = [e for block in blocks for e in combinations(block, 2)]
-    for y, z in core.edges():
-        edges.extend(product(blocks[y], blocks[z]))
-    return Graph(starts[-1], edges)
 
 
 # -- candidate route 1: thin graphs with a universal vertex ------------------
@@ -517,7 +519,7 @@ def _box(coords: dict[int, tuple[int, ...]], center: int, inside: frozenset[int]
 
 
 def _grow_fiber_candidates(
-    graph: Graph,
+    n: int,
     seed: frozenset[int],
     cross_box_size: int,
     backbone_set: frozenset[int],
@@ -531,11 +533,11 @@ def _grow_fiber_candidates(
     from already-known members, with branching over the directions that
     remain ambiguous.  The box complementary to a valid choice must
     have the same size as the seed's complementary box, which prunes almost
-    every wrong branch.
+    every wrong branch, and a candidate holds at most half of the host's
+    ``n`` vertices.
     """
     results: set[frozenset[int]] = set()
     seen_states: set[tuple[frozenset[int], tuple[int, ...]]] = set()
-    n = graph.vertex_count
     # depth first over (current, pending) states, children in pick order;
     # one expansion per backbone vertex of a fiber, so no call stack
     stack = [(seed, tuple(sorted(seed & backbone_set)))]
@@ -572,22 +574,24 @@ def _grow_fiber_candidates(
     return sorted(results, key=lambda s: (len(s), sorted(s)))
 
 
-def _split_grown(graph: Graph, cache: NeighborhoodCache):
+def _split_grown(masks: Masks, cache: NeighborhoodCache):
     """Split search for thin graphs without a universal vertex.
 
     The anchor neighborhood is factored; every bipartition of its local
     factors seeds a pair of boxes through the anchor, which are grown into
     full fiber candidates along the backbone and verified by extension.
-    The balls are factored through a cache on ``graph`` that ``cache``, the
-    enclosing one, opens: it shares the quotient memo of the whole public
-    call, so a quotient the caller or an earlier split already factored is
-    a hit.  Each neighborhood is read once off its factored ball as the
-    local coordinate row of every member, by host id; the members of a
-    class share theirs.
+    The anchor, a vertex of largest closed neighborhood, is read off the
+    masks, as the extension reads them.  The one graph built, off the
+    masks, serves the backbone and the cache on it that ``cache``, the
+    enclosing one, opens to factor the balls: it shares the quotient memo
+    of the whole public call, so a quotient the caller or an earlier split
+    already factored is a hit.  Each neighborhood is read once off its
+    factored ball as the local coordinate row of every member, by host id;
+    the members of a class share theirs.
     """
-    n = graph.vertex_count
-    degs = [graph.degree(v) for v in range(n)]
-    anchor = max(range(n), key=lambda v: (degs[v], -v))
+    n = len(masks)
+    anchor = max(range(n), key=lambda v: (masks[v].bit_count(), -v))
+    graph = Graph.from_closed_masks(masks)
     balls = cache.on(graph)
     local: dict[int, dict[int, tuple[int, ...]]] = {}
 
@@ -608,15 +612,15 @@ def _split_grown(graph: Graph, cache: NeighborhoodCache):
         side = frozenset(i for i in range(m) if pick >> i & 1)
         seed_a = _box(around, anchor, side)
         seed_b = _box(around, anchor, all_dirs - side)
-        cands_a = _grow_fiber_candidates(graph, seed_a, len(seed_b), backbone_set, neighborhood)
-        cands_b = _grow_fiber_candidates(graph, seed_b, len(seed_a), backbone_set, neighborhood)
+        cands_a = _grow_fiber_candidates(n, seed_a, len(seed_b), backbone_set, neighborhood)
+        cands_b = _grow_fiber_candidates(n, seed_b, len(seed_a), backbone_set, neighborhood)
         for fa in cands_a:
             if n % len(fa):
                 continue
             for fb in cands_b:
                 if len(fa) * len(fb) != n or fa & fb != {anchor}:
                     continue
-                phi = _try_extension(graph.closed_masks, sorted(fa), sorted(fb), anchor)
+                phi = _try_extension(masks, sorted(fa), sorted(fb), anchor)
                 if phi is not None:
                     return sorted(fa), sorted(fb), phi
     return None
@@ -907,7 +911,8 @@ def factor_neighborhood(
     """
     if not is_thin(cache.graph):
         raise NotThinError("neighborhood factorization requires a thin host graph")
-    staged = cache.balls.pop(v, None) if radius == 1 else None
+    # a radius of 1.0 or True takes no staged ball: n_neighborhood refuses it
+    staged = cache.balls.pop(v, None) if radius == 1 and type(radius) is int else None
     members, classes, _, entry = staged or cache.factor_ball(v, radius)
     single = [members[cls[0]] if len(cls) == 1 else None for cls in classes]
     lifted = {}

@@ -53,16 +53,21 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
-        if n < 0:
-            raise GraphError(f"vertex count must be nonnegative, got {n}")
+        if type(n) is not int or n < 0:
+            raise GraphError(f"vertex count must be a nonnegative int, got {n!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+        try:
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise GraphError(f"self-loop at vertex {u}")
+                adj[u].add(v)
+                adj[v].add(u)
+        except TypeError as exc:
+            # a vertex id that is not an int fails the range test or the
+            # index, so valid input pays no per-edge type check
+            raise GraphError(f"an edge is not a pair of int vertex ids: {exc}") from exc
         self._n = n
         self._adj = tuple(frozenset(s) for s in adj)
         self._sorted = tuple(tuple(sorted(s)) for s in adj)
@@ -191,8 +196,8 @@ class Graph:
     def n_neighborhood(self, v: int, radius: int) -> VertexSet:
         """All vertices at distance at most ``radius`` from v, ascending."""
         self._check_vertex(v)
-        if radius < 0:
-            raise GraphError(f"radius must be nonnegative, got {radius}")
+        if type(radius) is not int or radius < 0:
+            raise GraphError(f"radius must be a nonnegative int, got {radius!r}")
         seen = {v}
         frontier = (v,)
         for _ in range(radius):

@@ -8,14 +8,15 @@ graphs it induces a connected dominating set.  Thinness and the backbone
 are read off the ``Graph``, which finds both in one pass over its
 adjacency sets, so neither builds the host's n-bit closed masks.
 
-``relative_quotient`` is the one quotient routine: it splits a vertex set
-into its relative classes by keys in the set's own positions, read once off
-each member's adjacency set, and returns the quotient's own closed masks,
-which fix the quotient as a labelled graph, without building any graph.  No
-key is wider than the set, whatever the host's size.  ``quotient`` is that
-routine over all vertices and the one public door to the classes;
-``quotient_graph`` builds the graph's rows straight from the masks, which
-it keeps as the graph's ``closed_masks``.
+``classes_of`` is the one class routine: it splits vertices into classes by
+their keys and returns the quotient's own closed masks, which fix the
+quotient as a labelled graph, without building any graph.
+``relative_quotient`` reads a vertex set's keys in the set's own positions,
+once off each member's adjacency set, and passes them on, so no key is
+wider than the set, whatever the host's size; the exact factorizer passes
+a graph's closed masks.  ``quotient`` is ``relative_quotient`` over all
+vertices and the one public door to the classes, whose quotient graph is
+built straight off the masks.
 
 ``require_thin_connected`` is the one validity gate of the pipeline, whose
 backbone is defined only on nonempty, connected, thin graphs; both facts are
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Sequence
 
 from .graph import DisconnectedError, Graph, GraphError, VertexSet
 
@@ -55,17 +57,32 @@ def relative_quotient(
     coincides.  Returns (classes, class_map, masks): the classes as
     ascending positions in ``members``, numbered by their least position;
     each position's class; and the quotient's ``closed_masks``, which fix
-    the quotient as a labelled graph.  No graph is built, and the members,
-    which must be vertex ids of ``graph``, are not checked.
+    the quotient as a labelled graph, from ``classes_of``.  No graph is
+    built, and the members, which must be vertex ids of ``graph``, are not
+    checked.
+    """
+    bits = {v: 1 << pos for pos, v in enumerate(members)}
+    bit_of, zeros, rows = bits.get, repeat(0), graph.adjacency_sets
+    return classes_of([sum(map(bit_of, rows[v], zeros), bit) for v, bit in bits.items()])
+
+
+def classes_of(
+    keys: Sequence[int],
+) -> tuple[tuple[VertexSet, ...], tuple[int, ...], tuple[int, ...]]:
+    """The classes of the graph with closed masks ``keys``, the one class
+    routine: vertices share a class when their keys coincide.
+
+    Returns (classes, class_map, masks) as ``relative_quotient`` does: the
+    classes as ascending positions, numbered by their least position; each
+    position's class; and the quotient's closed masks.  The keys of a
+    vertex set in its own positions are the closed masks of the subgraph
+    it induces.
 
     When the keys are pairwise distinct, as on every 1-ball of a thin
     bounded-degree host, each class is a singleton numbered by its
     position and the keys are the masks, so they are returned at once,
     with no class loop; the loop would return exactly the same.
     """
-    bits = {v: 1 << pos for pos, v in enumerate(members)}
-    bit_of, zeros, rows = bits.get, repeat(0), graph.adjacency_sets
-    keys = [sum(map(bit_of, rows[v], zeros), bit) for v, bit in bits.items()]
     n = len(keys)
     if len(set(keys)) == n:
         # every class is a singleton, numbered by its position, and the
@@ -97,13 +114,6 @@ def relative_quotient(
     return tuple(map(tuple, groups)), tuple(class_map), tuple(masks)
 
 
-def quotient_graph(masks: tuple[int, ...]) -> Graph:
-    """The graph whose closed neighborhoods are ``masks``, which must be
-    symmetric and hold each vertex's own bit, as ``relative_quotient``
-    returns them; ``masks`` becomes the graph's ``closed_masks``."""
-    return Graph.from_closed_masks(masks)
-
-
 def is_thin(graph: Graph) -> bool:
     """True iff no two vertices share a closed neighborhood (memoized)."""
     return graph.thin
@@ -126,7 +136,7 @@ def require_thin_connected(graph: Graph, purpose: str) -> None:
 def quotient(graph: Graph) -> QuotientResult:
     """Collapse every global class to one vertex; the result is thin."""
     classes, class_map, masks = relative_quotient(graph, tuple(graph.vertices()))
-    return QuotientResult(quotient_graph(masks), class_map, classes)
+    return QuotientResult(Graph.from_closed_masks(masks), class_map, classes)
 
 
 def backbone(graph: Graph) -> VertexSet:

@@ -162,8 +162,8 @@ def _split_grown(graph, cache):
         side = frozenset(i for i in range(m) if pick >> i & 1)
         seed_a = _box(around, anchor, side)
         seed_b = _box(around, anchor, all_dirs - side)
-        cands_a = _grow_fiber_candidates(graph, seed_a, len(seed_b), backbone_set, neighborhood)
-        cands_b = _grow_fiber_candidates(graph, seed_b, len(seed_a), backbone_set, neighborhood)
+        cands_a = _grow_fiber_candidates(n, seed_a, len(seed_b), backbone_set, neighborhood)
+        cands_b = _grow_fiber_candidates(n, seed_b, len(seed_a), backbone_set, neighborhood)
         for fa in cands_a:
             if n % len(fa):
                 continue

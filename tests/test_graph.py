@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from strongpfd import (
     Graph,
     GraphError,
+    NeighborhoodCache,
     complete_graph,
     cycle_graph,
     is_isomorphic,
     path_graph,
     strong_product,
 )
-from strongpfd.sclasses import quotient_graph
+from strongpfd.factorize import factor_neighborhood
 
 
 def test_rejects_self_loops_and_bad_ids():
@@ -25,6 +26,30 @@ def test_rejects_self_loops_and_bad_ids():
         Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         Graph(-1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(3, [(0, 1.5)]), (3, [(0, 1.0)]), (3, [(0, "1")]), (3, [5]), ("3",), (3.0,), (True,)],
+    ids=["float id", "whole float id", "string id", "not a pair", "string n", "float n", "bool n"],
+)
+def test_an_id_or_count_that_is_not_an_int_is_refused(args):
+    # these raised a raw TypeError, and True was taken as n = 1
+    with pytest.raises(GraphError):
+        Graph(*args)
+
+
+@pytest.mark.parametrize("radius", [1.5, 1.0, True, -1])
+def test_a_radius_that_is_not_a_nonnegative_int_is_refused(radius):
+    with pytest.raises(GraphError):
+        path_graph(5).n_neighborhood(1, radius)
+    # also where ``count`` already staged the 1-ball around the center
+    cache = NeighborhoodCache(strong_product([path_graph(4), path_graph(3)])[0])
+    for staged in (False, True):
+        if staged:
+            cache.count(5)
+        with pytest.raises(GraphError):
+            factor_neighborhood(cache, 5, radius)
 
 
 def test_duplicate_edges_collapse():
@@ -210,7 +235,7 @@ def test_graph_from_masks_equals_the_edge_built_graph(masks):
     n = len(masks)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1]
     built = Graph(n, edges)
-    graph = quotient_graph(masks)
+    graph = Graph.from_closed_masks(masks)
     assert graph == built
     assert list(graph.edges()) == edges
     assert graph.closed_masks is masks

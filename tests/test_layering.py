@@ -222,13 +222,16 @@ def top_level_callers(source: str, name: str) -> list[str]:
 def test_only_the_neighborhood_cache_builds_quotients():
     # every region's quotient is read, capped, memoized and factored in one
     # place; the whole-graph quotient is the only other reader of the
-    # relative classes, and the only builder of a QuotientResult; a memo
-    # miss factors its quotient on the masks, and only route 2 and a graph
-    # that is not thin build a quotient graph, inside the exact factorizer
+    # relative classes, and the only builder of a QuotientResult; the class
+    # loop is one routine, which the quotient route of the exact factorizer
+    # calls on closed masks
     cache = ("factorize.py", "NeighborhoodCache")
     expected = {
         "relative_quotient": {cache, ("sclasses.py", "quotient")},
-        "quotient_graph": {("factorize.py", "_pfd"), ("sclasses.py", "quotient")},
+        "classes_of": {
+            ("sclasses.py", "relative_quotient"),
+            ("factorize.py", "_factor_through_quotient"),
+        },
         "QuotientResult": {("sclasses.py", "quotient")},
     }
     for target, owners in expected.items():
@@ -238,6 +241,17 @@ def test_only_the_neighborhood_cache_builds_quotients():
             for owner in top_level_callers(source, target)
         }
         assert found == owners, target
+
+
+def test_the_exact_factorizer_builds_graphs_only_for_route_2_and_its_result():
+    # a memo miss, a split and a graph that is not thin are factored on
+    # closed masks: inside the exact factorizer only route 2 builds a graph,
+    # for its ball cache and backbone, and the door builds the public
+    # factors; no strong product is built, the blow-ups are written as masks
+    source = (PACKAGE / "factorize.py").read_text()
+    assert top_level_callers(source, "from_closed_masks") == ["factor_exact", "_split_grown"]
+    assert top_level_callers(source, "Graph") == []
+    assert top_level_callers(source, "strong_product") == []
 
 
 def test_only_the_ordering_helper_builds_a_result():
@@ -259,14 +273,14 @@ def test_only_the_ordering_helper_builds_a_result():
 
 def test_the_check_sees_calls_in_methods_and_through_modules():
     source = (
-        "from . import sclasses\n"
-        "from .sclasses import quotient_graph\n"
-        "class C:\n    def m(self, masks):\n        return quotient_graph(masks)\n"
-        "def f(g, members):\n    def inner():\n        return sclasses.quotient_graph(members)\n"
-        "def h(build=quotient_graph):\n    return build\n"
-        "table = {1: quotient_graph((1,))}\n"
+        "from . import graph\n"
+        "from .graph import from_closed_masks\n"
+        "class C:\n    def m(self, masks):\n        return from_closed_masks(masks)\n"
+        "def f(g, members):\n    def inner():\n        return graph.Graph.from_closed_masks(g)\n"
+        "def h(build=from_closed_masks):\n    return build\n"
+        "table = {1: from_closed_masks((1,))}\n"
     )
-    assert top_level_callers(source, "quotient_graph") == ["C", "f", "Assign"]
+    assert top_level_callers(source, "from_closed_masks") == ["C", "f", "Assign"]
 
 
 def cache_constructions(source: str) -> list[tuple[str, bool]]:

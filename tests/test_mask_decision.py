@@ -16,6 +16,7 @@ import pytest
 
 from strongpfd import (
     ColoringError,
+    Graph,
     GraphError,
     NeighborhoodCache,
     complete_graph,
@@ -26,7 +27,6 @@ from strongpfd import (
     strong_product,
 )
 from strongpfd import factorize
-from strongpfd.sclasses import quotient_graph
 
 from conftest import recovery_corpus
 from test_coloring import PERTURBATIONS, perturbed_product
@@ -87,7 +87,7 @@ def test_a_prime_verdict_on_the_masks_is_the_full_path_verdict():
         if not factorize._prime_on_masks(masks):
             verdicts["one vertex" if n == 1 else "full path"] += 1
             continue
-        graph = quotient_graph(masks)
+        graph = Graph.from_closed_masks(masks)
         factors, rows = factorize._factor_verified(masks, NeighborhoodCache(graph))
         assert factors == [masks] and rows == [(q,) for q in range(n)], (masks, radii)
         prime_order = factorize._least_prime_factor(n) == n

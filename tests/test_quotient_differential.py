@@ -45,7 +45,7 @@ from strongpfd import (
 )
 from strongpfd import skeleton
 from strongpfd.oracle import random_thin_graph
-from strongpfd.sclasses import quotient_graph, relative_quotient
+from strongpfd.sclasses import relative_quotient
 
 from conftest import house_graph
 from test_quotient_memo import full_corpus
@@ -142,7 +142,7 @@ def assert_same_neighborhood(nf, cache: NeighborhoodCache, label) -> None:
     qgraph, class_map, classes, fact, edges = legacy_neighborhood(cache.graph, members)
     assert got_map == class_map, label
     assert got_classes == classes, label
-    assert quotient_graph(relative_quotient(cache.graph, members)[2]) == qgraph, label
+    assert Graph.from_closed_masks(relative_quotient(cache.graph, members)[2]) == qgraph, label
     pi = column_permutation(entry.rows, fact)
     assert entry.rows == tuple(tuple(row[i] for i in pi) for row in fact.coords.coords), label
     assert entry.prime_count == nf.prime_count == fact.prime_count, label
@@ -186,7 +186,7 @@ def assert_same_ball(graph: Graph, members, label) -> None:
     qgraph, old_map, old_classes = legacy_quotient(sub)
     assert (classes, class_map) == (old_classes, old_map), label
     assert masks == qgraph.closed_masks, label
-    assert quotient_graph(masks) == qgraph, label
+    assert Graph.from_closed_masks(masks) == qgraph, label
 
 
 def test_balls_of_radius_two_match_the_subgraph_path():
@@ -237,7 +237,7 @@ def test_n2_quotients_match_the_subgraph_path(k, monkeypatch):
         for cache in (NeighborhoodCache(graph), shared):
             found, classes, class_map, entry = cache.factor_ball(x, 2)
             assert (found, class_map, classes) == (members, old_map, old_classes), (k, x)
-            assert quotient_graph(relative_quotient(graph, found)[2]) == qgraph, (k, x)
+            assert Graph.from_closed_masks(relative_quotient(graph, found)[2]) == qgraph, (k, x)
             assert entry.rows == fact.coords.coords, (k, x)
             assert entry.prime_count == fact.prime_count, (k, x)
             assert tuple(entry.cartesian) == edges, (k, x)

@@ -149,14 +149,19 @@ def with_a_twin(graph: Graph, v: int) -> Graph:
     return Graph(n + 1, [*graph.edges(), (v, n), *((w, n) for w in graph.neighbors(v))])
 
 
+def twin_linked_square(cell: tuple[int, int]) -> Graph:
+    """P3 ⊠ P3 with its vertex at ``cell`` doubled into two twins."""
+    square, cells = strong_product([path_graph(3), path_graph(3)])
+    return with_a_twin(square, cells.vertex_at(cell))
+
+
 @pytest.mark.parametrize("cell", [(0, 0), (1, 1)], ids=["corner", "center"])
 def test_a_doubled_class_links_the_coordinates_of_its_quotient(cell):
     # one class of P3 x P3 blown up to two twins: the quotient is P3 x P3,
     # and its class sizes are a product of no two functions of one
     # coordinate each, so both coordinates make one prime factor, the
     # input itself; times K2 or P3 it stays one factor of the product
-    square, cells = strong_product([path_graph(3), path_graph(3)])
-    graph = with_a_twin(square, cells.vertex_at(cell))
+    graph = twin_linked_square(cell)
     assert graph.vertex_count == 10 and not is_thin(graph)
     assert factor_exact(graph, size_cap=None).factors == (graph,)
     assert len(oracle_pfd(graph).factors) == 1

@@ -192,17 +192,22 @@ def test_route_two_entries_keep_no_edge_list(monkeypatch):
 
 def test_every_quotient_a_miss_builds_is_nonempty_and_connected(monkeypatch):
     # the verified core checks neither, as factor_exact does for its input:
-    # a ball is nonempty and connected, and so is every quotient of it
+    # a ball is nonempty and connected, and so is every quotient of it and
+    # every graph that route 2 and the quotient route receive as masks
     built: dict[str, list[Graph]] = {}
-    build = factorize.quotient_graph
     source = ""
 
-    def recorded(masks):
-        graph = build(masks)
-        built.setdefault(source, []).append(graph)
-        return graph
+    def recording(name):
+        call = getattr(factorize, name)
 
-    monkeypatch.setattr(factorize, "quotient_graph", recorded)
+        def recorded(masks, cache):
+            built.setdefault(source, []).append(Graph.from_closed_masks(masks))
+            return call(masks, cache)
+
+        return recorded
+
+    for name in ("_split_grown", "_factor_through_quotient"):
+        monkeypatch.setattr(factorize, name, recording(name))
     source = "recovery"
     for graph in recovery_corpus():
         recognize(graph)
